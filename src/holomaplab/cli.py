@@ -23,10 +23,13 @@ Tasks: eval | jacobian | kappa-sup | refined-sup | bz-run | bz-sequence |
 landau | rescaled-growth | counterexample.  Complex numbers in configs and
 reports are [re, im] pairs.  All randomness flows from the single config
 seed through named sub-seeds (sampler, newton, centers), so re-running a
-config reproduces the payload byte for byte, independent of --threads.
+config reproduces the payload byte for byte, independent of --threads
+(which only the sampled-sup tasks kappa-sup, refined-sup, bz-run and
+bz-sequence use).
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure (a partial
-report with the error is still written).
+Exit codes: 0 success, 2 validation error, 3 numerical failure, any
+unexpected exception from the task included (a partial report with the
+error is still written).
 """
 
 from __future__ import annotations
@@ -357,7 +360,6 @@ def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
                              else int(params["direction_count"])),
             growth_factor=float(params["growth_factor"]),
             center_refine_steps=int(params["center_refine_steps"]),
-            threads=threads,
         )
         return _estimate_payload(est)
     if task == "rescaled-growth":
@@ -368,7 +370,6 @@ def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
                              else int(params["direction_count"])),
             growth_factor=float(params["growth_factor"]),
             center_refine_steps=int(params["center_refine_steps"]),
-            threads=threads,
         )
         return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
     if task == "counterexample":
@@ -447,9 +448,9 @@ def run(config_path: str, output: str | None = None, threads: int = 1) -> int:
     except (ConfigError, PreconditionFailed) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except HolomapError as exc:
+    except Exception as exc:  # HolomapError, or e.g. LinAlgError from an overflowing map
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3
     report["wall_time_s"] = time.perf_counter() - start
     try:

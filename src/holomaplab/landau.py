@@ -6,7 +6,10 @@ from below by certifying membership of sphere points: a certificate is a
 preimage strictly inside the domain whose image matches the target to
 tolerance.  Radii grow multiplicatively from r0 = tolerance * 1e3; the
 last radius whose whole direction set certified is the reported lower
-bound.  A Newton failure is never proof of non-membership, so the upper
+bound, and its certificates, with the center's, are the ones returned.
+Directions the batched Newton misses are retried one by one; the retry
+stops at the first direction it cannot rescue, which fails the shell.
+A Newton failure is never proof of non-membership, so the upper
 bound from the first failing shell is heuristic - except for the Harris
 and Duren-Rudin maps on the unit polydisc, where the counterexample
 witnesses supply a certified bound.
@@ -192,36 +195,36 @@ def _newton_batch(m, targets, warm, dom, cfg):
     return z
 
 
-def _certify_shell(m, targets, dom, cfg, warm, known_pool, threads=1):
-    """Certify a whole shell of targets; failed points get a scalar retry with
-    multistarts and continuation from already-certified neighbors.  Direction
-    tests are independent, so thread-chunking never changes the arithmetic."""
-    if threads > 1 and len(targets) >= 128:
-        splits = np.array_split(np.arange(len(targets)), int(threads))
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            parts = list(ex.map(
-                lambda idx: _newton_batch(m, targets[idx], warm[idx], dom, cfg), splits
-            ))
-        z = np.concatenate(parts, axis=0)
+def _certify_shell(m, targets, dom, cfg, center, prev=None):
+    """Certify a whole shell of targets, warm-started from the previous
+    certified shell `prev` = (targets, preimages), or from the center's
+    (target, preimage) pair when there is none.  Failed points get a scalar
+    retry with multistarts and continuation from certified neighbors; the
+    retry stops at the first point it cannot rescue, since the shell has
+    then failed and the remaining arrays are discarded."""
+    if prev is None:
+        warm = np.tile(center[1], (len(targets), 1))
     else:
-        z = _newton_batch(m, targets, warm, dom, cfg)
+        warm = prev[1]
+    z = _newton_batch(m, targets, warm, dom, cfg)
     res = np.linalg.norm(evaluate_batch(m, z) - targets, axis=1)
-    margins = dom.margin(z)
+    margins = np.asarray(dom.margin(z), dtype=float)
     ok = (res <= cfg.tolerance) & (margins >= cfg.domain_margin_min)
     if not ok.all():
-        pool = list(known_pool) + [
-            (targets[j], z[j]) for j in np.flatnonzero(ok)
-        ]
+        # order matters: solve_membership continues from the first nearest pair
+        pool = [center]
+        if prev is not None:
+            pool.extend(zip(*prev))
+        pool.extend((targets[j], z[j]) for j in np.flatnonzero(ok))
         for j in np.flatnonzero(~ok):
             sol = solve_membership(m, targets[j], dom, cfg, known=pool)
-            if isinstance(sol, MembershipCertificate):
-                z[j] = sol.preimage
-                res[j] = sol.residual
-                margins[j] = sol.domain_margin
-                ok[j] = True
-    return ok, z, res, np.asarray(margins, dtype=float)
+            if not isinstance(sol, MembershipCertificate):
+                break
+            z[j] = sol.preimage
+            res[j] = sol.residual
+            margins[j] = sol.domain_margin
+            ok[j] = True
+    return ok, z, res, margins
 
 
 def inscribed_lower_bound(
@@ -231,7 +234,6 @@ def inscribed_lower_bound(
     cfg: NewtonConfig,
     direction_count: int,
     growth_factor: float = 1.05,
-    threads: int = 1,
     _r_start: float | None = None,
 ) -> LandauEstimate:
     """Grow certified spheres around a fixed center a (which must itself be
@@ -240,6 +242,8 @@ def inscribed_lower_bound(
     At each radius all direction_count quasi-uniform sphere points must
     certify; continuation reuses the previous shell's preimages as warm
     starts, so radius growth is sequential while direction tests vectorize.
+    The returned certificates are the center's followed by those of the
+    last certified shell (radius r_lo); none when no shell certified.
     """
     a = algebra.as_vector(a)
     if not growth_factor > 1.0:
@@ -253,30 +257,31 @@ def inscribed_lower_bound(
         )
     dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
     r = float(_r_start) if _r_start else cfg.tolerance * 1e3
-    warm = np.tile(center_sol.preimage, (direction_count, 1))
-    known_pool = [(a, center_sol.preimage)]
+    center = (a, center_sol.preimage)
+    last = None  # (targets, z, res, margins) of the last certified shell
     r_lo, r_hi = 0.0, np.inf
-    shell_certs: list = []
     history: list = []
     while len(history) < _MAX_SHELLS:
         targets = a + r * dirs
-        ok, z, res, margins = _certify_shell(m, targets, dom, cfg, warm, known_pool, threads)
+        ok, z, res, margins = _certify_shell(
+            m, targets, dom, cfg, center, None if last is None else last[:2]
+        )
         if bool(ok.all()):
             history.append((r, True))
             r_lo = r
-            warm = z
-            known_pool = [(a, center_sol.preimage)] + [
-                (targets[j], z[j]) for j in range(direction_count)
-            ]
-            shell_certs = [
-                MembershipCertificate(targets[j], np.array(z[j]), float(res[j]), float(margins[j]))
-                for j in range(direction_count)
-            ]
+            last = (targets, z, res, margins)
             r *= growth_factor
         else:
             history.append((r, False))
             r_hi = r
             break
+    shell_certs = []
+    if last is not None:
+        targets, z, res, margins = last
+        shell_certs = [
+            MembershipCertificate(targets[j], np.array(z[j]), float(res[j]), float(margins[j]))
+            for j in range(direction_count)
+        ]
     return LandauEstimate(
         center=a,
         r_lo=float(r_lo),
@@ -305,7 +310,6 @@ def landau_estimate(
     direction_count: int | None = None,
     growth_factor: float = 1.05,
     center_refine_steps: int = 2,
-    threads: int = 1,
 ) -> LandauEstimate:
     """Lower bound for the Landau number: best inscribed estimate over the
     image of the origin, seeded random image points, and a hill climb of
@@ -327,7 +331,7 @@ def landau_estimate(
 
     def full_run(center):
         return inscribed_lower_bound(
-            m, center, dom, cfg, direction_count, growth_factor, threads
+            m, center, dom, cfg, direction_count, growth_factor
         )
 
     centers = [evaluate(m, np.zeros(m.dim))]
@@ -356,7 +360,7 @@ def landau_estimate(
                 cand[j] += delta
                 try:
                     probe = inscribed_lower_bound(
-                        m, cand, dom, cfg, direction_count, growth_factor, threads,
+                        m, cand, dom, cfg, direction_count, growth_factor,
                         _r_start=max(cfg.tolerance * 1e3, 0.8 * best.r_lo),
                     )
                 except CenterNotInImage:
@@ -386,7 +390,6 @@ def rescaled_growth(
     direction_count: int | None = None,
     growth_factor: float = 1.05,
     center_refine_steps: int = 1,
-    threads: int = 1,
 ) -> list[tuple[float, float]]:
     """Inscribed-ball growth of an entire map under dilation: for each R,
     estimate the Landau number of z -> (1/R) m(R z) on the unit ball and
@@ -404,7 +407,6 @@ def rescaled_growth(
             direction_count=direction_count,
             growth_factor=growth_factor,
             center_refine_steps=center_refine_steps,
-            threads=threads,
         )
         series.append((R, R * est.r_lo))
     return series

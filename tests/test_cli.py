@@ -91,6 +91,23 @@ class TestRun:
         assert report["payload"] is None
         assert report["error"]["type"] == "SingularBasePoint"
 
+    @pytest.mark.parametrize("task, params", [
+        ("kappa-sup", {"radial_shells": 8, "points_per_shell": 48, "refine_steps": 10}),
+        ("bz-run", {"C": 12.0, "radial_shells": 8, "points_per_shell": 48,
+                    "refine_steps": 12}),
+    ])
+    def test_overflowing_map_exits_3_with_partial_report(self, tmp_path, task, params):
+        # the Jacobians overflow and the SVD raises numpy's LinAlgError
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": "expcoord(c=1000, k=2)", "task": task,
+            "seed": 3, "params": params,
+        })
+        out = tmp_path / "r.json"
+        assert run(str(cfg), str(out)) == 3
+        report = load_report(out)
+        assert report["payload"] is None
+        assert report["error"] is not None
+
     def test_config_echo_round_trips(self, tmp_path):
         cfg_dict = {
             "schema": 1,

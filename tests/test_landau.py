@@ -19,6 +19,8 @@ from holomaplab import (
     rescaled_growth,
     solve_membership,
 )
+from holomaplab import landau
+from holomaplab._sampling import sphere_directions
 from holomaplab.errors import CenterNotInImage
 
 BALL2 = DomainSpec.ball(2, 1.0)
@@ -90,6 +92,16 @@ class TestInscribedLowerBound:
             assert BALL2.margin(cert.preimage) >= CFG.domain_margin_min
             assert np.linalg.norm(cert.target - est.center) <= est.r_lo + 1e-12
 
+    def test_certificates_are_center_plus_last_shell(self):
+        est = inscribed_lower_bound(Linear(np.diag([2.0, 0.5])), np.zeros(2), BALL2, CFG,
+                                    direction_count=48, growth_factor=1.05)
+        assert len(est.certificates) == 1 + 48
+        assert np.array_equal(est.certificates[0].target, est.center)
+        for cert in est.certificates[1:]:
+            assert np.linalg.norm(cert.target - est.center) == pytest.approx(est.r_lo, rel=1e-12)
+            assert cert.residual <= CFG.tolerance
+            assert cert.domain_margin >= CFG.domain_margin_min
+
     def test_center_not_in_image(self):
         with pytest.raises(CenterNotInImage):
             inscribed_lower_bound(Identity(2), np.array([5.0, 0.0]), BALL2, CFG,
@@ -101,6 +113,49 @@ class TestInscribedLowerBound:
         flags = [ok for _, ok in est.shell_history]
         assert all(flags[:-1])
         assert flags[-1] is False or est.r_hi == np.inf
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestCertifyShell:
+    def test_salvage_stops_at_first_unrescued_direction(self, monkeypatch):
+        # every preimage of a radius-1.5 shell lies outside the unit ball
+        calls = count_calls(monkeypatch, landau, "solve_membership")
+        center = (np.zeros(2, complex), np.zeros(2, complex))
+        targets = 1.5 * sphere_directions(16, 2, 1)
+        ok, _, _, _ = landau._certify_shell(Identity(2), targets, BALL2, CFG, center)
+        assert not ok.any()
+        assert len(calls) == 1
+        assert isinstance(calls[0], NotFound)
+
+    def test_single_bad_direction_is_salvaged(self, monkeypatch):
+        # a warm start on the critical line z1 = 0 of (z1^2, z2) freezes the
+        # batched Newton there; the scalar retry rescues it from a multistart
+        m = parse("(z1^2, z2)")
+        c = np.array([0.5, 0.0], complex)
+        center = (evaluate(m, c), c)
+        targets = center[0] + 0.01 * sphere_directions(8, 2, 1)
+        warm = np.tile(c, (8, 1))
+        warm[3] = 0.0
+        calls = count_calls(monkeypatch, landau, "solve_membership")
+        ok, z, res, margins = landau._certify_shell(m, targets, BALL2, CFG, center,
+                                                    (targets, warm))
+        assert ok.all()
+        assert len(calls) == 1
+        assert isinstance(calls[0], MembershipCertificate)
+        assert np.linalg.norm(evaluate(m, z[3]) - targets[3]) <= CFG.tolerance
+        assert res[3] <= CFG.tolerance and margins[3] >= CFG.domain_margin_min
 
 
 class TestLandauEstimate:

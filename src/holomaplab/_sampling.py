@@ -3,17 +3,17 @@
 Everything here is a pure function of explicit integer seeds.  The point
 families are prefix-stable: asking for more points extends a sample set
 without changing the points already generated, so sweeps over sample
-sizes behave monotonically.  Thread-chunked evaluation never changes any
-arithmetic, only the partitioning of pure per-point work, so results are
-bitwise independent of the thread count.
+sizes behave monotonically.  Sampled suprema are scored by one batch
+function, for the samples and for each hill-climb candidate alike.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import EmptySample
 
 # outermost shell sits at radius * (1 - BOUNDARY_GAP)
 BOUNDARY_GAP = 1e-3
@@ -129,17 +129,31 @@ def coordinate_ascent(objective, x0, steps: int, step0: float, inside):
     return x, best
 
 
-def chunked_apply(fn, arr, threads: int = 1, min_chunk: int = 64):
-    """Apply a pure row-wise fn to chunks of arr on a thread pool and
-    concatenate in submission order.  Identical output for every thread
-    count; threads only partition the work."""
-    n = len(arr)
-    if threads <= 1 or n < 2 * min_chunk:
-        return fn(arr)
-    parts = np.array_split(arr, int(threads))
-    with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-        results = list(ex.map(fn, parts))
-    if isinstance(results[0], tuple):
-        width = len(results[0])
-        return tuple(np.concatenate([r[i] for r in results]) for i in range(width))
-    return np.concatenate(results)
+def sampled_sup(score, pts, steps: int, step0: float, inside):
+    """Sampled lower estimate of the sup of a batch scorer.
+
+    score maps (N, k) points to (N,) values, -inf marking an excluded point.
+    The best sample is refined by coordinate_ascent, which scores each
+    candidate as a batch of one.  Returns (point, value, evaluations,
+    excluded), where the counts cover the samples and the climb.
+    """
+    vals = score(pts)
+    excluded = int(np.count_nonzero(vals == -np.inf))
+    if excluded == len(pts):
+        raise EmptySample(f"all {len(pts)} sampled points were excluded")
+    idx = int(np.argmax(vals))
+    best_pt, best = np.array(pts[idx]), float(vals[idx])
+    evals, climb_excluded = 0, 0
+
+    def objective(x):
+        nonlocal evals, climb_excluded
+        val = float(score(x[None])[0])
+        evals += 1
+        climb_excluded += val == -np.inf
+        return val
+
+    if steps > 0 and best != np.inf:
+        pt, val = coordinate_ascent(objective, best_pt, steps, step0, inside)
+        if val > best:
+            best_pt, best = pt, val
+    return best_pt, best, len(pts) + evals, excluded + climb_excluded

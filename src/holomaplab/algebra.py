@@ -85,7 +85,11 @@ def spectral_norm_batch(mats) -> np.ndarray:
 
 def kappa_batch(mats, rtol: float = SINGULAR_RTOL) -> np.ndarray:
     """Vectorized kappa; +inf where singular per the rtol threshold."""
-    s = singular_values_batch(mats)
+    return kappa_from_singular_values(singular_values_batch(mats), rtol)
+
+
+def kappa_from_singular_values(s, rtol: float = SINGULAR_RTOL) -> np.ndarray:
+    """kappa from descending singular values (..., k); +inf where singular."""
     smax, smin = s[..., 0], s[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(smin <= rtol * smax, np.inf, smax / np.maximum(smin, 1e-300))

@@ -2,7 +2,7 @@
 
 Commands:
 
-    holomaplab run <config.json> [--output PATH] [--threads N]
+    holomaplab run <config.json> [--output PATH]
     holomaplab emit <report.json> --format rows|structured [--output PATH]
     holomaplab parse-check <map-text>
     holomaplab list-builtins
@@ -22,10 +22,9 @@ A config is a JSON object:
 Tasks: eval | jacobian | kappa-sup | refined-sup | bz-run | bz-sequence |
 landau | rescaled-growth | counterexample.  Complex numbers in configs and
 reports are [re, im] pairs.  All randomness flows from the single config
-seed through named sub-seeds (sampler, newton, centers), so re-running a
-config reproduces the payload byte for byte, independent of --threads
-(which only the sampled-sup tasks kappa-sup, refined-sup, bz-run and
-bz-sequence use).
+seed through named sub-seeds (sampler, newton, centers), and a run is
+single-threaded, so re-running a config reproduces the payload byte for
+byte.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, any
 unexpected exception from the task included (a partial report with the
@@ -53,7 +52,7 @@ from .errors import (
     PreconditionFailed,
     UnsupportedPayload,
 )
-from .mapkit import DomainSpec, DurenRudin as _DR, Harris as _HA, MapExpr, evaluate, jacobian, parse, to_text
+from .mapkit import DomainSpec, MapExpr, evaluate, jacobian, parse, to_text
 
 SCHEMA_VERSION = 1
 
@@ -299,6 +298,16 @@ def _step_payload(step: renorm.RenormStep) -> dict:
     }
 
 
+def _witness_payload(w) -> dict:
+    if isinstance(w, counterexamples.HarrisWitness):
+        return {"center": _enc(w.center), "zeta": _enc(w.zeta), "violation": _enc(w.violation)}
+    return {
+        "center": _enc(w.center),
+        "theta_star": _enc(w.theta_star),
+        "circle_value": _enc(w.circle_value),
+    }
+
+
 def _sequence_map_builder(template: str, cfg_map: MapExpr):
     """bz-sequence families come from the map text with {n} / {1/n}
     placeholders; a placeholder-free text is a constant family."""
@@ -310,7 +319,7 @@ def _sequence_map_builder(template: str, cfg_map: MapExpr):
     return build
 
 
-def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
+def _run_task(cfg: ExperimentConfig) -> dict:
     m = parse(_probe_text(cfg.map_text, cfg.task))
     params = cfg.params
     task = cfg.task
@@ -322,7 +331,7 @@ def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
         jet = jacobian(m, z)
         return {"point": _enc(z), "value": _enc(jet.value), "jacobian": _enc(jet.jacobian)}
     if task == "kappa-sup":
-        report = conditioning.sup_kappa(m, cfg.domain, _sampler_from(params, cfg.seed), threads)
+        report = conditioning.sup_kappa(m, cfg.domain, _sampler_from(params, cfg.seed))
         return {
             "sup_estimate": _enc(report.sup_estimate),
             "argmax_point": _enc(report.argmax_point),
@@ -332,12 +341,12 @@ def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
         }
     if task == "refined-sup":
         a = _point_from(params["base_point"], m.dim)
-        value = conditioning.refined_sup(m, a, _sampler_from(params, cfg.seed), threads)
+        value = conditioning.refined_sup(m, a, _sampler_from(params, cfg.seed))
         return {"base_point": _enc(a), "sup": _enc(value), "norm": algebra.NORM_NAME}
     if task == "bz-run":
         step = renorm.bz_step(
             m, float(params["C"]), _sampler_from(params, cfg.seed),
-            grid_factor=float(params["grid_factor"]), threads=threads,
+            grid_factor=float(params["grid_factor"]),
         )
         return _step_payload(step)
     if task == "bz-sequence":
@@ -345,7 +354,7 @@ def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
         steps = renorm.bz_sequence(
             _sequence_map_builder(cfg.map_text, m), n_values,
             float(params["C"]), _sampler_from(params, cfg.seed),
-            grid_factor=float(params["grid_factor"]), threads=threads,
+            grid_factor=float(params["grid_factor"]),
         )
         return {
             "series": [
@@ -389,35 +398,17 @@ def _run_task(cfg: ExperimentConfig, threads: int) -> dict:
                 (complex(r[0], r[1]), complex(r[2], r[3])) for r in raw
             ]
         bound = counterexamples.certify_no_ball(m, centers)
-        witnesses = []
-        if isinstance(m, _HA):
-            delta_test = bound.value * (1.0 + 1e-6)
-            for a0, b0 in centers:
-                w = counterexamples.harris_witness(m.n, delta_test, a0, b0)
-                witnesses.append({
-                    "center": _enc([a0, b0]),
-                    "zeta": _enc(w.zeta),
-                    "violation": _enc(w.violation),
-                })
-        elif isinstance(m, _DR):
-            for u, v in centers:
-                w = counterexamples.duren_rudin_witness(m.delta, u, v)
-                witnesses.append({
-                    "center": _enc([u, v]),
-                    "theta_star": _enc(w.theta_star),
-                    "circle_value": _enc(w.circle_value),
-                })
         return {
             "bound": _enc(bound.value),
             "label": bound.label,
             "witness_count": bound.witness_count,
             "map": bound.map_text,
-            "witnesses": witnesses,
+            "witnesses": [_witness_payload(w) for w in bound.witnesses],
         }
     raise ConfigError(f"unhandled task {task}")
 
 
-def run(config_path: str, output: str | None = None, threads: int = 1) -> int:
+def run(config_path: str, output: str | None = None) -> int:
     """Execute a config file; returns the process exit code."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -443,7 +434,7 @@ def run(config_path: str, output: str | None = None, threads: int = 1) -> int:
     }
     start = time.perf_counter()
     try:
-        report["payload"] = _run_task(cfg, threads)
+        report["payload"] = _run_task(cfg)
         code = 0
     except (ConfigError, PreconditionFailed) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -534,7 +525,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a config file and write a report")
     p_run.add_argument("config")
     p_run.add_argument("--output", "-o", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_emit = sub.add_parser("emit", help="render a report's series payload")
     p_emit.add_argument("report")
@@ -548,7 +538,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.output, args.threads)
+        return run(args.config, args.output)
     if args.command == "emit":
         return emit(args.report, args.format, args.output)
     if args.command == "parse-check":

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from ._sampling import (
-    BOUNDARY_GAP,
-    chunked_apply,
-    coordinate_ascent,
-    shell_points,
-    subseed,
-)
+from ._sampling import BOUNDARY_GAP, sampled_sup, shell_points, subseed
 from .errors import (
     DimensionMismatch,
-    EmptySample,
     PreconditionFailed,
     SingularBasePoint,
     SingularJacobian,
@@ -36,8 +29,7 @@ from .mapkit import DomainSpec, MapExpr, jacobian, jacobian_batch
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sampling plan: same seed => same sample set, independent
-    of how the evaluation work is partitioned."""
+    """Deterministic sampling plan: same seed => same sample set."""
 
     radial_shells: int = 12
     points_per_shell: int = 96
@@ -72,7 +64,7 @@ def kappa_at(m: MapExpr, z) -> float:
     return algebra.kappa(jacobian(m, z).jacobian)
 
 
-def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig, threads: int = 1) -> ConditionReport:
+def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig) -> ConditionReport:
     """Sampled lower estimate of sup kappa over the domain.
 
     Stratified shell samples are refined with a coordinate-wise hill climb
@@ -83,60 +75,27 @@ def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig, threads: int = 1)
     """
     if dom.dim != m.dim:
         raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
+    excl = cfg.exclusion_tolerance
+    rtol = max(algebra.SINGULAR_RTOL, excl)
+
+    def score(z):
+        s = algebra.singular_values_batch(jacobian_batch(m, z)[1])
+        kvals = algebra.kappa_from_singular_values(s)
+        if excl > 0:
+            kvals = np.where(s[:, -1] <= rtol * s[:, 0], -np.inf, kvals)
+        return kvals
+
     pts = shell_points(dom, cfg.radial_shells, cfg.points_per_shell,
                        subseed(cfg.rng_seed, "kappa-shells"))
-    jacs = chunked_apply(lambda c: jacobian_batch(m, c)[1], pts, threads)
-    s = algebra.singular_values_batch(jacs)
-    smax, smin = s[..., 0], s[..., -1]
-    base_singular = smin <= algebra.SINGULAR_RTOL * smax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kvals = np.where(base_singular, np.inf, smax / np.maximum(smin, 1e-300))
-    kvals = np.maximum(kvals, 1.0)
-
-    excl = cfg.exclusion_tolerance
-    skipped = 0
-    if excl > 0:
-        excluded = smin <= max(algebra.SINGULAR_RTOL, excl) * smax
-        skipped = int(excluded.sum())
-        if excluded.all():
-            raise EmptySample(
-                f"all {len(pts)} sampled points were excluded as singular"
-            )
-        kvals = np.where(excluded, -np.inf, kvals)
-
-    idx = int(np.argmax(kvals))
-    best_val = float(kvals[idx])
-    best_pt = np.array(pts[idx])
-    evals = len(pts)
-
-    if np.isposinf(best_val):  # only reachable with exclusion disabled
-        return ConditionReport(best_val, best_pt, evals, skipped)
-
-    counters = {"evals": 0, "skipped": 0}
-
-    def objective(z):
-        counters["evals"] += 1
-        sv = algebra.singular_values(jacobian(m, z).jacobian)
-        if sv[-1] <= max(algebra.SINGULAR_RTOL, excl) * sv[0]:
-            counters["skipped"] += 1
-            return -np.inf
-        return max(float(sv[0] / sv[-1]), 1.0)
-
-    if cfg.refine_steps > 0:
-        limit = dom.radius * (1.0 - 0.5 * BOUNDARY_GAP)
-        refined_pt, refined_val = coordinate_ascent(
-            objective, best_pt, cfg.refine_steps, 0.1 * dom.radius,
-            inside=lambda z: dom.norm(z) <= limit,
-        )
-        if refined_val > best_val:
-            best_pt, best_val = refined_pt, float(refined_val)
-
-    return ConditionReport(
-        best_val, best_pt, evals + counters["evals"], skipped + counters["skipped"]
+    limit = dom.radius * (1.0 - 0.5 * BOUNDARY_GAP)
+    best_pt, best, evals, skipped = sampled_sup(
+        score, pts, cfg.refine_steps, 0.1 * dom.radius,
+        inside=lambda z: dom.norm(z) <= limit,
     )
+    return ConditionReport(best, best_pt, evals, skipped)
 
 
-def refined_sup(m: MapExpr, a, cfg: SamplerConfig, threads: int = 1) -> float:
+def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
     """Sampled sup of |J(a+z) J(a)^-1| over the closed ball |z| <= (1-|a|)/2.
 
     This functional only normalizes by the base-point Jacobian, so it can
@@ -157,25 +116,11 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig, threads: int = 1) -> float:
     ball = DomainSpec.ball(m.dim, rad)
     offsets = shell_points(ball, cfg.radial_shells, cfg.points_per_shell,
                            subseed(cfg.rng_seed, "refined-sup"))
-
-    def norms(chunk):
-        jacs = jacobian_batch(m, a + chunk)[1]
-        return algebra.spectral_norm_batch(jacs @ j0_inv)
-
-    vals = chunked_apply(norms, offsets, threads)
-    idx = int(np.argmax(vals))
-    best_off, best = np.array(offsets[idx]), float(vals[idx])
-
-    def objective(off):
-        return algebra.spectral_norm(jacobian(m, a + off).jacobian @ j0_inv)
-
-    if cfg.refine_steps > 0:
-        refined_off, refined = coordinate_ascent(
-            objective, best_off, cfg.refine_steps, 0.1 * rad,
-            inside=lambda off: np.linalg.norm(off) <= rad,  # closed ball
-        )
-        if refined > best:
-            best = float(refined)
+    _, best, _, _ = sampled_sup(
+        lambda off: algebra.spectral_norm_batch(jacobian_batch(m, a + off)[1] @ j0_inv),
+        offsets, cfg.refine_steps, 0.1 * rad,
+        inside=lambda off: np.linalg.norm(off) <= rad,  # closed ball
+    )
     return best
 
 

@@ -64,12 +64,14 @@ class DRWitness:
 @dataclass
 class CertifiedBound:
     """Analytic upper bound on the largest inscribed-ball radius, tagged
-    certified because a witness succeeded at every probed center."""
+    certified because a witness succeeded at every probed center; witnesses
+    holds them in center order."""
 
     value: float
     label: str
     witness_count: int
     map_text: str
+    witnesses: list
 
 
 def harris_witness(n: int, delta: float, alpha0: complex, beta0: complex) -> HarrisWitness:
@@ -166,16 +168,12 @@ def certify_no_ball(map_node: MapExpr, centers) -> CertifiedBound:
     if isinstance(map_node, Harris):
         bound = math.sqrt(2.0 / map_node.n)
         delta_test = bound * (1.0 + 1e-6)
-        for center in centers:
-            a0, b0 = complex(center[0]), complex(center[1])
-            harris_witness(map_node.n, delta_test, a0, b0)
-        return CertifiedBound(bound, "certified", len(centers), to_text(map_node))
-    if isinstance(map_node, DurenRudin):
-        delta = map_node.delta
-        for center in centers:
-            u, v = complex(center[0]), complex(center[1])
-            duren_rudin_witness(delta, u, v)
-        return CertifiedBound(delta, "certified", len(centers), to_text(map_node))
-    raise PreconditionFailed(
-        f"certified bounds exist only for harris/durenrudin maps, got {to_text(map_node)}"
-    )
+        witnesses = [harris_witness(map_node.n, delta_test, c[0], c[1]) for c in centers]
+    elif isinstance(map_node, DurenRudin):
+        bound = map_node.delta
+        witnesses = [duren_rudin_witness(bound, c[0], c[1]) for c in centers]
+    else:
+        raise PreconditionFailed(
+            f"certified bounds exist only for harris/durenrudin maps, got {to_text(map_node)}"
+        )
+    return CertifiedBound(bound, "certified", len(centers), to_text(map_node), witnesses)

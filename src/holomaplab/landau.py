@@ -188,7 +188,7 @@ def _newton_batch(m, targets, warm, dom, cfg):
                 try:
                     step[t] = np.linalg.solve(j_rem[t], f_rem[t])
                 except np.linalg.LinAlgError:
-                    step[t] = 0.0  # frozen; the scalar salvage path retries it
+                    alive[rem[t]] = False  # z cannot move; the scalar salvage path retries it
         z[rem] = z[rem] - step
         runaway = rem[np.abs(z[rem]).max(axis=1) > escape]
         alive[runaway] = False

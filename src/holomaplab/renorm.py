@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra
-from ._sampling import chunked_apply, coordinate_ascent, shell_points, subseed
+from ._sampling import sampled_sup, shell_points, subseed
 from .conditioning import SamplerConfig
 from .errors import RadiusExceedsValidity, SingularJacobianAtBase, SingularMatrix
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
@@ -59,31 +59,20 @@ class RenormStep:
     bound_check: BoundCheck
 
 
-def lambda_functional(m: MapExpr, cfg: SamplerConfig, threads: int = 1):
+def lambda_functional(m: MapExpr, cfg: SamplerConfig):
     """Sampled-and-refined lower estimate of sup (1-|z|)|J(z)| on the unit
     ball, together with the near-maximizer that attained it."""
     dom = DomainSpec.ball(m.dim, 1.0)
     pts = shell_points(dom, cfg.radial_shells, cfg.points_per_shell,
                        subseed(cfg.rng_seed, "lambda-shells"))
-    norms = chunked_apply(
-        lambda c: algebra.spectral_norm_batch(jacobian_batch(m, c)[1]), pts, threads
+
+    def score(z):
+        norms = algebra.spectral_norm_batch(jacobian_batch(m, z)[1])
+        return (1.0 - np.linalg.norm(z, axis=1)) * norms
+
+    best_pt, best, _, _ = sampled_sup(
+        score, pts, cfg.refine_steps, 0.1, inside=lambda z: np.linalg.norm(z) < 1.0,
     )
-    weights = 1.0 - np.linalg.norm(pts, axis=1)
-    objective_vals = weights * norms
-    idx = int(np.argmax(objective_vals))
-    best_pt = np.array(pts[idx])
-    best = float(objective_vals[idx])
-
-    def objective(z):
-        return (1.0 - np.linalg.norm(z)) * algebra.spectral_norm(jacobian(m, z).jacobian)
-
-    if cfg.refine_steps > 0:
-        refined_pt, refined = coordinate_ascent(
-            objective, best_pt, cfg.refine_steps, 0.1,
-            inside=lambda z: np.linalg.norm(z) < 1.0,
-        )
-        if refined > best:
-            best_pt, best = refined_pt, float(refined)
     return best, best_pt
 
 
@@ -93,7 +82,6 @@ def bz_step(
     cfg: SamplerConfig,
     grid_factor: float = 0.9,
     bound_rtol: float = 1e-6,
-    threads: int = 1,
 ) -> RenormStep:
     """Build one rescaling step and check its derivative bounds.
 
@@ -104,7 +92,7 @@ def bz_step(
     """
     if c_bound < 1.0:
         raise ValueError("c_bound must be >= 1 (kappa is never below 1)")
-    lam, a = lambda_functional(m, cfg, threads)
+    lam, a = lambda_functional(m, cfg)
     try:
         b_matrix = algebra.invert(jacobian(m, a).jacobian)
     except SingularMatrix as exc:
@@ -115,9 +103,7 @@ def bz_step(
     grid_dom = DomainSpec.ball(m.dim, grid_factor * validity)
     grid = shell_points(grid_dom, cfg.radial_shells, cfg.points_per_shell,
                         subseed(cfg.rng_seed, "bz-grid"))
-    norms = chunked_apply(
-        lambda c: algebra.spectral_norm_batch(jacobian_batch(psi, c)[1]), grid, threads
-    )
+    norms = algebra.spectral_norm_batch(jacobian_batch(psi, grid)[1])
     imax = int(np.argmax(norms))
     max_norm = float(norms[imax])
     bound = 2.0 * c_bound
@@ -142,14 +128,10 @@ def bz_sequence(
     c_bound: float,
     cfg: SamplerConfig,
     grid_factor: float = 0.9,
-    threads: int = 1,
 ) -> list[RenormStep]:
     """One rescaling step per family member; the lambda series of the result
     shows whether the family escapes (lambda unbounded) or stays normal."""
-    return [
-        bz_step(family(n), c_bound, cfg, grid_factor=grid_factor, threads=threads)
-        for n in n_values
-    ]
+    return [bz_step(family(n), c_bound, cfg, grid_factor=grid_factor) for n in n_values]
 
 
 def convergence_diagnostic(

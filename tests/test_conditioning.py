@@ -15,6 +15,8 @@ from holomaplab import (
     refined_sup,
     sup_kappa,
 )
+from holomaplab import _sampling
+from holomaplab._sampling import sampled_sup, shell_points
 from holomaplab.errors import (
     EmptySample,
     PreconditionFailed,
@@ -100,12 +102,55 @@ class TestSupKappa:
         with pytest.raises(EmptySample):
             sup_kappa(m, BALL2, CFG)
 
-    def test_threads_do_not_change_result(self):
+    def test_samples_used_counts_samples_and_climb(self, monkeypatch):
+        calls = []
+        original = _sampling.coordinate_ascent
+
+        def counted(objective, *args, **kwargs):
+            def tallied(x):
+                calls.append(x)
+                return objective(x)
+
+            return original(tallied, *args, **kwargs)
+
+        monkeypatch.setattr(_sampling, "coordinate_ascent", counted)
         g = parse("compose(henon(b=0.5), expcoord(c=0.1, k=2))")
-        a = sup_kappa(g, BALL2, CFG, threads=1)
-        b = sup_kappa(g, BALL2, CFG, threads=4)
-        assert a.sup_estimate == b.sup_estimate
-        assert np.array_equal(a.argmax_point, b.argmax_point)
+        rep = sup_kappa(g, BALL2, CFG)
+        pts = shell_points(BALL2, CFG.radial_shells, CFG.points_per_shell, 0)
+        assert len(calls) > 0
+        assert rep.samples_used == len(pts) + len(calls)
+
+
+class TestSampledSup:
+    PTS = shell_points(BALL2, 4, 16, 3)
+
+    @staticmethod
+    def inside(z):
+        return np.linalg.norm(z) <= 1.0
+
+    def test_all_excluded_raises_empty_sample(self):
+        with pytest.raises(EmptySample):
+            sampled_sup(lambda z: np.full(len(z), -np.inf), self.PTS, 5, 0.1, self.inside)
+
+    def test_infinite_sample_skips_the_climb(self, monkeypatch):
+        def climb(*args, **kwargs):
+            raise AssertionError("the climb cannot improve on +inf")
+
+        monkeypatch.setattr(_sampling, "coordinate_ascent", climb)
+        score = lambda z: np.where(z[:, 0] == 0, np.inf, 1.0)  # the center sample
+        pt, val, evals, excluded = sampled_sup(score, self.PTS, 5, 0.1, self.inside)
+        assert val == np.inf and np.array_equal(pt, np.zeros(2))
+        assert (evals, excluded) == (len(self.PTS), 0)
+
+    def test_counts_climb_exclusions(self):
+        # the climb starts at the best sample, then rejects every move off it
+        best = self.PTS[int(np.argmax(self.PTS[:, 0].real))]
+        score = lambda z: np.where((z == best).all(axis=1), 1.0, -np.inf)
+        pt, val, evals, excluded = sampled_sup(score, self.PTS, 1, 0.1, self.inside)
+        assert val == 1.0 and np.array_equal(pt, best)
+        climbed = evals - len(self.PTS)
+        assert climbed > 1
+        assert excluded == len(self.PTS) - 1 + climbed - 1
 
 
 class TestRefinedSup:

@@ -158,6 +158,59 @@ class TestCertifyShell:
         assert res[3] <= CFG.tolerance and margins[3] >= CFG.domain_margin_min
 
 
+def newton_without_retiring(m, targets, warm, dom, cfg):
+    """_newton_batch as it was when a point with a singular Jacobian stayed
+    alive with a zero step."""
+    z = np.array(warm, dtype=np.complex128)
+    alive = np.ones(len(z), dtype=bool)
+    escape = landau._DIVERGENCE_FACTOR * (dom.radius + float(np.abs(targets).max()) + 1.0)
+    for _ in range(cfg.max_iterations):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        vals, jacs = landau.jacobian_batch(m, z[idx])
+        f = vals - targets[idx]
+        done = np.linalg.norm(f, axis=1) <= cfg.tolerance
+        alive[idx[done]] = False
+        rem = idx[~done]
+        if rem.size == 0:
+            continue
+        step = np.zeros_like(f[~done])
+        for t in range(rem.size):
+            try:
+                step[t] = np.linalg.solve(jacs[~done][t], f[~done][t])
+            except np.linalg.LinAlgError:
+                pass
+        z[rem] = z[rem] - step
+        alive[rem[np.abs(z[rem]).max(axis=1) > escape]] = False
+    return z
+
+
+class TestNewtonBatch:
+    def test_frozen_point_is_retired(self, monkeypatch):
+        # a warm start on the critical line z1 = 0 of (z1^2, z2) has a singular
+        # Jacobian, so its z can never move
+        m = parse("(z1^2, z2)")
+        c = np.array([0.5, 0.0], complex)
+        targets = evaluate(m, c) + 0.01 * sphere_directions(128, 2, 1)
+        warm = np.tile(c, (128, 1))
+        warm[5, 0] = 0.0
+        expected = newton_without_retiring(m, targets, warm, BALL2, CFG)
+        batches = []
+        original = landau.jacobian_batch
+
+        def recorded(m, pts):
+            batches.append(np.array(pts))
+            return original(m, pts)
+
+        monkeypatch.setattr(landau, "jacobian_batch", recorded)
+        z = landau._newton_batch(m, targets, warm, BALL2, CFG)
+        assert len(batches) > 1
+        assert len(batches[0]) == 128
+        assert all(not (b == warm[5]).all(axis=1).any() for b in batches[1:])
+        assert np.array_equal(z, expected)
+
+
 class TestLandauEstimate:
     def test_identity(self):
         est = landau_estimate(Identity(2), BALL2, CFG, center_candidates=1,

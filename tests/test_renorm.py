@@ -14,10 +14,12 @@ from holomaplab import (
     convergence_diagnostic,
     evaluate_batch,
     jacobian,
+    jacobian_batch,
     lambda_functional,
     parse,
     sup_kappa,
 )
+from holomaplab import algebra
 from holomaplab.errors import RadiusExceedsValidity, SingularJacobianAtBase
 
 # dense-grid oracles (1e6 points + coordinate polish) for the boundary-weighted
@@ -49,9 +51,17 @@ class TestLambdaFunctional:
         assert lam <= LAMBDA_HENON_EXP * (1 + 1e-6)
         # the functional value is attained at the reported point
         jet = jacobian(g_map(), a)
-        from holomaplab import algebra
         attained = (1 - np.linalg.norm(a)) * algebra.spectral_norm(jet.jacobian)
         assert lam == pytest.approx(attained, rel=1e-12)
+
+    def test_value_is_the_batch_score_at_the_point(self):
+        # samples and climb share one scorer, so the value is reproduced bit
+        # for bit by scoring the returned point as a batch of one
+        m = parse("harris(n=2)")
+        cfg = SamplerConfig(radial_shells=6, points_per_shell=64, rng_seed=0, refine_steps=15)
+        lam, a = lambda_functional(m, cfg)
+        norm = algebra.spectral_norm_batch(jacobian_batch(m, a[None])[1])
+        assert lam == ((1.0 - np.linalg.norm(a[None], axis=1)) * norm)[0]
 
     def test_dilated_series_oracle(self):
         from holomaplab import dilate

@@ -4,7 +4,8 @@ Everything here is a pure function of explicit integer seeds.  The point
 families are prefix-stable: asking for more points extends a sample set
 without changing the points already generated, so sweeps over sample
 sizes behave monotonically.  Sampled suprema are scored by one batch
-function, for the samples and for each hill-climb candidate alike.
+function: the samples are one batch, and each hill-climb sweep scores its
+remaining candidates as one batch.
 """
 
 from __future__ import annotations
@@ -104,56 +105,77 @@ def interior_points(dom, n: int, seed: int, pullback: float = 0.7) -> np.ndarray
     return pts
 
 
-def coordinate_ascent(objective, x0, steps: int, step0: float, inside):
-    """Deterministic coordinate-wise hill climb over the real coordinates of a
-    complex vector.  objective returns -inf to reject a point; inside guards
-    the domain.  Returns (best_point, best_value)."""
+def _kept(vals):
+    """Mask of the scores that count: -inf and NaN mark excluded points."""
+    return vals > -np.inf
+
+
+def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
+    """Deterministic first-improvement hill climb over the real coordinates
+    of a complex vector, from x0 whose score is best.
+
+    A sweep at step h tries (j, +h), (j, -h), (j, +ih), (j, -ih) for each
+    coordinate j in turn and moves on every improvement; h halves after a
+    sweep without one.  The sweep's remaining candidates that pass inside
+    (tested one at a time: a 1-D norm can round differently from a batched
+    one) are scored as one batch; the climb moves to the first that
+    improves and rebuilds the rest of the sweep from there.  Rows score
+    independently of their batch, so the point and value are those of
+    scoring one candidate at a time.  Returns (point, value, evaluations,
+    excluded), counting only the candidates up to each move, as that climb
+    would score them.
+    """
     x = np.array(x0, dtype=np.complex128)
-    best = objective(x)
+    evals = excluded = 0
     h = float(step0)
     for _ in range(int(steps)):
+        moves = [(j, d) for j in range(x.size) for d in (h, -h, 1j * h, -1j * h)]
         moved = False
-        for j in range(x.size):
-            for delta in (h, -h, 1j * h, -1j * h):
+        while True:
+            batch = []
+            for pos, (j, d) in enumerate(moves):
                 cand = x.copy()
-                cand[j] += delta
-                if not inside(cand):
-                    continue
-                val = objective(cand)
-                if val > best:
-                    best, x, moved = val, cand, True
+                cand[j] += d
+                if inside(cand):
+                    batch.append((pos, cand))
+            if not batch:
+                break
+            vals = score(np.array([cand for _, cand in batch]))
+            better = np.flatnonzero(vals > best)
+            used = int(better[0]) + 1 if better.size else len(batch)
+            evals += used
+            excluded += int(np.count_nonzero(~_kept(vals[:used])))
+            if not better.size:
+                break
+            pos, x = batch[used - 1]
+            best = float(vals[used - 1])
+            moves = moves[pos + 1:]
+            moved = True
         if not moved:
             h *= 0.5
             if h < 1e-14 * max(1.0, float(step0)):
                 break
-    return x, best
+    return x, best, evals, excluded
 
 
 def sampled_sup(score, pts, steps: int, step0: float, inside):
     """Sampled lower estimate of the sup of a batch scorer.
 
-    score maps (N, k) points to (N,) values, -inf marking an excluded point.
-    The best sample is refined by coordinate_ascent, which scores each
-    candidate as a batch of one.  Returns (point, value, evaluations,
-    excluded), where the counts cover the samples and the climb.
+    score maps (N, k) points to (N,) values; -inf or NaN marks an excluded
+    point.  The best sample is refined by coordinate_ascent, which scores
+    each sweep's candidates as one batch.  Returns (point, value,
+    evaluations, excluded), where the counts cover the samples and the
+    climb; the climb's start counts once more, as its first evaluation.
     """
     vals = score(pts)
-    excluded = int(np.count_nonzero(vals == -np.inf))
+    kept = _kept(vals)
+    excluded = len(pts) - int(np.count_nonzero(kept))
     if excluded == len(pts):
         raise EmptySample(f"all {len(pts)} sampled points were excluded")
-    idx = int(np.argmax(vals))
+    idx = int(np.argmax(np.where(kept, vals, -np.inf)))
     best_pt, best = np.array(pts[idx]), float(vals[idx])
-    evals, climb_excluded = 0, 0
-
-    def objective(x):
-        nonlocal evals, climb_excluded
-        val = float(score(x[None])[0])
-        evals += 1
-        climb_excluded += val == -np.inf
-        return val
-
-    if steps > 0 and best != np.inf:
-        pt, val = coordinate_ascent(objective, best_pt, steps, step0, inside)
-        if val > best:
-            best_pt, best = pt, val
-    return best_pt, best, len(pts) + evals, excluded + climb_excluded
+    if steps <= 0 or best == np.inf:
+        return best_pt, best, len(pts), excluded
+    best_pt, best, evals, climb_excluded = coordinate_ascent(
+        score, best_pt, best, steps, step0, inside)
+    return best_pt, best, len(pts) + 1 + evals, excluded + climb_excluded

@@ -335,8 +335,8 @@ def _run_task(cfg: ExperimentConfig) -> dict:
         return {
             "sup_estimate": _enc(report.sup_estimate),
             "argmax_point": _enc(report.argmax_point),
-            "samples_used": report.samples_used,
-            "skipped_singular": report.skipped_singular,
+            "samples_used": int(report.samples_used),
+            "skipped_singular": int(report.skipped_singular),
             "norm": report.norm_name,
         }
     if task == "refined-sup":
@@ -444,10 +444,10 @@ def run(config_path: str, output: str | None = None) -> int:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3
     report["wall_time_s"] = time.perf_counter() - start
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"  # encode before truncating
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2

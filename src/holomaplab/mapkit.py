@@ -518,8 +518,10 @@ def evaluate_batch(m: MapExpr, pts) -> np.ndarray:
         raise DimensionMismatch(f"expected an (N, k) point array, got shape {Z.shape}")
     _check_dim(m, Z.shape[1])
     out = m.apply(tuple(Z[:, j] for j in range(Z.shape[1])))
-    cols = [np.broadcast_to(np.asarray(c, dtype=np.complex128), (Z.shape[0],)) for c in out]
-    return np.stack(cols, axis=1)
+    values = np.empty(Z.shape, dtype=np.complex128)
+    for i, c in enumerate(out):
+        values[:, i] = c  # assignment broadcasts a constant coordinate
+    return values
 
 
 def jacobian(m: MapExpr, z) -> Jet:
@@ -550,10 +552,10 @@ def jacobian_batch(m: MapExpr, pts):
     jacs = np.empty((n, k, k), dtype=np.complex128)
     for i, o in enumerate(out):
         if isinstance(o, _Dual):
-            values[:, i] = np.broadcast_to(np.asarray(o.val), (n,))
-            jacs[:, i, :] = np.broadcast_to(np.asarray(o.der), (n, k))
+            values[:, i] = o.val
+            jacs[:, i, :] = o.der
         else:
-            values[:, i] = np.broadcast_to(np.asarray(o), (n,))
+            values[:, i] = o
             jacs[:, i, :] = 0.0
     return values, jacs
 

@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from holomaplab.cli import ExperimentConfig, emit_series, run
+from holomaplab import conditioning
+from holomaplab.cli import ExperimentConfig, _run_task, emit_series, run
 from holomaplab.errors import UnsupportedPayload
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -107,6 +110,25 @@ class TestRun:
         report = load_report(out)
         assert report["payload"] is None
         assert report["error"] is not None
+
+    def test_kappa_sup_counts_are_builtin_ints(self, tmp_path, monkeypatch):
+        # numpy integer counts must not break json encoding of the report
+        original = conditioning.sup_kappa
+
+        def numpy_counts(*args):
+            rep = original(*args)
+            return replace(rep, samples_used=np.int64(rep.samples_used),
+                           skipped_singular=np.intp(rep.skipped_singular))
+
+        monkeypatch.setattr(conditioning, "sup_kappa", numpy_counts)
+        raw = {"schema": 1, "map": "henon(b=0.5)", "task": "kappa-sup", "seed": 4,
+               "params": {"radial_shells": 4, "points_per_shell": 16, "refine_steps": 3}}
+        payload = _run_task(ExperimentConfig.from_dict(raw))
+        assert type(payload["samples_used"]) is int
+        assert type(payload["skipped_singular"]) is int
+        out = tmp_path / "r.json"
+        assert run(str(write_config(tmp_path, "c.json", raw)), str(out)) == 0
+        assert load_report(out)["payload"] == payload
 
     def test_config_echo_round_trips(self, tmp_path):
         cfg_dict = {

@@ -34,6 +34,45 @@ CFG = SamplerConfig(radial_shells=10, points_per_shell=128, rng_seed=7, refine_s
 BALL2 = DomainSpec.ball(2, 1.0)
 
 
+def sequential_ascent(objective, x0, steps: int, step0: float, inside):
+    """Reference climb that scores one candidate per objective call; the
+    batched _sampling.coordinate_ascent must follow it exactly."""
+    x = np.array(x0, dtype=np.complex128)
+    best = objective(x)
+    h = float(step0)
+    for _ in range(int(steps)):
+        moved = False
+        for j in range(x.size):
+            for delta in (h, -h, 1j * h, -1j * h):
+                cand = x.copy()
+                cand[j] += delta
+                if not inside(cand):
+                    continue
+                val = objective(cand)
+                if val > best:
+                    best, x, moved = val, cand, True
+        if not moved:
+            h *= 0.5
+            if h < 1e-14 * max(1.0, float(step0)):
+                break
+    return x, best
+
+
+def sequential_climb(score, x0, steps, step0, inside):
+    """sequential_ascent on a batch scorer, one point per call.  Returns
+    (point, value, evaluations, excluded); the counts include the start."""
+    counts = [0, 0]
+
+    def objective(x):
+        val = float(score(x[None])[0])
+        counts[0] += 1
+        counts[1] += not val > -np.inf  # -inf or NaN
+        return val
+
+    x, best = sequential_ascent(objective, x0, steps, step0, inside)
+    return x, best, counts[0], counts[1]
+
+
 class TestKappaAt:
     def test_identity(self):
         assert kappa_at(Identity(2), [0.3, 0.1j]) == pytest.approx(1.0, abs=1e-14)
@@ -103,22 +142,23 @@ class TestSupKappa:
             sup_kappa(m, BALL2, CFG)
 
     def test_samples_used_counts_samples_and_climb(self, monkeypatch):
-        calls = []
+        # the climb's evaluations are those of the sequential reference climb,
+        # which scores its start and then one candidate per call
+        climbs = []
         original = _sampling.coordinate_ascent
 
-        def counted(objective, *args, **kwargs):
-            def tallied(x):
-                calls.append(x)
-                return objective(x)
+        def checked(score, x0, best, *args):
+            climbs.append(sequential_climb(score, x0, *args))
+            return original(score, x0, best, *args)
 
-            return original(tallied, *args, **kwargs)
-
-        monkeypatch.setattr(_sampling, "coordinate_ascent", counted)
+        monkeypatch.setattr(_sampling, "coordinate_ascent", checked)
         g = parse("compose(henon(b=0.5), expcoord(c=0.1, k=2))")
         rep = sup_kappa(g, BALL2, CFG)
         pts = shell_points(BALL2, CFG.radial_shells, CFG.points_per_shell, 0)
-        assert len(calls) > 0
-        assert rep.samples_used == len(pts) + len(calls)
+        [(ref_pt, ref_val, ref_evals, _)] = climbs
+        assert ref_evals > 0
+        assert rep.samples_used == len(pts) + ref_evals
+        assert rep.sup_estimate == ref_val and np.array_equal(rep.argmax_point, ref_pt)
 
 
 class TestSampledSup:
@@ -151,6 +191,23 @@ class TestSampledSup:
         climbed = evals - len(self.PTS)
         assert climbed > 1
         assert excluded == len(self.PTS) - 1 + climbed - 1
+
+    def test_nan_scores_are_excluded(self):
+        # NaN where |z1| > 0.5: argmax must not pick a NaN sample, and the
+        # NaN samples and climb candidates count as excluded
+        score = lambda z: np.where(np.abs(z[:, 0]) > 0.5, np.nan, np.abs(z[:, 1]))
+        vals = score(self.PTS)
+        nan_samples = int(np.isnan(vals).sum())
+        assert nan_samples > 0
+        pt, val, evals, excluded = sampled_sup(score, self.PTS, 5, 0.1, self.inside)
+        start = self.PTS[int(np.nanargmax(vals))]
+        ref_pt, ref_val, ref_evals, ref_excluded = sequential_climb(
+            score, start, 5, 0.1, self.inside)
+        assert np.isfinite(val) and val >= np.nanmax(vals)
+        assert abs(pt[0]) <= 0.5
+        assert (val, evals, excluded) == (ref_val, len(self.PTS) + ref_evals,
+                                          nan_samples + ref_excluded)
+        assert np.array_equal(pt, ref_pt)
 
 
 class TestRefinedSup:

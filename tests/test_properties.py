@@ -1,7 +1,10 @@
-"""Property tests: a row's Jacobian and singular values do not depend on the
-batch they are computed in.  The sampled sups score samples as one batch and
-hill-climb candidates as batches of one, so a climb re-scores its start
-point to the sampled value only if this holds."""
+"""Property tests: a row's Jacobian, singular values and the other scorer
+steps do not depend on the batch they are computed in.  The sampled sups
+score the samples as one batch and each hill-climb sweep as another, so the
+batched climb follows the one-candidate-at-a-time climb only if this holds;
+that equivalence is checked here too, on arbitrary scorers."""
+
+import zlib
 
 import numpy as np
 import pytest
@@ -22,10 +25,14 @@ from holomaplab import (  # noqa: E402
     Scalar,
     Translation,
     dilate,
+    evaluate_batch,
     jacobian_batch,
     parse,
 )
+from holomaplab._sampling import coordinate_ascent  # noqa: E402
 from holomaplab.algebra import singular_values_batch  # noqa: E402
+from holomaplab.mapkit import MapExpr  # noqa: E402
+from test_conditioning import sequential_climb  # noqa: E402
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 cplx = st.builds(complex, unit, unit)
@@ -86,3 +93,96 @@ def test_rows_do_not_depend_on_the_batch(m, data):
         part = _rows(m, pts[lo:hi])
         for w, p in zip(whole, part):
             assert _same_bits(w[lo:hi], p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps, points_and_splits(), vec2, mat2)
+def test_scorer_steps_do_not_depend_on_the_batch(m, data, a, j0_inv):
+    # refined_sup scores J(a + off) J(a)^-1, lambda weights by 1 - |z|
+    pts, cuts = data
+    steps = (
+        lambda z: jacobian_batch(m, a + z)[1] @ j0_inv,
+        lambda z: np.linalg.norm(z, axis=1),
+    )
+    for step in steps:
+        whole = step(pts)
+        for i in range(len(pts)):
+            assert _same_bits(whole[i:i + 1], step(pts[i:i + 1]))
+        for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
+            assert _same_bits(whole[lo:hi], step(pts[lo:hi]))
+
+
+class _ConstFirst(MapExpr):
+    """(1, z2) with a Python constant as first coordinate, so the evaluators
+    must broadcast it over the batch."""
+
+    dim = 2
+
+    def apply(self, coords):
+        return (1.0, coords[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(points_and_splits())
+def test_constant_coordinate_broadcasts(data):
+    pts, _ = data
+    n = len(pts)
+    for m in (_ConstFirst(), parse("(1, z2)")):
+        out = m.apply(tuple(pts[:, j] for j in range(2)))
+        expected = np.stack(
+            [np.broadcast_to(np.asarray(c, dtype=np.complex128), (n,)) for c in out], axis=1)
+        assert _same_bits(evaluate_batch(m, pts), expected)
+        values, jacs = jacobian_batch(m, pts)
+        assert _same_bits(values, expected)
+        assert _same_bits(jacs, np.broadcast_to(np.array([[0, 0], [0, 1]], complex), (n, 2, 2)))
+
+
+SCORE_VALUES = (-np.inf, np.inf, np.nan, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def scorers(draw):
+    """Pure batch scorers whose values tie often and include -inf, +inf and
+    NaN: either a hash of each row's bytes into a drawn table, or a
+    quantized distance to a drawn target with an excluded half-space."""
+    if draw(st.booleans()):
+        table = draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=6))
+
+        def score(z):
+            return np.array([table[zlib.crc32(row.tobytes()) % len(table)] for row in z])
+    else:
+        target = draw(cplx)
+        q = draw(st.sampled_from([1.0, 4.0, 16.0]))
+        cut = draw(st.floats(-1.0, 2.0))
+
+        def score(z):
+            vals = -np.round(q * np.abs(z - target).sum(axis=1))
+            return np.where(z[:, 0].real > cut, -np.inf, vals)
+
+    return score
+
+
+@settings(max_examples=200, deadline=None)
+@given(scorers(), st.integers(1, 3), st.data())
+def test_batched_climb_follows_the_sequential_climb(score, k, data):
+    x0 = np.array(data.draw(st.lists(cplx, min_size=k, max_size=k)))
+    steps = data.draw(st.integers(1, 6))
+    step0 = data.draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]))
+    radius = data.draw(st.floats(0.5, 2.0))
+    inside = lambda z: np.linalg.norm(z) <= radius
+
+    ref_pt, ref_val, ref_evals, ref_excluded = sequential_climb(score, x0, steps, step0, inside)
+    calls = []
+
+    def counted(z):
+        calls.append(len(z))
+        return score(z)
+
+    start = float(score(x0[None])[0])
+    pt, val, evals, excluded = coordinate_ascent(counted, x0, start, steps, step0, inside)
+    assert _same_bits(pt, ref_pt)
+    assert _same_bits(np.float64(val), np.float64(ref_val))
+    # the reference also scored (and may have excluded) the start
+    assert evals == ref_evals - 1
+    assert excluded == ref_excluded - (not start > -np.inf)
+    assert len(calls) <= ref_evals - 1

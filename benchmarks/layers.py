@@ -1,0 +1,148 @@
+"""Layer timings of holomaplab: one Landau shell, one failing salvage call,
+and the two evaluators at three batch sizes.
+
+    python3 benchmarks/layers.py OUTPUT.json
+
+Imports holomaplab from the ``src`` of the checkout this file sits in, so the
+same script times any commit.  Each entry is the median over REPEATS
+repeats of the mean time per call, every repeat running the call for at
+least MIN_REPEAT_S seconds.  Times are raw seconds on the machine it runs on,
+which the output records.  Needs numpy only.
+
+Entries:
+  shell.linear.n128       _certify_shell on a complex Linear map, 128
+                          directions, warm-started from the certified shell
+                          below it: one Newton batch, no salvage
+  shell.dilate_exp.n96    the same on dilate(expcoord(c=0.1, k=2), 2), 96
+                          directions
+  salvage.fail            solve_membership of a target outside the image,
+                          with the previous shell as continuation pool
+  jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
+                          N in {1, 96, 10^4}
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# One BLAS thread: a spinning BLAS worker on a small machine slows the next
+# milliseconds of the timed process.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import holomaplab as hl  # noqa: E402
+from holomaplab import landau  # noqa: E402
+from holomaplab._sampling import sphere_directions  # noqa: E402
+
+REPEATS = 7
+MIN_REPEAT_S = 0.05
+BATCH_SIZES = (1, 96, 10_000)
+LINEAR_TEXT = "linear(a=[[0.9+0.3i, -0.2+0.5i], [0.4-0.1i, 0.3+0.6i]])"
+
+
+def per_call(fn) -> float:
+    fn()  # warm-up
+    samples = []
+    for _ in range(REPEATS):
+        calls, t0 = 0, time.perf_counter()
+        while True:
+            fn()
+            calls += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= MIN_REPEAT_S:
+                break
+        samples.append(elapsed / calls)
+    return statistics.median(samples)
+
+
+def shell_case(m, dom, cfg, directions, r):
+    """A shell at radius r around m(0), warm-started from the certified
+    shell one growth step (1.02) below it."""
+    origin = np.zeros(m.dim, complex)
+    center = (hl.evaluate(m, origin), origin)
+    dirs = sphere_directions(directions, m.dim, 1)
+    below = center[0] + (r / 1.02) * dirs
+    ok, z_below, _, _ = landau._certify_shell(m, below, dom, cfg, center)
+    if not ok.all():
+        raise RuntimeError("the shell below did not certify")
+    targets = center[0] + r * dirs
+    prev = (below, z_below)
+
+    def run():
+        ok = landau._certify_shell(m, targets, dom, cfg, center, prev)[0]
+        if not ok.all():
+            raise RuntimeError("timed shell did not certify")
+
+    return run, prev
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("output")
+    args = p.parse_args(argv)
+
+    ball = hl.DomainSpec.ball(2, 1.0)
+    cfg = hl.NewtonConfig(tolerance=1e-8, rng_seed=7)
+    linear = hl.parse(LINEAR_TEXT)
+    dilate_exp = hl.dilate(hl.parse("expcoord(c=0.1, k=2)"), 2.0)
+    sigma_min = float(np.linalg.svd(linear.matrix, compute_uv=False)[-1])
+
+    cases = {}
+    cases["shell.linear.n128"], linear_prev = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
+    cases["shell.dilate_exp.n96"], _ = shell_case(dilate_exp, ball, cfg, 96, 0.06)
+    outside = 1.5 * hl.evaluate(linear, [1.0, 0.0])  # the preimage has norm 1.5
+    pool = list(zip(*linear_prev))
+
+    def salvage():
+        if isinstance(hl.solve_membership(linear, outside, ball, cfg, known=pool),
+                      hl.MembershipCertificate):
+            raise RuntimeError("a target outside the image certified")
+
+    cases["salvage.fail"] = salvage
+
+    maps = {
+        "linear": linear,
+        "harris3": hl.Harris(3),
+        "dilate_exp": dilate_exp,
+        "henon_exp": hl.parse("compose(henon(b=0.5), expcoord(c=0.1, k=2))"),
+    }
+    rng = np.random.default_rng(0)
+    for n in BATCH_SIZES:
+        pts = 0.5 * (rng.random((n, 2)) + 1j * rng.random((n, 2)))
+        for name, m in maps.items():
+            cases[f"jacobian_batch.{name}.n{n}"] = lambda m=m, pts=pts: hl.jacobian_batch(m, pts)
+            cases[f"evaluate_batch.{name}.n{n}"] = lambda m=m, pts=pts: hl.evaluate_batch(m, pts)
+
+    layers = {}
+    for name, fn in cases.items():
+        layers[name] = per_call(fn)
+        print(f"{name:36s} {layers[name] * 1e6:12.2f} us")
+    report = {
+        "unit": "s per call, median of repeats",
+        "repeats": REPEATS,
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": os.cpu_count(),
+            "processor": platform.processor() or platform.machine(),
+            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+        "layers": layers,
+    }
+    Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

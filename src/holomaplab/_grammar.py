@@ -23,6 +23,11 @@ from __future__ import annotations
 from .errors import ParseError
 from . import mapkit
 
+# Resource caps, checked while parsing and expanding; beyond them, ParseError.
+MAX_EXPONENT = 64  # written, or reached by expanding a coordinate
+MAX_BUILTIN_DIM = 32  # k of identity and expcoord
+MAX_TERMS = 4096  # per expanded coordinate, cancelled terms included
+
 _PUNCT = "()[],=+-*^"
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
 
@@ -85,6 +90,15 @@ def _tokenize(text: str):
     return toks
 
 
+class _TooLarge(Exception):
+    """An expansion outgrew a resource cap; parse() reports a ParseError."""
+
+
+def _check_terms(count: int):
+    if count > MAX_TERMS:
+        raise _TooLarge(f"a coordinate expands to more than {MAX_TERMS} terms")
+
+
 class _Poly:
     """Polynomial under construction: {sorted ((var, exp), ...): coeff}."""
 
@@ -105,6 +119,7 @@ class _Poly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0j) + c
+        _check_terms(len(out))
         return _Poly(out)
 
     def __neg__(self):
@@ -120,8 +135,11 @@ class _Poly:
                 exps = {}
                 for v, e in k1 + k2:
                     exps[v] = exps.get(v, 0) + e
+                    if exps[v] > MAX_EXPONENT:
+                        raise _TooLarge(f"a coordinate has a power above {MAX_EXPONENT}")
                 key = tuple(sorted(exps.items()))
                 out[key] = out.get(key, 0j) + c1 * c2
+                _check_terms(len(out))
         return _Poly(out)
 
     def __pow__(self, n):
@@ -257,6 +275,8 @@ class _Parser:
 
     def build_builtin(self, name, params, pos):
         try:
+            if params.get("k", 0) > MAX_BUILTIN_DIM:
+                raise ParseError(f"{name} k exceeds {MAX_BUILTIN_DIM}", pos)
             if name == "identity":
                 return mapkit.Identity(params["k"])
             if name == "linear":
@@ -336,7 +356,7 @@ class _Parser:
     def parse_int(self) -> int:
         tok = self.peek()
         value = self.parse_real()
-        if value != int(value):
+        if not value.is_integer():
             raise ParseError("expected an integer", tok.pos)
         return int(value)
 
@@ -402,8 +422,10 @@ class _Parser:
         while self.peek().kind == "^":
             self.advance()
             etok = self.expect("NUM")
-            if etok.value != int(etok.value) or etok.value < 0:
+            if not etok.value.is_integer() or etok.value < 0:
                 raise ParseError("exponent must be a nonnegative integer", etok.pos)
+            if etok.value > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", etok.pos)
             base = base ** int(etok.value)
         return base
 
@@ -442,7 +464,10 @@ class _Parser:
 
 def parse(text: str) -> mapkit.MapExpr:
     parser = _Parser(text)
-    m = parser.parse_map()
+    try:
+        m = parser.parse_map()
+    except _TooLarge as exc:
+        raise ParseError(str(exc), parser.peek().pos) from None
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"trailing input {tok.value!r}", tok.pos, expected=("EOF",))

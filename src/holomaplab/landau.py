@@ -7,8 +7,10 @@ preimage strictly inside the domain whose image matches the target to
 tolerance.  Radii grow multiplicatively from r0 = tolerance * 1e3; the
 last radius whose whole direction set certified is the reported lower
 bound, and its certificates, with the center's, are the ones returned.
-Directions the batched Newton misses are retried one by one; the retry
-stops at the first direction it cannot rescue, which fails the shell.
+A shell is one Newton batch, whose final residuals the certificates report.
+Directions it misses are retried one by one, each with its starts in one
+batch; the retry stops at the first direction it cannot rescue, which
+fails the shell.
 A Newton failure is never proof of non-membership, so the upper
 bound from the first failing shell is heuristic - except for the Harris
 and Duren-Rudin maps on the unit polydisc, where the counterexample
@@ -74,8 +76,8 @@ class MembershipCertificate:
 
 @dataclass
 class NotFound:
-    """Failed membership search; carries the best residual attained.
-    Not a proof of non-membership."""
+    """Failed membership search; carries the smallest final residual over the
+    starts and its point.  Not a proof of non-membership."""
 
     best_residual: float
     best_point: np.ndarray
@@ -95,46 +97,14 @@ class LandauEstimate:
     shell_history: list
 
 
-def _newton_point(m, target, start, dom, cfg):
-    """Single-point damped-free Newton; returns (z, residual)."""
-    z = np.array(start, dtype=np.complex128)
-    escape = _DIVERGENCE_FACTOR * (dom.radius + float(np.linalg.norm(target)) + 1.0)
-    best_z, best_res = z.copy(), np.inf
-    for _ in range(cfg.max_iterations):
-        vals, jacs = jacobian_batch(m, z[None, :])
-        f = vals[0] - target
-        res = float(np.linalg.norm(f))
-        if res < best_res:
-            best_z, best_res = z.copy(), res
-        if res <= cfg.tolerance:
-            break
-        try:
-            step = np.linalg.solve(jacs[0], f)
-        except np.linalg.LinAlgError:
-            break  # singular step: caller retries from the next start
-        z = z - step
-        if np.linalg.norm(z) > escape:
-            break
-    return best_z, best_res
-
-
-def _continuation_start(m, z0, b0, b1, dom, cfg):
-    """Track the preimage along the segment b0 -> b1 to warm-start Newton."""
-    z = np.array(z0, dtype=np.complex128)
-    for t in np.linspace(0.0, 1.0, cfg.continuation_steps + 1)[1:]:
-        z, res = _newton_point(m, (1.0 - t) * b0 + t * b1, z, dom, cfg)
-        if not np.isfinite(res):
-            break
-    return z
-
-
 def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig, known=()):
     """Newton search for a preimage of b strictly inside the domain.
 
     Start list: continuation from the nearest previously certified target
     (when `known` pairs are supplied), the origin, then seeded interior
-    multistarts.  Returns a MembershipCertificate on success and NotFound
-    (with the best residual) otherwise.
+    multistarts.  All starts run as one Newton batch; the first start, in
+    that order, that certifies gives the MembershipCertificate.  Otherwise
+    NotFound carries the smallest final residual over the starts.
     """
     b = algebra.as_vector(b)
     if b.size != m.dim or dom.dim != m.dim:
@@ -144,42 +114,49 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig, known=()
     starts = []
     if known:
         t0, z0 = min(known, key=lambda pair: float(np.linalg.norm(pair[0] - b)))
-        starts.append(_continuation_start(m, z0, np.asarray(t0, complex), b, dom, cfg))
+        # track the preimage along the segment t0 -> b, one Newton per step
+        z = np.array(z0, dtype=np.complex128)
+        t0 = np.asarray(t0, complex)
+        for t in np.linspace(0.0, 1.0, cfg.continuation_steps + 1)[1:]:
+            zt, res = _newton_batch(m, ((1.0 - t) * t0 + t * b)[None], z[None], dom, cfg)
+            if not np.isfinite(res[0]):
+                break
+            z = zt[0]
+        starts.append(z)
     starts.append(np.zeros(m.dim, dtype=np.complex128))
     starts.extend(interior_points(dom, cfg.multistart_count,
                                   subseed(cfg.rng_seed, "newton-starts")))
+    z, res = _newton_batch(m, np.tile(b, (len(starts), 1)), np.array(starts), dom, cfg)
     best_res, best_z = np.inf, np.zeros(m.dim, dtype=np.complex128)
-    for start in starts:
-        z, res = _newton_point(m, b, start, dom, cfg)
-        if res <= cfg.tolerance:
-            margin = float(dom.margin(z))
+    for j in range(len(starts)):
+        if res[j] <= cfg.tolerance:
+            margin = float(dom.margin(z[j]))
             if margin >= cfg.domain_margin_min:
-                return MembershipCertificate(b, z, res, margin)
-        if res < best_res:
-            best_res, best_z = res, z
+                return MembershipCertificate(b, z[j], float(res[j]), margin)
+        if res[j] < best_res:
+            best_res, best_z = res[j], z[j]
     return NotFound(float(best_res), best_z)
 
 
 def _newton_batch(m, targets, warm, dom, cfg):
-    """Vectorized Newton across a shell of targets; per-point arithmetic is
-    independent, so results do not depend on batch partitioning."""
+    """Vectorized Newton across a batch of targets; returns (z, residual)
+    with each row's residual |m(z) - target| taken at the z returned.  Each
+    iteration evaluates the rows that moved and takes Jacobians only of rows
+    above tolerance; a row also retires on a singular Jacobian or when its
+    max-abs coordinate escapes.  Rows do not depend on batch partitioning."""
     z = np.array(warm, dtype=np.complex128)
-    n = z.shape[0]
-    alive = np.ones(n, dtype=bool)
+    res = np.empty(z.shape[0])
     escape = _DIVERGENCE_FACTOR * (dom.radius + float(np.abs(targets).max()) + 1.0)
-    for _ in range(cfg.max_iterations):
-        if not alive.any():
+    moved = np.arange(z.shape[0])  # rows whose residual at z is not known yet
+    live = np.ones(z.shape[0], dtype=bool)  # rows that may still take a step
+    for it in range(cfg.max_iterations + 1):
+        f = evaluate_batch(m, z[moved]) - targets[moved]
+        res[moved] = np.linalg.norm(f, axis=1)
+        step_rows = live[moved] & ~(res[moved] <= cfg.tolerance)
+        rem, f_rem = moved[step_rows], f[step_rows]
+        if it == cfg.max_iterations or rem.size == 0:
             break
-        idx = np.flatnonzero(alive)
-        vals, jacs = jacobian_batch(m, z[idx])
-        f = vals - targets[idx]
-        res = np.linalg.norm(f, axis=1)
-        done = res <= cfg.tolerance
-        alive[idx[done]] = False
-        rem = idx[~done]
-        if rem.size == 0:
-            continue
-        f_rem, j_rem = f[~done], jacs[~done]
+        j_rem = jacobian_batch(m, z[rem])[1]
         try:
             step = np.linalg.solve(j_rem, f_rem[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -188,26 +165,26 @@ def _newton_batch(m, targets, warm, dom, cfg):
                 try:
                     step[t] = np.linalg.solve(j_rem[t], f_rem[t])
                 except np.linalg.LinAlgError:
-                    alive[rem[t]] = False  # z cannot move; the scalar salvage path retries it
-        z[rem] = z[rem] - step
-        runaway = rem[np.abs(z[rem]).max(axis=1) > escape]
-        alive[runaway] = False
-    return z
+                    live[rem[t]] = False  # z cannot move; the salvage retries it
+        keep = live[rem]
+        moved = rem[keep]
+        z[moved] = z[moved] - step[keep]
+        live[moved[np.abs(z[moved]).max(axis=1) > escape]] = False
+    return z, res
 
 
 def _certify_shell(m, targets, dom, cfg, center, prev=None):
     """Certify a whole shell of targets, warm-started from the previous
     certified shell `prev` = (targets, preimages), or from the center's
-    (target, preimage) pair when there is none.  Failed points get a scalar
-    retry with multistarts and continuation from certified neighbors; the
-    retry stops at the first point it cannot rescue, since the shell has
-    then failed and the remaining arrays are discarded."""
+    (target, preimage) pair when there is none.  Failed points are retried
+    one at a time by solve_membership, from certified neighbors; the retry
+    stops at the first point it cannot rescue, since the shell has then
+    failed and the remaining arrays are discarded."""
     if prev is None:
         warm = np.tile(center[1], (len(targets), 1))
     else:
         warm = prev[1]
-    z = _newton_batch(m, targets, warm, dom, cfg)
-    res = np.linalg.norm(evaluate_batch(m, z) - targets, axis=1)
+    z, res = _newton_batch(m, targets, warm, dom, cfg)
     margins = np.asarray(dom.margin(z), dtype=float)
     ok = (res <= cfg.tolerance) & (margins >= cfg.domain_margin_min)
     if not ok.all():

@@ -23,6 +23,10 @@ complex gradient row, multiplication follows (v, d)(v', d') =
 (vv', v d' + v' d) and exp lifts to (e^v, e^v d).  All built-ins are
 holomorphic, so one dual pass yields the exact Jacobian up to roundoff.
 Evaluation is batch-aware: coordinates may be scalars or (N,) arrays.
+
+Constants multiply coordinates from the right, as in a dual's value, and
+powers are repeated products: numpy's complex multiply is not bitwise
+commutative, and this keeps evaluate_batch equal to jacobian_batch's values.
 """
 
 from __future__ import annotations
@@ -81,16 +85,6 @@ class _Dual:
         return _Dual(self.val * other, _row(other) * self.der)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise TypeError("map coordinates support nonnegative integer powers only")
-        if n == 0:
-            return _Dual(np.ones_like(np.asarray(self.val)), np.zeros_like(np.asarray(self.der)))
-        out = self
-        for _ in range(int(n) - 1):
-            out = out * self
-        return out
 
 
 def _exp(x):
@@ -197,7 +191,7 @@ class Henon(MapExpr):
 
     def apply(self, coords):
         z, w = coords
-        return (z * z + self.b * w, z)
+        return (z * z + w * self.b, z)
 
     def __eq__(self, other):
         return type(other) is Henon and other.b == self.b
@@ -222,7 +216,7 @@ class Harris(MapExpr):
 
     def apply(self, coords):
         z, w = coords
-        return (z + self.n * (w * w), w)
+        return (z + (w * w) * self.n, w)
 
     def __eq__(self, other):
         return type(other) is Harris and other.n == self.n
@@ -273,7 +267,7 @@ class ExpCoord(MapExpr):
         return self.k
 
     def apply(self, coords):
-        return tuple(_exp(self.c * c) - 1.0 for c in coords)
+        return tuple(_exp(c * self.c) - 1.0 for c in coords)
 
     def __eq__(self, other):
         return type(other) is ExpCoord and other.c == self.c and other.k == self.k
@@ -297,7 +291,7 @@ class Scalar(MapExpr):
         return self.inner.dim
 
     def apply(self, coords):
-        return tuple(self.s * y for y in self.inner.apply(coords))
+        return tuple(y * self.s for y in self.inner.apply(coords))
 
     def __eq__(self, other):
         return type(other) is Scalar and other.s == self.s and other.inner == self.inner
@@ -407,15 +401,17 @@ class PolyCoord(MapExpr):
     def apply(self, coords):
         out = []
         for terms in self.polys:
-            acc = 0.0 * coords[0]  # anchors shape/dual structure for empty polys
+            acc = coords[0] * 0.0  # anchors shape/dual structure for empty polys
             for exps, coeff in terms:
                 mono = None
                 for j, e in enumerate(exps):
                     if e == 0:
                         continue
-                    factor = coords[j] ** e
+                    factor = coords[j]
+                    for _ in range(e - 1):
+                        factor = factor * coords[j]  # not **: numpy orders those products differently
                     mono = factor if mono is None else mono * factor
-                term = coeff if mono is None else (mono if coeff == 1 else coeff * mono)
+                term = coeff if mono is None else (mono if coeff == 1 else mono * coeff)
                 acc = acc + term
             out.append(acc)
         return tuple(out)
@@ -433,7 +429,7 @@ def _affine_apply(shift, matrix, coords):
     for i in range(k):
         acc = shift[i] if shift is not None else None
         for j in range(k):
-            term = matrix[i, j] * coords[j]
+            term = coords[j] * matrix[i, j]
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)

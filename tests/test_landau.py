@@ -13,6 +13,7 @@ from holomaplab import (
     NotFound,
     dilate,
     evaluate,
+    evaluate_batch,
     inscribed_lower_bound,
     landau_estimate,
     parse,
@@ -20,7 +21,7 @@ from holomaplab import (
     solve_membership,
 )
 from holomaplab import landau
-from holomaplab._sampling import sphere_directions
+from holomaplab._sampling import interior_points, sphere_directions, subseed
 from holomaplab.errors import CenterNotInImage
 
 BALL2 = DomainSpec.ball(2, 1.0)
@@ -59,6 +60,28 @@ class TestSolveMembership:
         cert = solve_membership(m, b1, BALL2, CFG, known=[(b0, np.array([0.3, 0.2]))])
         assert isinstance(cert, MembershipCertificate)
         assert np.allclose(cert.preimage, [0.32, 0.21], atol=1e-6)
+
+    def test_first_certifying_start_wins(self):
+        # (z1^2, z2) maps z1 = +-0.5 to the same target; the origin start is
+        # singular and the multistarts reach both roots, so order decides
+        m = parse("(z1^2, z2)")
+        b = np.array([0.25, 0.1])
+        starts = [np.zeros(2)] + list(
+            interior_points(BALL2, CFG.multistart_count, subseed(CFG.rng_seed, "newton-starts")))
+        roots = []
+        for start in starts:
+            z, res = landau._newton_batch(m, b[None], np.array(start, complex)[None], BALL2, CFG)
+            if res[0] <= CFG.tolerance and BALL2.margin(z[0]) >= CFG.domain_margin_min:
+                roots.append(z[0])
+        signs = [np.sign(r[0].real) for r in roots]
+        assert set(signs) == {-1.0, 1.0}
+        cert = solve_membership(m, b, BALL2, CFG)
+        assert cert.preimage.tobytes() == roots[0].tobytes()
+        # a known pair near the other root puts its continuation start first
+        other = roots[signs.index(-signs[0])]
+        near = 0.98 * other
+        cert = solve_membership(m, b, BALL2, CFG, known=[(evaluate(m, near), near)])
+        assert np.sign(cert.preimage[0].real) == -signs[0]
 
 
 class TestInscribedLowerBound:
@@ -157,6 +180,29 @@ class TestCertifyShell:
         assert np.linalg.norm(evaluate(m, z[3]) - targets[3]) <= CFG.tolerance
         assert res[3] <= CFG.tolerance and margins[3] >= CFG.domain_margin_min
 
+    def test_only_rows_above_tolerance_take_a_jacobian(self, monkeypatch):
+        m = Linear(np.diag([2.0, 0.5]))
+        targets = 0.3 * sphere_directions(32, 2, 1)
+        exact = targets / np.array([2.0, 0.5])
+        center = (np.zeros(2, complex), np.zeros(2, complex))
+        batches = []
+        original = landau.jacobian_batch
+
+        def recorded(m, pts):
+            batches.append(np.array(pts))
+            return original(m, pts)
+
+        monkeypatch.setattr(landau, "jacobian_batch", recorded)
+        ok, z, _, _ = landau._certify_shell(m, targets, BALL2, CFG, center, (targets, exact))
+        assert ok.all() and np.array_equal(z, exact)
+        assert batches == []
+        warm = exact.copy()
+        warm[1::2] *= 1.01
+        ok, _, _, _ = landau._certify_shell(m, targets, BALL2, CFG, center, (targets, warm))
+        assert ok.all()
+        # one Newton step solves a linear map, so only the perturbed rows take one
+        assert len(batches) == 1 and np.array_equal(batches[0], warm[1::2])
+
 
 def newton_without_retiring(m, targets, warm, dom, cfg):
     """_newton_batch as it was when a point with a singular Jacobian stayed
@@ -187,6 +233,24 @@ def newton_without_retiring(m, targets, warm, dom, cfg):
 
 
 class TestNewtonBatch:
+    def test_residual_is_taken_at_the_returned_point(self, monkeypatch):
+        m = parse("(z1^2, z2)")
+        cfg = NewtonConfig(tolerance=1e-8, max_iterations=6)
+        targets = np.array([[0.25, 0.1], [0.25, 0.1], [0.25, 0.1], [-0.25, 0.1]], complex)
+        # rows: converges; singular at z1 = 0; a tiny z1 jumps past the escape
+        # radius; z1^2 = -0.25 from a real start stays real and never converges
+        warm = np.array([[0.4, 0], [0, 0], [1e-6, 0], [0.3, 0]], complex)
+        escape = landau._DIVERGENCE_FACTOR * (BALL2.radius + 0.25 + 1.0)
+        calls = count_calls(monkeypatch, landau, "jacobian_batch")
+        z, res = landau._newton_batch(m, targets, warm, BALL2, cfg)
+        fresh = np.linalg.norm(evaluate_batch(m, z) - targets, axis=1)
+        assert res.tobytes() == fresh.tobytes()
+        assert res[0] <= cfg.tolerance
+        assert np.array_equal(z[1], warm[1]) and res[1] > cfg.tolerance
+        assert np.abs(z[2]).max() > escape
+        assert len(calls) == cfg.max_iterations and len(calls[-1][0]) == 1
+        assert res[3] > cfg.tolerance and 0 < np.abs(z[3]).max() < escape
+
     def test_frozen_point_is_retired(self, monkeypatch):
         # a warm start on the critical line z1 = 0 of (z1^2, z2) has a singular
         # Jacobian, so its z can never move
@@ -204,7 +268,7 @@ class TestNewtonBatch:
             return original(m, pts)
 
         monkeypatch.setattr(landau, "jacobian_batch", recorded)
-        z = landau._newton_batch(m, targets, warm, BALL2, CFG)
+        z, _ = landau._newton_batch(m, targets, warm, BALL2, CFG)
         assert len(batches) > 1
         assert len(batches[0]) == 128
         assert all(not (b == warm[5]).all(axis=1).any() for b in batches[1:])

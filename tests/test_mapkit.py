@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,34 @@ class TestParse:
             parse("(z1, z3)")  # variable beyond dimension
         with pytest.raises(ParseError):
             parse("henon(b=0.5) trailing")
+
+    def test_resource_caps(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse("(z1^100000, z2)")
+        assert time.perf_counter() - t0 < 0.05
+        assert err.value.position == 4
+        for text in (
+            "(z1^65, z2)",
+            "(z1^64^64, z2)",  # chained powers: the expanded exponent is capped too
+            "(z1^40 * z1^40, z2)",
+            "((z1 + z2)^64^64, z2)",
+            "((1 + z1 + z2 + z3 + z4)^20, z2, z3, z4)",  # 10,626 terms
+            "((1 + z1)^64 * (1 + z2)^63, z2)",  # 4160 terms
+            "((1 + z1)^63 * (1 + z2)^63 + z3, z2, z3)",  # 4097 terms, from the sum
+            "identity(k=33)",
+            "expcoord(c=0.1, k=33)",
+            "identity(k=1e400)",
+            "(z1^1e400, z2)",
+        ):
+            t0 = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse(text)
+            assert time.perf_counter() - t0 < 0.5, text
+        assert parse("(z1^64, z2)") == PolyCoord([[((64, 0), 1)], [((0, 1), 1)]])
+        assert len(parse("((1 + z1)^63 * (1 + z2)^63, z2)").polys[0]) == 4096
+        assert parse("identity(k=32)").dim == 32
+        assert parse("expcoord(c=0.1, k=32)").dim == 32
 
     def test_roundtrip_all_constructors(self):
         maps = BUILTINS + [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from holomaplab import (  # noqa: E402
@@ -110,6 +110,24 @@ def test_scorer_steps_do_not_depend_on_the_batch(m, data, a, j0_inv):
             assert _same_bits(whole[i:i + 1], step(pts[i:i + 1]))
         for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
             assert _same_bits(whole[lo:hi], step(pts[lo:hi]))
+
+
+_PINNED_PTS = np.random.default_rng(3).standard_normal((16, 2, 2)) @ np.array([1, 1j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps, points_and_splits())
+@example(parse("linear(a=[[0.3+0.7i, -0.2+0.1i], [0.5-0.4i, 1.1+0.3i]])"), (_PINNED_PTS, []))
+@example(parse("affine([0.1+0.2i, -0.3i], [[0.3+0.7i, 0.2i], [0.5-0.4i, 1.1]], "
+               "(z1^3 + (0.3-0.2i)*z2^2, z1*z2^2 - z2^3))"), (_PINNED_PTS, []))
+@example(parse("henon(b=0.3+0.4i)"), (_PINNED_PTS, []))
+@example(parse("expcoord(c=0.1+0.3i, k=2)"), (_PINNED_PTS, []))
+@example(parse("scalar(s=0.3+0.7i, harris(n=3))"), (_PINNED_PTS, []))
+def test_both_evaluators_give_the_same_values(m, data):
+    # Newton's residuals come from evaluate_batch and its steps from
+    # jacobian_batch, so the two must agree bit for bit
+    pts, _ = data
+    assert _same_bits(jacobian_batch(m, pts)[0], evaluate_batch(m, pts))
 
 
 class _ConstFirst(MapExpr):

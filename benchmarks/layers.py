@@ -1,5 +1,5 @@
-"""Layer timings of holomaplab: one Landau shell, one failing salvage call,
-and the two evaluators at three batch sizes.
+"""Layer timings of holomaplab: one Landau shell, one failing membership
+search, and the two evaluators at three batch sizes.
 
     python3 benchmarks/layers.py OUTPUT.json
 
@@ -12,11 +12,11 @@ which the output records.  Needs numpy only.
 Entries:
   shell.linear.n128       _certify_shell on a complex Linear map, 128
                           directions, warm-started from the certified shell
-                          below it: one Newton batch, no salvage
+                          below it: one Newton batch
   shell.dilate_exp.n96    the same on dilate(expcoord(c=0.1, k=2), 2), 96
                           directions
-  salvage.fail            solve_membership of a target outside the image,
-                          with the previous shell as continuation pool
+  membership.fail         solve_membership of a target outside the image:
+                          the origin and the multistarts, one Newton batch
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
                           N in {1, 96, 10^4}
 """
@@ -70,21 +70,21 @@ def shell_case(m, dom, cfg, directions, r):
     """A shell at radius r around m(0), warm-started from the certified
     shell one growth step (1.02) below it."""
     origin = np.zeros(m.dim, complex)
-    center = (hl.evaluate(m, origin), origin)
+    center = hl.evaluate(m, origin)
     dirs = sphere_directions(directions, m.dim, 1)
-    below = center[0] + (r / 1.02) * dirs
-    ok, z_below, _, _ = landau._certify_shell(m, below, dom, cfg, center)
+    below = center + (r / 1.02) * dirs
+    ok, z_below, _, _ = landau._certify_shell(m, below, np.tile(origin, (directions, 1)),
+                                              dom, cfg)
     if not ok.all():
         raise RuntimeError("the shell below did not certify")
-    targets = center[0] + r * dirs
-    prev = (below, z_below)
+    targets = center + r * dirs
 
     def run():
-        ok = landau._certify_shell(m, targets, dom, cfg, center, prev)[0]
+        ok = landau._certify_shell(m, targets, z_below, dom, cfg)[0]
         if not ok.all():
             raise RuntimeError("timed shell did not certify")
 
-    return run, prev
+    return run
 
 
 def main(argv=None) -> int:
@@ -99,17 +99,15 @@ def main(argv=None) -> int:
     sigma_min = float(np.linalg.svd(linear.matrix, compute_uv=False)[-1])
 
     cases = {}
-    cases["shell.linear.n128"], linear_prev = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
-    cases["shell.dilate_exp.n96"], _ = shell_case(dilate_exp, ball, cfg, 96, 0.06)
+    cases["shell.linear.n128"] = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
+    cases["shell.dilate_exp.n96"] = shell_case(dilate_exp, ball, cfg, 96, 0.06)
     outside = 1.5 * hl.evaluate(linear, [1.0, 0.0])  # the preimage has norm 1.5
-    pool = list(zip(*linear_prev))
 
-    def salvage():
-        if isinstance(hl.solve_membership(linear, outside, ball, cfg, known=pool),
-                      hl.MembershipCertificate):
+    def membership_fail():
+        if isinstance(hl.solve_membership(linear, outside, ball, cfg), hl.MembershipCertificate):
             raise RuntimeError("a target outside the image certified")
 
-    cases["salvage.fail"] = salvage
+    cases["membership.fail"] = membership_fail
 
     maps = {
         "linear": linear,

@@ -27,6 +27,7 @@ from . import mapkit
 MAX_EXPONENT = 64  # written, or reached by expanding a coordinate
 MAX_BUILTIN_DIM = 32  # k of identity and expcoord
 MAX_TERMS = 4096  # per expanded coordinate, cancelled terms included
+MAX_PRODUCT_PAIRS = 4 * MAX_TERMS  # term pairs one product of two polynomials walks
 
 _PUNCT = "()[],=+-*^"
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
@@ -129,6 +130,8 @@ class _Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
+            raise _TooLarge(f"a product multiplies more than {MAX_PRODUCT_PAIRS} term pairs")
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

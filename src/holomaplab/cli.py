@@ -20,15 +20,18 @@ A config is a JSON object:
     }
 
 Tasks: eval | jacobian | kappa-sup | refined-sup | bz-run | bz-sequence |
-landau | rescaled-growth | counterexample.  Complex numbers in configs and
-reports are [re, im] pairs.  All randomness flows from the single config
-seed through named sub-seeds (sampler, newton, centers), and a run is
-single-threaded, so re-running a config reproduces the payload byte for
-byte.
+landau | rescaled-growth | counterexample.  Each task is one record in
+_REGISTRY: its param defaults, required params, runner and, for the series
+tasks, the csv rows that `emit --format rows` renders.  Complex numbers in
+configs and reports are [re, im] pairs.  All randomness flows from the
+single config seed through named sub-seeds (sampler, newton, centers), and
+a run is single-threaded, so re-running a config reproduces the payload
+byte for byte.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, any
-unexpected exception from the task included (a partial report with the
-error is still written).
+Exit codes: 0 success; 2 validation error (a malformed config, a param
+that does not cast or validate, an unreadable input or an unwritable
+output); 3 numerical failure, any unexpected exception from the task
+included (a partial report with the error is still written).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -52,21 +56,9 @@ from .errors import (
     PreconditionFailed,
     UnsupportedPayload,
 )
-from .mapkit import DomainSpec, MapExpr, evaluate, jacobian, parse, to_text
+from .mapkit import DomainSpec, evaluate, jacobian, parse, to_text
 
 SCHEMA_VERSION = 1
-
-TASKS = (
-    "eval",
-    "jacobian",
-    "kappa-sup",
-    "refined-sup",
-    "bz-run",
-    "bz-sequence",
-    "landau",
-    "rescaled-growth",
-    "counterexample",
-)
 
 _SAMPLER_DEFAULTS = {
     "radial_shells": 12,
@@ -79,51 +71,8 @@ _NEWTON_DEFAULTS = {
     "max_iterations": 40,
     "tolerance": 1e-8,
     "multistart_count": 8,
-    "continuation_steps": 8,
     "domain_margin_min": 1e-4,
 }
-
-_TASK_PARAM_DEFAULTS = {
-    "eval": {"point": None},
-    "jacobian": {"point": None},
-    "kappa-sup": dict(_SAMPLER_DEFAULTS),
-    "refined-sup": dict(_SAMPLER_DEFAULTS, base_point=None),
-    "bz-run": dict(_SAMPLER_DEFAULTS, C=None, grid_factor=0.9),
-    "bz-sequence": dict(_SAMPLER_DEFAULTS, C=None, n_values=None, grid_factor=0.9),
-    "landau": dict(
-        _NEWTON_DEFAULTS,
-        center_candidates=2,
-        direction_count=None,
-        growth_factor=1.05,
-        center_refine_steps=1,
-    ),
-    "rescaled-growth": dict(
-        _NEWTON_DEFAULTS,
-        R_values=None,
-        center_candidates=1,
-        direction_count=None,
-        growth_factor=1.05,
-        center_refine_steps=0,
-    ),
-    "counterexample": {"centers_count": 100, "centers_scale": 2.0, "centers": None},
-}
-
-_REQUIRED = {
-    "eval": ("point",),
-    "jacobian": ("point",),
-    "refined-sup": ("base_point",),
-    "bz-run": ("C",),
-    "bz-sequence": ("C", "n_values"),
-    "rescaled-growth": ("R_values",),
-}
-
-
-def _probe_text(map_text: str, task: str) -> str:
-    """bz-sequence map texts are templates over {n} / {1/n}; substitute n=1
-    so they can be validated and dimension-checked like any other map."""
-    if task == "bz-sequence":
-        return map_text.replace("{n}", "1.0").replace("{1/n}", "1.0")
-    return map_text
 
 
 @dataclass
@@ -168,13 +117,16 @@ class ExperimentConfig:
         task = raw["task"]
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-        m = parse(_probe_text(map_text, task))  # ParseError => validation failure
+        if not isinstance(map_text, str):
+            raise ConfigError("map must be a string")
+        spec = _REGISTRY[task]
+        m = parse(spec.probe_text(map_text))  # ParseError => validation failure
         dom_raw = raw.get("domain") or {}
         if not isinstance(dom_raw, dict):
             raise ConfigError("domain must be an object")
         shape = dom_raw.get("shape", "ball")
-        radius = float(dom_raw.get("radius", 1.0))
-        dim = int(dom_raw.get("dim", m.dim))
+        radius = _cast(dom_raw, "radius", float) if "radius" in dom_raw else 1.0
+        dim = _cast(dom_raw, "dim", int) if "dim" in dom_raw else m.dim
         if dim != m.dim:
             raise ConfigError(f"domain dim {dim} does not match map dim {m.dim}")
         try:
@@ -184,21 +136,23 @@ class ExperimentConfig:
         seed = raw.get("seed")
         if seed is None:
             raise ConfigError("config needs an explicit integer 'seed'")
-        if not isinstance(seed, int) or seed < 0:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("'seed' must be a nonnegative integer")
-        defaults = _TASK_PARAM_DEFAULTS[task]
-        params = dict(defaults)
+        params = dict(spec.defaults)
         user_params = raw.get("params") or {}
         if not isinstance(user_params, dict):
             raise ConfigError("params must be an object")
-        bad = set(user_params) - set(defaults)
+        bad = set(user_params) - set(spec.defaults)
         if bad:
             raise ConfigError(f"unknown params for task {task}: {sorted(bad)}")
         params.update(user_params)
-        for key in _REQUIRED.get(task, ()):
+        for key in spec.required:
             if params.get(key) is None:
                 raise ConfigError(f"task {task} requires param {key!r}")
-        return ExperimentConfig(map_text, task, domain, seed, params, raw.get("output"))
+        output = raw.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError("output must be a string")
+        return ExperimentConfig(map_text, task, domain, seed, params, output)
 
 
 # --------------------------------------------------------------------------
@@ -225,6 +179,14 @@ def _enc(obj):
     return obj
 
 
+def _cast(params, key, kind):
+    """params[key] cast by kind; a value that does not cast is a ConfigError."""
+    try:
+        return kind(params[key])
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
 def _point_from(param, k) -> np.ndarray:
     if not isinstance(param, (list, tuple)) or len(param) != k:
         raise ConfigError(f"point must be a list of {k} [re, im] pairs")
@@ -232,29 +194,37 @@ def _point_from(param, k) -> np.ndarray:
     for i, entry in enumerate(param):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ConfigError("each coordinate must be an [re, im] pair")
-        out[i] = complex(float(entry[0]), float(entry[1]))
+        try:
+            out[i] = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad coordinate {entry!r}: {exc}") from exc
     return out
 
 
 def _sampler_from(params, seed) -> conditioning.SamplerConfig:
-    return conditioning.SamplerConfig(
-        radial_shells=int(params["radial_shells"]),
-        points_per_shell=int(params["points_per_shell"]),
-        rng_seed=subseed(seed, "sampler"),
-        refine_steps=int(params["refine_steps"]),
-        exclusion_tolerance=float(params["exclusion_tolerance"]),
-    )
+    try:
+        return conditioning.SamplerConfig(
+            radial_shells=_cast(params, "radial_shells", int),
+            points_per_shell=_cast(params, "points_per_shell", int),
+            rng_seed=subseed(seed, "sampler"),
+            refine_steps=_cast(params, "refine_steps", int),
+            exclusion_tolerance=_cast(params, "exclusion_tolerance", float),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _newton_from(params, seed) -> landau.NewtonConfig:
-    return landau.NewtonConfig(
-        max_iterations=int(params["max_iterations"]),
-        tolerance=float(params["tolerance"]),
-        multistart_count=int(params["multistart_count"]),
-        continuation_steps=int(params["continuation_steps"]),
-        domain_margin_min=float(params["domain_margin_min"]),
-        rng_seed=subseed(seed, "newton"),
-    )
+    try:
+        return landau.NewtonConfig(
+            max_iterations=_cast(params, "max_iterations", int),
+            tolerance=_cast(params, "tolerance", float),
+            multistart_count=_cast(params, "multistart_count", int),
+            domain_margin_min=_cast(params, "domain_margin_min", float),
+            rng_seed=subseed(seed, "newton"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cert_payload(cert: landau.MembershipCertificate) -> dict:
@@ -308,104 +278,162 @@ def _witness_payload(w) -> dict:
     }
 
 
-def _sequence_map_builder(template: str, cfg_map: MapExpr):
-    """bz-sequence families come from the map text with {n} / {1/n}
-    placeholders; a placeholder-free text is a constant family."""
+def _family_member(template: str, n: int) -> str:
+    """A bz-sequence map text is a family over {n} / {1/n} placeholders (a
+    placeholder-free text is a constant family); its member at n."""
+    return template.replace("{n}", repr(float(n))).replace("{1/n}", repr(1.0 / n))
 
-    def build(n: int) -> MapExpr:
-        text = template.replace("{n}", repr(float(n))).replace("{1/n}", repr(1.0 / n))
-        return parse(text)
 
-    return build
+def _run_eval(m, cfg):
+    z = _point_from(cfg.params["point"], m.dim)
+    return {"point": _enc(z), "value": _enc(evaluate(m, z))}
+
+
+def _run_jacobian(m, cfg):
+    z = _point_from(cfg.params["point"], m.dim)
+    jet = jacobian(m, z)
+    return {"point": _enc(z), "value": _enc(jet.value), "jacobian": _enc(jet.jacobian)}
+
+
+def _run_kappa_sup(m, cfg):
+    report = conditioning.sup_kappa(m, cfg.domain, _sampler_from(cfg.params, cfg.seed))
+    return {
+        "sup_estimate": _enc(report.sup_estimate),
+        "argmax_point": _enc(report.argmax_point),
+        "samples_used": int(report.samples_used),
+        "skipped_singular": int(report.skipped_singular),
+        "norm": report.norm_name,
+    }
+
+
+def _run_refined_sup(m, cfg):
+    a = _point_from(cfg.params["base_point"], m.dim)
+    value = conditioning.refined_sup(m, a, _sampler_from(cfg.params, cfg.seed))
+    return {"base_point": _enc(a), "sup": _enc(value), "norm": algebra.NORM_NAME}
+
+
+def _run_bz_run(m, cfg):
+    return _step_payload(renorm.bz_step(
+        m, _cast(cfg.params, "C", float), _sampler_from(cfg.params, cfg.seed),
+        grid_factor=_cast(cfg.params, "grid_factor", float),
+    ))
+
+
+def _run_bz_sequence(m, cfg):
+    params = cfg.params
+    n_values = _cast(params, "n_values", lambda v: [int(n) for n in v])
+    steps = renorm.bz_sequence(
+        lambda n: parse(_family_member(cfg.map_text, n)), n_values,
+        _cast(params, "C", float), _sampler_from(params, cfg.seed),
+        grid_factor=_cast(params, "grid_factor", float),
+    )
+    return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
+
+
+def _landau_kwargs(params) -> dict:
+    return dict(
+        center_candidates=_cast(params, "center_candidates", int),
+        direction_count=_cast(params, "direction_count", lambda v: v if v is None else int(v)),
+        growth_factor=_cast(params, "growth_factor", float),
+        center_refine_steps=_cast(params, "center_refine_steps", int),
+    )
+
+
+def _run_landau(m, cfg):
+    est = landau.landau_estimate(
+        m, cfg.domain, _newton_from(cfg.params, cfg.seed), **_landau_kwargs(cfg.params)
+    )
+    return _estimate_payload(est)
+
+
+def _run_rescaled_growth(m, cfg):
+    params = cfg.params
+    series = landau.rescaled_growth(
+        m, _cast(params, "R_values", lambda v: [float(r) for r in v]),
+        _newton_from(params, cfg.seed), **_landau_kwargs(params),
+    )
+    return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
+
+
+def _run_counterexample(m, cfg):
+    params = cfg.params
+    if params["centers"] is not None:
+        centers = _cast(params, "centers", lambda v: [
+            (complex(c[0][0], c[0][1]), complex(c[1][0], c[1][1])) for c in v
+        ])
+    else:
+        count = _cast(params, "centers_count", int)
+        scale = _cast(params, "centers_scale", float)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([subseed(cfg.seed, "centers") & (2**63 - 1)])
+        )
+        raw = scale * rng.standard_normal((count, 4))
+        centers = [(complex(r[0], r[1]), complex(r[2], r[3])) for r in raw]
+    bound = counterexamples.certify_no_ball(m, centers)
+    return {
+        "bound": _enc(bound.value),
+        "label": bound.label,
+        "witness_count": bound.witness_count,
+        "map": bound.map_text,
+        "witnesses": [_witness_payload(w) for w in bound.witnesses],
+    }
+
+
+@dataclass(frozen=True)
+class _Task:
+    """Everything the CLI knows about one task."""
+
+    defaults: dict  # every param the task accepts, with its default
+    run: Callable  # (map, ExperimentConfig) -> payload
+    required: tuple = ()  # params that must be given
+    rows: tuple | None = None  # (csv header, payload -> csv lines) for `emit --format rows`
+    template: bool = False  # the map text is a family over {n} / {1/n}
+
+    def probe_text(self, map_text: str) -> str:
+        """The text that validates the map: a family's member at n = 1."""
+        return _family_member(map_text, 1) if self.template else map_text
+
+
+_REGISTRY = {
+    "eval": _Task({"point": None}, _run_eval, ("point",)),
+    "jacobian": _Task({"point": None}, _run_jacobian, ("point",)),
+    "kappa-sup": _Task(dict(_SAMPLER_DEFAULTS), _run_kappa_sup),
+    "refined-sup": _Task(
+        dict(_SAMPLER_DEFAULTS, base_point=None), _run_refined_sup, ("base_point",)
+    ),
+    "bz-run": _Task(dict(_SAMPLER_DEFAULTS, C=None, grid_factor=0.9), _run_bz_run, ("C",)),
+    "bz-sequence": _Task(
+        dict(_SAMPLER_DEFAULTS, C=None, n_values=None, grid_factor=0.9),
+        _run_bz_sequence,
+        ("C", "n_values"),
+        rows=("n,lambda", lambda p: [f"{row['n']},{row['lambda']}" for row in p["series"]]),
+        template=True,
+    ),
+    "landau": _Task(
+        dict(_NEWTON_DEFAULTS, center_candidates=2, direction_count=None,
+             growth_factor=1.05, center_refine_steps=1),
+        _run_landau,
+        rows=("radius,all_certified",
+              lambda p: [f"{r},{1 if ok else 0}" for r, ok in p["shells"]]),
+    ),
+    "rescaled-growth": _Task(
+        dict(_NEWTON_DEFAULTS, R_values=None, center_candidates=1, direction_count=None,
+             growth_factor=1.05, center_refine_steps=0),
+        _run_rescaled_growth,
+        ("R_values",),
+        rows=("R,r_times_rlo",
+              lambda p: [f"{row['R']},{row['r_times_rlo']}" for row in p["series"]]),
+    ),
+    "counterexample": _Task(
+        {"centers_count": 100, "centers_scale": 2.0, "centers": None}, _run_counterexample
+    ),
+}
+TASKS = tuple(_REGISTRY)
 
 
 def _run_task(cfg: ExperimentConfig) -> dict:
-    m = parse(_probe_text(cfg.map_text, cfg.task))
-    params = cfg.params
-    task = cfg.task
-    if task == "eval":
-        z = _point_from(params["point"], m.dim)
-        return {"point": _enc(z), "value": _enc(evaluate(m, z))}
-    if task == "jacobian":
-        z = _point_from(params["point"], m.dim)
-        jet = jacobian(m, z)
-        return {"point": _enc(z), "value": _enc(jet.value), "jacobian": _enc(jet.jacobian)}
-    if task == "kappa-sup":
-        report = conditioning.sup_kappa(m, cfg.domain, _sampler_from(params, cfg.seed))
-        return {
-            "sup_estimate": _enc(report.sup_estimate),
-            "argmax_point": _enc(report.argmax_point),
-            "samples_used": int(report.samples_used),
-            "skipped_singular": int(report.skipped_singular),
-            "norm": report.norm_name,
-        }
-    if task == "refined-sup":
-        a = _point_from(params["base_point"], m.dim)
-        value = conditioning.refined_sup(m, a, _sampler_from(params, cfg.seed))
-        return {"base_point": _enc(a), "sup": _enc(value), "norm": algebra.NORM_NAME}
-    if task == "bz-run":
-        step = renorm.bz_step(
-            m, float(params["C"]), _sampler_from(params, cfg.seed),
-            grid_factor=float(params["grid_factor"]),
-        )
-        return _step_payload(step)
-    if task == "bz-sequence":
-        n_values = [int(n) for n in params["n_values"]]
-        steps = renorm.bz_sequence(
-            _sequence_map_builder(cfg.map_text, m), n_values,
-            float(params["C"]), _sampler_from(params, cfg.seed),
-            grid_factor=float(params["grid_factor"]),
-        )
-        return {
-            "series": [
-                dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)
-            ]
-        }
-    if task == "landau":
-        est = landau.landau_estimate(
-            m, cfg.domain, _newton_from(params, cfg.seed),
-            center_candidates=int(params["center_candidates"]),
-            direction_count=(None if params["direction_count"] is None
-                             else int(params["direction_count"])),
-            growth_factor=float(params["growth_factor"]),
-            center_refine_steps=int(params["center_refine_steps"]),
-        )
-        return _estimate_payload(est)
-    if task == "rescaled-growth":
-        series = landau.rescaled_growth(
-            m, [float(r) for r in params["R_values"]], _newton_from(params, cfg.seed),
-            center_candidates=int(params["center_candidates"]),
-            direction_count=(None if params["direction_count"] is None
-                             else int(params["direction_count"])),
-            growth_factor=float(params["growth_factor"]),
-            center_refine_steps=int(params["center_refine_steps"]),
-        )
-        return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
-    if task == "counterexample":
-        if params["centers"] is not None:
-            centers = [
-                (complex(c[0][0], c[0][1]), complex(c[1][0], c[1][1]))
-                for c in params["centers"]
-            ]
-        else:
-            count = int(params["centers_count"])
-            scale = float(params["centers_scale"])
-            rng = np.random.default_rng(
-                np.random.SeedSequence([subseed(cfg.seed, "centers") & (2**63 - 1)])
-            )
-            raw = scale * rng.standard_normal((count, 4))
-            centers = [
-                (complex(r[0], r[1]), complex(r[2], r[3])) for r in raw
-            ]
-        bound = counterexamples.certify_no_ball(m, centers)
-        return {
-            "bound": _enc(bound.value),
-            "label": bound.label,
-            "witness_count": bound.witness_count,
-            "map": bound.map_text,
-            "witnesses": [_witness_payload(w) for w in bound.witnesses],
-        }
-    raise ConfigError(f"unhandled task {task}")
+    task = _REGISTRY[cfg.task]
+    return task.run(parse(task.probe_text(cfg.map_text)), cfg)
 
 
 def run(config_path: str, output: str | None = None) -> int:
@@ -445,13 +473,18 @@ def run(config_path: str, output: str | None = None) -> int:
         code = 3
     report["wall_time_s"] = time.perf_counter() - start
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"  # encode before truncating
+    return code if _write(out_path, text, "report") else 2
+
+
+def _write(path: str, text: str, what: str) -> bool:
+    """Write text to path; on failure print an error and return False."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
-    return code
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def emit_series(report: dict, fmt: str) -> str:
@@ -464,18 +497,11 @@ def emit_series(report: dict, fmt: str) -> str:
     if fmt != "rows":
         raise UnsupportedPayload(f"unknown format {fmt!r}")
     task = (report.get("config") or {}).get("task")
-    if task == "bz-sequence":
-        lines = ["n,lambda"]
-        lines += [f"{row['n']},{row['lambda']}" for row in payload["series"]]
-    elif task == "rescaled-growth":
-        lines = ["R,r_times_rlo"]
-        lines += [f"{row['R']},{row['r_times_rlo']}" for row in payload["series"]]
-    elif task == "landau":
-        lines = ["radius,all_certified"]
-        lines += [f"{r},{1 if ok else 0}" for r, ok in payload["shells"]]
-    else:
+    rows = _REGISTRY[task].rows if task in TASKS else None
+    if rows is None:
         raise UnsupportedPayload(f"task {task!r} has no rows series")
-    return "\n".join(lines) + "\n"
+    header, lines = rows
+    return "\n".join([header] + lines(payload)) + "\n"
 
 
 def emit(report_path: str, fmt: str, output: str | None = None) -> int:
@@ -491,10 +517,8 @@ def emit(report_path: str, fmt: str, output: str | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return 0 if _write(output, text, "output") else 2
+    sys.stdout.write(text)
     return 0
 
 

@@ -6,12 +6,12 @@ from below by certifying membership of sphere points: a certificate is a
 preimage strictly inside the domain whose image matches the target to
 tolerance.  Radii grow multiplicatively from r0 = tolerance * 1e3; the
 last radius whose whole direction set certified is the reported lower
-bound, and its certificates, with the center's, are the ones returned.
-A shell is one Newton batch, whose final residuals the certificates report.
-Directions it misses are retried one by one, each with its starts in one
-batch; the retry stops at the first direction it cannot rescue, which
-fails the shell.
-A Newton failure is never proof of non-membership, so the upper
+bound r_lo, and its certificates, with the center's, are the ones
+returned.  r_lo is sampled, not proven: Newton met an absolute residual
+on a finite set of directions on a ladder of radii.
+A shell is one Newton batch, warm-started from the shell below it, whose
+final residuals the certificates report; a direction it misses fails the
+shell.  A Newton failure is never proof of non-membership, so the upper
 bound from the first failing shell is heuristic - except for the Harris
 and Duren-Rudin maps on the unit polydisc, where the counterexample
 witnesses supply a certified bound.
@@ -50,13 +50,12 @@ class NewtonConfig:
     max_iterations: int = 40
     tolerance: float = 1e-9
     multistart_count: int = 8
-    continuation_steps: int = 8
     domain_margin_min: float = 1e-4
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.multistart_count < 1 or self.continuation_steps < 1:
-            raise ValueError("iteration/start/continuation counts must be positive")
+        if self.max_iterations < 1 or self.multistart_count < 1:
+            raise ValueError("iteration and start counts must be positive")
         if not self.tolerance > 0 or not self.domain_margin_min > 0:
             raise ValueError("tolerance and domain_margin_min must be positive")
         if self.rng_seed < 0:
@@ -85,8 +84,10 @@ class NotFound:
 
 @dataclass
 class LandauEstimate:
-    """Certified lower bound r_lo and labeled upper bound r_hi for the largest
-    ball around `center` inside the image."""
+    """Sampled lower bound r_lo and labeled upper bound r_hi for the largest
+    ball around `center` inside the image.  r_lo is not proven: Newton met
+    an absolute residual on a finite set of sphere directions at each radius
+    of a ladder up to it."""
 
     center: np.ndarray
     r_lo: float
@@ -97,33 +98,20 @@ class LandauEstimate:
     shell_history: list
 
 
-def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig, known=()):
+def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
     """Newton search for a preimage of b strictly inside the domain.
 
-    Start list: continuation from the nearest previously certified target
-    (when `known` pairs are supplied), the origin, then seeded interior
-    multistarts.  All starts run as one Newton batch; the first start, in
-    that order, that certifies gives the MembershipCertificate.  Otherwise
-    NotFound carries the smallest final residual over the starts.
+    Starts: the origin, then seeded interior multistarts.  All starts run
+    as one Newton batch; the first start, in that order, that certifies
+    gives the MembershipCertificate.  Otherwise NotFound carries the
+    smallest final residual over the starts.
     """
     b = algebra.as_vector(b)
     if b.size != m.dim or dom.dim != m.dim:
         raise DimensionMismatch(
             f"target k={b.size}, domain k={dom.dim}, map k={m.dim}"
         )
-    starts = []
-    if known:
-        t0, z0 = min(known, key=lambda pair: float(np.linalg.norm(pair[0] - b)))
-        # track the preimage along the segment t0 -> b, one Newton per step
-        z = np.array(z0, dtype=np.complex128)
-        t0 = np.asarray(t0, complex)
-        for t in np.linspace(0.0, 1.0, cfg.continuation_steps + 1)[1:]:
-            zt, res = _newton_batch(m, ((1.0 - t) * t0 + t * b)[None], z[None], dom, cfg)
-            if not np.isfinite(res[0]):
-                break
-            z = zt[0]
-        starts.append(z)
-    starts.append(np.zeros(m.dim, dtype=np.complex128))
+    starts = [np.zeros(m.dim, dtype=np.complex128)]
     starts.extend(interior_points(dom, cfg.multistart_count,
                                   subseed(cfg.rng_seed, "newton-starts")))
     z, res = _newton_batch(m, np.tile(b, (len(starts), 1)), np.array(starts), dom, cfg)
@@ -165,7 +153,7 @@ def _newton_batch(m, targets, warm, dom, cfg):
                 try:
                     step[t] = np.linalg.solve(j_rem[t], f_rem[t])
                 except np.linalg.LinAlgError:
-                    live[rem[t]] = False  # z cannot move; the salvage retries it
+                    live[rem[t]] = False  # z cannot move
         keep = live[rem]
         moved = rem[keep]
         z[moved] = z[moved] - step[keep]
@@ -173,34 +161,12 @@ def _newton_batch(m, targets, warm, dom, cfg):
     return z, res
 
 
-def _certify_shell(m, targets, dom, cfg, center, prev=None):
-    """Certify a whole shell of targets, warm-started from the previous
-    certified shell `prev` = (targets, preimages), or from the center's
-    (target, preimage) pair when there is none.  Failed points are retried
-    one at a time by solve_membership, from certified neighbors; the retry
-    stops at the first point it cannot rescue, since the shell has then
-    failed and the remaining arrays are discarded."""
-    if prev is None:
-        warm = np.tile(center[1], (len(targets), 1))
-    else:
-        warm = prev[1]
+def _certify_shell(m, targets, warm, dom, cfg):
+    """Certify a whole shell of targets as one Newton batch from the warm
+    starts; returns (ok, z, residual, margin) per target."""
     z, res = _newton_batch(m, targets, warm, dom, cfg)
     margins = np.asarray(dom.margin(z), dtype=float)
     ok = (res <= cfg.tolerance) & (margins >= cfg.domain_margin_min)
-    if not ok.all():
-        # order matters: solve_membership continues from the first nearest pair
-        pool = [center]
-        if prev is not None:
-            pool.extend(zip(*prev))
-        pool.extend((targets[j], z[j]) for j in np.flatnonzero(ok))
-        for j in np.flatnonzero(~ok):
-            sol = solve_membership(m, targets[j], dom, cfg, known=pool)
-            if not isinstance(sol, MembershipCertificate):
-                break
-            z[j] = sol.preimage
-            res[j] = sol.residual
-            margins[j] = sol.domain_margin
-            ok[j] = True
     return ok, z, res, margins
 
 
@@ -217,10 +183,12 @@ def inscribed_lower_bound(
     certified in the image, else CenterNotInImage).
 
     At each radius all direction_count quasi-uniform sphere points must
-    certify; continuation reuses the previous shell's preimages as warm
-    starts, so radius growth is sequential while direction tests vectorize.
-    The returned certificates are the center's followed by those of the
-    last certified shell (radius r_lo); none when no shell certified.
+    certify; each shell is warm-started from the preimages of the shell
+    below it (the first from the center's), so radius growth is sequential
+    while direction tests vectorize.  r_lo, the last radius that certified,
+    is a sampled lower bound, not a proven one.  The returned certificates
+    are the center's followed by those of the last certified shell (radius
+    r_lo); none when no shell certified.
     """
     a = algebra.as_vector(a)
     if not growth_factor > 1.0:
@@ -234,19 +202,18 @@ def inscribed_lower_bound(
         )
     dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
     r = float(_r_start) if _r_start else cfg.tolerance * 1e3
-    center = (a, center_sol.preimage)
+    warm = np.tile(center_sol.preimage, (direction_count, 1))
     last = None  # (targets, z, res, margins) of the last certified shell
     r_lo, r_hi = 0.0, np.inf
     history: list = []
     while len(history) < _MAX_SHELLS:
         targets = a + r * dirs
-        ok, z, res, margins = _certify_shell(
-            m, targets, dom, cfg, center, None if last is None else last[:2]
-        )
+        ok, z, res, margins = _certify_shell(m, targets, warm, dom, cfg)
         if bool(ok.all()):
             history.append((r, True))
             r_lo = r
             last = (targets, z, res, margins)
+            warm = z
             r *= growth_factor
         else:
             history.append((r, False))
@@ -288,9 +255,10 @@ def landau_estimate(
     growth_factor: float = 1.05,
     center_refine_steps: int = 2,
 ) -> LandauEstimate:
-    """Lower bound for the Landau number: best inscribed estimate over the
-    image of the origin, seeded random image points, and a hill climb of
-    the winning center.
+    """Sampled lower bound for the Landau number: best inscribed estimate
+    over the image of the origin, seeded random image points, and a hill
+    climb of the winning center.  Its r_lo is sampled, as in
+    inscribed_lower_bound, not proven.
 
     center_candidates counts all starting centers, the origin's image
     included; the random candidates are prefix-stable in the count, so the

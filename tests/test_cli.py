@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from holomaplab import conditioning
-from holomaplab.cli import ExperimentConfig, _run_task, emit_series, run
+from holomaplab.cli import ExperimentConfig, _run_task, emit_series, main, run
 from holomaplab.errors import UnsupportedPayload
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -154,6 +154,42 @@ class TestRun:
         value = load_report(out)["payload"]["value"]
         assert value[0] == pytest.approx([0.09, 0.0], abs=1e-15)
         assert value[1] == pytest.approx([0.2, 0.0], abs=0)
+
+
+EVAL_CONFIG = {"schema": 1, "map": "identity(k=2)", "task": "eval", "seed": 1,
+               "params": {"point": [[0.1, 0], [0.2, 0]]}}
+
+
+def run_args(raw):
+    def args(tmp_path):
+        return ["run", str(write_config(tmp_path, "c.json", raw)),
+                "-o", str(tmp_path / "r.json")]
+    return args
+
+
+def emit_to_missing_dir(tmp_path):
+    report = write_config(tmp_path, "report.json", {
+        "config": {"task": "landau"}, "payload": {"shells": [[0.1, True]]}})
+    return ["emit", str(report), "-o", str(tmp_path / "missing" / "rows.csv")]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("args", [
+        run_args(dict(EVAL_CONFIG, domain={"dim": [2]})),
+        run_args(dict(EVAL_CONFIG, map=2)),
+        run_args(dict(EVAL_CONFIG, seed=True)),
+        run_args(dict(EVAL_CONFIG, output=["r.json"])),
+        run_args(dict(EVAL_CONFIG, params={"point": [["a", 0], [0, 0]]})),
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", params={"radial_shells": "x"})),
+        run_args(dict(EVAL_CONFIG, task="landau", params={"max_iterations": 0})),
+        run_args(dict(EVAL_CONFIG, task="landau", params={"continuation_steps": 8})),
+        emit_to_missing_dir,
+    ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
+            "param-cast", "newton-validation", "continuation-steps", "emit-unwritable"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, args):
+        assert main(args(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestEmit:

@@ -53,14 +53,6 @@ class TestSolveMembership:
         missing = solve_membership(Identity(2), [2.0, 0.0], BALL2, CFG)
         assert isinstance(missing, NotFound)
 
-    def test_continuation_from_known_pair(self):
-        m = parse("compose(henon(b=0.5), expcoord(c=0.1, k=2))")
-        b0 = evaluate(m, [0.3, 0.2])
-        b1 = evaluate(m, [0.32, 0.21])
-        cert = solve_membership(m, b1, BALL2, CFG, known=[(b0, np.array([0.3, 0.2]))])
-        assert isinstance(cert, MembershipCertificate)
-        assert np.allclose(cert.preimage, [0.32, 0.21], atol=1e-6)
-
     def test_first_certifying_start_wins(self):
         # (z1^2, z2) maps z1 = +-0.5 to the same target; the origin start is
         # singular and the multistarts reach both roots, so order decides
@@ -77,11 +69,6 @@ class TestSolveMembership:
         assert set(signs) == {-1.0, 1.0}
         cert = solve_membership(m, b, BALL2, CFG)
         assert cert.preimage.tobytes() == roots[0].tobytes()
-        # a known pair near the other root puts its continuation start first
-        other = roots[signs.index(-signs[0])]
-        near = 0.98 * other
-        cert = solve_membership(m, b, BALL2, CFG, known=[(evaluate(m, near), near)])
-        assert np.sign(cert.preimage[0].real) == -signs[0]
 
 
 class TestInscribedLowerBound:
@@ -152,39 +139,10 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestCertifyShell:
-    def test_salvage_stops_at_first_unrescued_direction(self, monkeypatch):
-        # every preimage of a radius-1.5 shell lies outside the unit ball
-        calls = count_calls(monkeypatch, landau, "solve_membership")
-        center = (np.zeros(2, complex), np.zeros(2, complex))
-        targets = 1.5 * sphere_directions(16, 2, 1)
-        ok, _, _, _ = landau._certify_shell(Identity(2), targets, BALL2, CFG, center)
-        assert not ok.any()
-        assert len(calls) == 1
-        assert isinstance(calls[0], NotFound)
-
-    def test_single_bad_direction_is_salvaged(self, monkeypatch):
-        # a warm start on the critical line z1 = 0 of (z1^2, z2) freezes the
-        # batched Newton there; the scalar retry rescues it from a multistart
-        m = parse("(z1^2, z2)")
-        c = np.array([0.5, 0.0], complex)
-        center = (evaluate(m, c), c)
-        targets = center[0] + 0.01 * sphere_directions(8, 2, 1)
-        warm = np.tile(c, (8, 1))
-        warm[3] = 0.0
-        calls = count_calls(monkeypatch, landau, "solve_membership")
-        ok, z, res, margins = landau._certify_shell(m, targets, BALL2, CFG, center,
-                                                    (targets, warm))
-        assert ok.all()
-        assert len(calls) == 1
-        assert isinstance(calls[0], MembershipCertificate)
-        assert np.linalg.norm(evaluate(m, z[3]) - targets[3]) <= CFG.tolerance
-        assert res[3] <= CFG.tolerance and margins[3] >= CFG.domain_margin_min
-
     def test_only_rows_above_tolerance_take_a_jacobian(self, monkeypatch):
         m = Linear(np.diag([2.0, 0.5]))
         targets = 0.3 * sphere_directions(32, 2, 1)
         exact = targets / np.array([2.0, 0.5])
-        center = (np.zeros(2, complex), np.zeros(2, complex))
         batches = []
         original = landau.jacobian_batch
 
@@ -193,12 +151,12 @@ class TestCertifyShell:
             return original(m, pts)
 
         monkeypatch.setattr(landau, "jacobian_batch", recorded)
-        ok, z, _, _ = landau._certify_shell(m, targets, BALL2, CFG, center, (targets, exact))
+        ok, z, _, _ = landau._certify_shell(m, targets, exact, BALL2, CFG)
         assert ok.all() and np.array_equal(z, exact)
         assert batches == []
         warm = exact.copy()
         warm[1::2] *= 1.01
-        ok, _, _, _ = landau._certify_shell(m, targets, BALL2, CFG, center, (targets, warm))
+        ok, _, _, _ = landau._certify_shell(m, targets, warm, BALL2, CFG)
         assert ok.all()
         # one Newton step solves a linear map, so only the perturbed rows take one
         assert len(batches) == 1 and np.array_equal(batches[0], warm[1::2])

@@ -240,6 +240,12 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse(text)
             assert time.perf_counter() - t0 < 0.5, text
+        # every factor and the product stay under the term cap, but the last
+        # product walks 1,056^2 term pairs
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse("(((1+z1)^32*(1+z2)^31)*((1+z1)^32*(1+z2)^31), z2)")
+        assert time.perf_counter() - t0 < 0.05
         assert parse("(z1^64, z2)") == PolyCoord([[((64, 0), 1)], [((0, 1), 1)]])
         assert len(parse("((1 + z1)^63 * (1 + z2)^63, z2)").polys[0]) == 4096
         assert parse("identity(k=32)").dim == 32

@@ -1,5 +1,6 @@
-"""Layer timings of holomaplab: one Landau shell, one failing membership
-search, and the two evaluators at three batch sizes.
+"""Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
+search, one failing membership search, and the two evaluators at three
+batch sizes.
 
     python3 benchmarks/layers.py OUTPUT.json
 
@@ -15,6 +16,8 @@ Entries:
                           below it: one Newton batch
   shell.dilate_exp.n96    the same on dilate(expcoord(c=0.1, k=2), 2), 96
                           directions
+  ilb.linear.n128         one whole inscribed_lower_bound around m(0) on the
+                          same Linear map, 128 directions, growth factor 1.02
   membership.fail         solve_membership of a target outside the image:
                           the origin and the multistarts, one Newton batch
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
@@ -87,6 +90,17 @@ def shell_case(m, dom, cfg, directions, r):
     return run
 
 
+def ilb_case(m, dom, cfg, directions):
+    """One whole inscribed_lower_bound around m(0) at growth factor 1.02."""
+    center = hl.evaluate(m, np.zeros(m.dim, complex))
+
+    def run():
+        if not hl.inscribed_lower_bound(m, center, dom, cfg, directions, 1.02).r_lo > 0:
+            raise RuntimeError("no shell certified")
+
+    return run
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("output")
@@ -101,6 +115,7 @@ def main(argv=None) -> int:
     cases = {}
     cases["shell.linear.n128"] = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
     cases["shell.dilate_exp.n96"] = shell_case(dilate_exp, ball, cfg, 96, 0.06)
+    cases["ilb.linear.n128"] = ilb_case(linear, ball, cfg, 128)
     outside = 1.5 * hl.evaluate(linear, [1.0, 0.0])  # the preimage has norm 1.5
 
     def membership_fail():

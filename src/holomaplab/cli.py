@@ -29,9 +29,10 @@ a run is single-threaded, so re-running a config reproduces the payload
 byte for byte.
 
 Exit codes: 0 success; 2 validation error (a malformed config, a param
-that does not cast or validate, an unreadable input or an unwritable
-output); 3 numerical failure, any unexpected exception from the task
-included (a partial report with the error is still written).
+that does not cast or is out of range, an unreadable or malformed input
+or an unwritable output); 3 numerical failure, any unexpected exception
+from the task included (a partial report with the error is still
+written).
 """
 
 from __future__ import annotations
@@ -240,6 +241,7 @@ def _estimate_payload(est: landau.LandauEstimate) -> dict:
     return {
         "center": _enc(est.center),
         "r_lo": _enc(est.r_lo),
+        "r_lo_label": est.r_lo_label,
         "r_hi": _enc(est.r_hi),
         "r_hi_label": est.r_hi_label,
         "directions_tested": est.directions_tested,
@@ -330,13 +332,25 @@ def _run_bz_sequence(m, cfg):
     return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
 
 
+def _check(ok: bool, rule: str):
+    """A param that casts but is out of range is a ConfigError, raised before
+    the library is called."""
+    if not ok:
+        raise ConfigError(rule)
+
+
 def _landau_kwargs(params) -> dict:
-    return dict(
+    kwargs = dict(
         center_candidates=_cast(params, "center_candidates", int),
         direction_count=_cast(params, "direction_count", lambda v: v if v is None else int(v)),
         growth_factor=_cast(params, "growth_factor", float),
         center_refine_steps=_cast(params, "center_refine_steps", int),
     )
+    _check(kwargs["center_candidates"] >= 1, "center_candidates must be >= 1")
+    _check(kwargs["direction_count"] is None or kwargs["direction_count"] >= 1,
+           "direction_count must be >= 1")
+    _check(kwargs["growth_factor"] > 1.0, "growth_factor must be > 1")
+    return kwargs
 
 
 def _run_landau(m, cfg):
@@ -348,9 +362,10 @@ def _run_landau(m, cfg):
 
 def _run_rescaled_growth(m, cfg):
     params = cfg.params
+    r_values = _cast(params, "R_values", lambda v: [float(r) for r in v])
+    _check(all(r > 0 for r in r_values), "R_values entries must be positive")
     series = landau.rescaled_growth(
-        m, _cast(params, "R_values", lambda v: [float(r) for r in v]),
-        _newton_from(params, cfg.seed), **_landau_kwargs(params),
+        m, r_values, _newton_from(params, cfg.seed), **_landau_kwargs(params),
     )
     return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
 
@@ -363,6 +378,7 @@ def _run_counterexample(m, cfg):
         ])
     else:
         count = _cast(params, "centers_count", int)
+        _check(count >= 0, "centers_count must be >= 0")
         scale = _cast(params, "centers_scale", float)
         rng = np.random.default_rng(
             np.random.SeedSequence([subseed(cfg.seed, "centers") & (2**63 - 1)])
@@ -488,7 +504,10 @@ def _write(path: str, text: str, what: str) -> bool:
 
 
 def emit_series(report: dict, fmt: str) -> str:
-    """Render a report's series payload as csv rows or as structured JSON."""
+    """Render a report's series payload as csv rows or as structured JSON.
+    A report of the wrong shape raises UnsupportedPayload."""
+    if not isinstance(report, dict):
+        raise UnsupportedPayload("report must be a JSON object")
     payload = report.get("payload")
     if payload is None:
         raise UnsupportedPayload("report has no payload")
@@ -496,12 +515,17 @@ def emit_series(report: dict, fmt: str) -> str:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt != "rows":
         raise UnsupportedPayload(f"unknown format {fmt!r}")
-    task = (report.get("config") or {}).get("task")
+    config = report.get("config")
+    task = config.get("task") if isinstance(config, dict) else None
     rows = _REGISTRY[task].rows if task in TASKS else None
     if rows is None:
         raise UnsupportedPayload(f"task {task!r} has no rows series")
     header, lines = rows
-    return "\n".join([header] + lines(payload)) + "\n"
+    try:
+        body = lines(payload)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise UnsupportedPayload(f"malformed {task} payload: {exc!r}") from exc
+    return "\n".join([header] + body) + "\n"
 
 
 def emit(report_path: str, fmt: str, output: str | None = None) -> int:

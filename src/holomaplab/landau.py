@@ -4,17 +4,20 @@ The Landau number of a map on a domain is the supremum of radii r such
 that the image contains a Euclidean ball of radius r.  It is estimated
 from below by certifying membership of sphere points: a certificate is a
 preimage strictly inside the domain whose image matches the target to
-tolerance.  Radii grow multiplicatively from r0 = tolerance * 1e3; the
-last radius whose whole direction set certified is the reported lower
-bound r_lo, and its certificates, with the center's, are the ones
-returned.  r_lo is sampled, not proven: Newton met an absolute residual
-on a finite set of directions on a ladder of radii.
-A shell is one Newton batch, warm-started from the shell below it, whose
-final residuals the certificates report; a direction it misses fails the
-shell.  A Newton failure is never proof of non-membership, so the upper
-bound from the first failing shell is heuristic - except for the Harris
-and Duren-Rudin maps on the unit polydisc, where the counterexample
-witnesses supply a certified bound.
+tolerance.  Candidate radii form a geometric ladder r0 * g**k from
+r0 = tolerance * 1e3; a galloping search (doubling steps, then bisection)
+finds a rung lo whose whole direction set certified while rung lo + 1,
+started from lo's preimages, did not.  Rung lo is the reported lower
+bound r_lo, labeled "sampled": Newton met an absolute residual on a
+finite set of directions at the rungs the search tested, so r_lo is not
+proven.  Its certificates, with the center's, are the ones returned.
+A shell is one Newton batch, warm-started from the preimages of the
+highest certified rung scaled to the new radius, whose final residuals
+the certificates report; a direction it misses fails the shell.  A
+Newton failure is never proof of non-membership, so the upper bound
+from rung lo + 1 is heuristic - except for the Harris and Duren-Rudin
+maps on the unit polydisc, where the counterexample witnesses supply a
+certified bound.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .mapkit import (
 )
 
 _DIVERGENCE_FACTOR = 25.0
-_MAX_SHELLS = 200_000
+_MAX_SHELLS = 200_000  # rungs on the ladder, and shells one search may test
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,15 @@ class NotFound:
 
 @dataclass
 class LandauEstimate:
-    """Sampled lower bound r_lo and labeled upper bound r_hi for the largest
-    ball around `center` inside the image.  r_lo is not proven: Newton met
-    an absolute residual on a finite set of sphere directions at each radius
-    of a ladder up to it."""
+    """Labeled lower bound r_lo and labeled upper bound r_hi for the largest
+    ball around `center` inside the image.  r_lo_label is "sampled": Newton
+    met an absolute residual on a finite set of sphere directions at r_lo
+    and at the radii the search tested below it, which proves nothing.
+    shell_history lists (radius, all certified) in test order."""
 
     center: np.ndarray
     r_lo: float
+    r_lo_label: str
     r_hi: float
     r_hi_label: str
     certificates: list
@@ -179,16 +184,26 @@ def inscribed_lower_bound(
     growth_factor: float = 1.05,
     _r_start: float | None = None,
 ) -> LandauEstimate:
-    """Grow certified spheres around a fixed center a (which must itself be
-    certified in the image, else CenterNotInImage).
+    """Sampled inscribed radius around a fixed center a (which must itself
+    be certified in the image, else CenterNotInImage), found by galloping
+    search over a geometric ladder of radii.
 
-    At each radius all direction_count quasi-uniform sphere points must
-    certify; each shell is warm-started from the preimages of the shell
-    below it (the first from the center's), so radius growth is sequential
-    while direction tests vectorize.  r_lo, the last radius that certified,
-    is a sampled lower bound, not a proven one.  The returned certificates
-    are the center's followed by those of the last certified shell (radius
-    r_lo); none when no shell certified.
+    Rung k of the ladder has radius r0 * growth_factor**k, formed by
+    repeated multiplication from r0 = _r_start or tolerance * 1e3.  A rung
+    certifies when all direction_count quasi-uniform sphere points do, in
+    one Newton batch warm-started from the preimages of lo, the highest
+    certified rung so far, scaled about the center's preimage by the
+    radius ratio (the center's own preimage while no rung has certified).
+    From lo the search tests rungs lo+1, lo+2, lo+4, ... until one fails,
+    then bisects between the last pass and the first fail.  It stops only
+    when rung lo+1 failed from lo's own preimages; a lo+1 that failed from
+    a lower warm start is tested again, and galloping resumes from it if it
+    certifies.  r_lo, the radius of rung lo, is a sampled lower bound, not
+    a proven one; r_hi is rung lo+1 (inf if the ladder's last rung, rung
+    _MAX_SHELLS - 1, certified).  shell_history lists (radius, certified)
+    in the order the shells were tested.  The returned certificates are
+    the center's followed by those of rung lo; none when no rung
+    certified.
     """
     a = algebra.as_vector(a)
     if not growth_factor > 1.0:
@@ -201,35 +216,59 @@ def inscribed_lower_bound(
             f"no certificate for center {a}; best residual {center_sol.best_residual:.3e}"
         )
     dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
-    r = float(_r_start) if _r_start else cfg.tolerance * 1e3
-    warm = np.tile(center_sol.preimage, (direction_count, 1))
-    last = None  # (targets, z, res, margins) of the last certified shell
-    r_lo, r_hi = 0.0, np.inf
+    z_c = center_sol.preimage
+    radii = [float(_r_start) if _r_start else cfg.tolerance * 1e3]
+
+    def radius(k):
+        while len(radii) <= k:
+            radii.append(radii[-1] * growth_factor)
+        return radii[k]
+
+    top = _MAX_SHELLS - 1  # the ladder's last rung
+    lo, best = -1, None  # highest certified rung and its (targets, z, res, margins)
+    hi, hi_from = None, None  # lowest failed rung above lo, and the lo it was tested from
+    step = 1
     history: list = []
     while len(history) < _MAX_SHELLS:
-        targets = a + r * dirs
-        ok, z, res, margins = _certify_shell(m, targets, warm, dom, cfg)
-        if bool(ok.all()):
-            history.append((r, True))
-            r_lo = r
-            last = (targets, z, res, margins)
-            warm = z
-            r *= growth_factor
+        if hi is None:
+            if lo == top:
+                break
+            k = min(lo + step, top)
+        elif hi == lo + 1:
+            if hi_from == lo:
+                break
+            k = hi
         else:
-            history.append((r, False))
-            r_hi = r
-            break
+            k = (lo + hi) // 2
+        r = radius(k)
+        targets = a + r * dirs
+        if best is None:
+            warm = np.tile(z_c, (direction_count, 1))
+        else:
+            warm = z_c + (r / radii[lo]) * (best[1] - z_c)  # lo's preimages, scaled
+        ok, z, res, margins = _certify_shell(m, targets, warm, dom, cfg)
+        certified = bool(ok.all())
+        history.append((r, certified))
+        if certified:
+            if hi is None:
+                step *= 2
+            elif k == hi:  # lo + 1 certified on its retest: gallop again from it
+                hi, step = None, 1
+            lo, best = k, (targets, z, res, margins)
+        else:
+            hi, hi_from = k, lo
     shell_certs = []
-    if last is not None:
-        targets, z, res, margins = last
+    if best is not None:
+        targets, z, res, margins = best
         shell_certs = [
             MembershipCertificate(targets[j], np.array(z[j]), float(res[j]), float(margins[j]))
             for j in range(direction_count)
         ]
     return LandauEstimate(
         center=a,
-        r_lo=float(r_lo),
-        r_hi=float(r_hi),
+        r_lo=radii[lo] if lo >= 0 else 0.0,
+        r_lo_label="sampled",
+        r_hi=radii[hi] if hi is not None else np.inf,
         r_hi_label="heuristic",
         certificates=[center_sol] + shell_certs,
         directions_tested=int(direction_count),

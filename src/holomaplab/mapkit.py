@@ -427,7 +427,9 @@ def _affine_apply(shift, matrix, coords):
     k = len(coords)
     out = []
     for i in range(k):
-        acc = shift[i] if shift is not None else None
+        # a Python complex hands `acc + dual` to _Dual.__radd__ at once; a
+        # numpy scalar first tries numpy's slow path
+        acc = complex(shift[i]) if shift is not None else None
         for j in range(k):
             term = coords[j] * matrix[i, j]
             acc = term if acc is None else acc + term

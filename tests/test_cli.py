@@ -46,6 +46,7 @@ class TestRun:
         assert run(str(cfg), str(out)) == 0
         report = load_report(out)
         assert report["payload"]["r_lo"] >= 0.99
+        assert report["payload"]["r_lo_label"] == "sampled"
         assert report["norm"] == "spectral"
 
     def test_harris_counterexample(self, tmp_path):
@@ -173,6 +174,18 @@ def emit_to_missing_dir(tmp_path):
     return ["emit", str(report), "-o", str(tmp_path / "missing" / "rows.csv")]
 
 
+def emit_report(raw):
+    def args(tmp_path):
+        return ["emit", str(write_config(tmp_path, "report.json", raw))]
+    return args
+
+
+LANDAU_CONFIG = dict(EVAL_CONFIG, task="landau", params={})
+GROWTH_CONFIG = dict(EVAL_CONFIG, task="rescaled-growth", params={"R_values": [1.0, 0.0]})
+COUNTEREXAMPLE_CONFIG = dict(EVAL_CONFIG, map="harris(n=3)", task="counterexample",
+                             domain={"shape": "polydisc"}, params={"centers_count": -1})
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("args", [
         run_args(dict(EVAL_CONFIG, domain={"dim": [2]})),
@@ -183,9 +196,18 @@ class TestExitCodeContract:
         run_args(dict(EVAL_CONFIG, task="kappa-sup", params={"radial_shells": "x"})),
         run_args(dict(EVAL_CONFIG, task="landau", params={"max_iterations": 0})),
         run_args(dict(EVAL_CONFIG, task="landau", params={"continuation_steps": 8})),
+        run_args(dict(LANDAU_CONFIG, params={"center_candidates": 0})),
+        run_args(dict(LANDAU_CONFIG, params={"growth_factor": 1})),
+        run_args(dict(LANDAU_CONFIG, params={"direction_count": 0})),
+        run_args(GROWTH_CONFIG),
+        run_args(COUNTEREXAMPLE_CONFIG),
         emit_to_missing_dir,
+        emit_report([]),
+        emit_report({"payload": {"series": 3}, "config": {"task": "bz-sequence"}}),
     ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
-            "param-cast", "newton-validation", "continuation-steps", "emit-unwritable"])
+            "param-cast", "newton-validation", "continuation-steps", "center-candidates",
+            "growth-factor", "direction-count", "r-values", "centers-count",
+            "emit-unwritable", "emit-report-list", "emit-series-number"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error:")

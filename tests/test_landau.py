@@ -117,12 +117,134 @@ class TestInscribedLowerBound:
             inscribed_lower_bound(Identity(2), np.array([5.0, 0.0]), BALL2, CFG,
                                   direction_count=16)
 
-    def test_shell_history_is_monotone_prefix(self):
+    def test_shell_history_brackets_r_lo(self):
         est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG,
                                     direction_count=32, growth_factor=1.05)
-        flags = [ok for _, ok in est.shell_history]
-        assert all(flags[:-1])
-        assert flags[-1] is False or est.r_hi == np.inf
+        certified = [r for r, ok in est.shell_history if ok]
+        assert max(certified) == est.r_lo
+        assert est.r_hi == est.r_lo * 1.05
+        assert (est.r_hi, False) in est.shell_history
+        assert est.r_lo_label == "sampled"
+
+    @pytest.mark.parametrize("m", [
+        Identity(2),
+        Linear(np.diag([2.0, 0.5])),
+        Linear(np.array([[0.9 + 0.3j, -0.2 + 0.5j], [0.4 - 0.1j, 0.3 + 0.6j]])),
+        Linear(np.array([[1.2, 0.7j], [-0.3, 0.15 + 0.05j]])),
+    ], ids=["identity", "diagonal", "complex", "ill-conditioned"])
+    def test_search_matches_the_rung_by_rung_walk(self, m):
+        ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 64, 1.02)
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 64, 1.02)
+        assert est.r_lo.hex() == ladder.r_lo.hex()
+        assert est.r_hi.hex() == ladder.r_hi.hex()
+        rungs = len(ladder.shell_history)
+        assert len(est.shell_history) <= 2 * np.log2(rungs) + 4
+
+    def test_a_bracket_tested_from_below_is_tested_again(self, monkeypatch):
+        # a fake shell test: rungs up to radius 0.5 certify, but only from a
+        # warm start at most 1.5x below (as a Newton basin would), so gallops
+        # of 16 rungs fail below 0.5 and the bracket lo + 1 is often first
+        # tested from a lower rung
+        certified_radii = [0.0]
+
+        def fake_shell(m, targets, warm, dom, cfg):
+            r = float(np.linalg.norm(targets[0]))
+            ok = r <= 0.5 * (1 + 1e-12) and r <= 1.5 * max(certified_radii) + 1e-3
+            if ok:
+                certified_radii.append(r)
+            n = len(targets)
+            return np.full(n, ok), targets.copy(), np.zeros(n), np.ones(n)
+
+        monkeypatch.setattr(landau, "_certify_shell", fake_shell)
+        est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG, 8, 1.05)
+        ladder = walk_every_rung(Identity(2), np.zeros(2), BALL2, CFG, 8, 1.05)
+        assert est.r_lo == ladder.r_lo and est.r_hi == ladder.r_hi
+        radii = [r for r, _ in est.shell_history]
+        assert len(set(radii)) < len(radii)  # some rung was tested twice
+        assert est.shell_history[-1] == (est.r_hi, False)
+        assert len(est.shell_history) < len(ladder.shell_history)
+
+    def test_warm_start_is_the_highest_certified_shell_scaled(self, monkeypatch):
+        m = Linear(np.diag([2.0, 0.5]))
+        center = np.array([0.1, 0.05j])
+        shells = []
+        original = landau._certify_shell
+
+        def recorded(m, targets, warm, dom, cfg):
+            out = original(m, targets, warm, dom, cfg)
+            shells.append((warm, out[1]))
+            return out
+
+        monkeypatch.setattr(landau, "_certify_shell", recorded)
+        est = inscribed_lower_bound(m, center, BALL2, CFG, 16, 1.05)
+        assert len(shells) == len(est.shell_history)
+        z_c = est.certificates[0].preimage
+        assert np.array_equal(shells[0][0], np.tile(z_c, (16, 1)))
+        r_lo, z_lo = 0.0, None
+        for (warm, z), (r, ok) in zip(shells, est.shell_history):
+            if z_lo is not None:
+                assert np.array_equal(warm, z_c + (r / r_lo) * (z_lo - z_c))
+            if ok and r > r_lo:
+                r_lo, z_lo = r, z
+        assert r_lo == est.r_lo
+
+    def test_probe_ladder_starts_at_r_start(self):
+        m = Linear(np.diag([2.0, 0.5]))
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _r_start=0.3)
+        ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 32, 1.02, _r_start=0.3)
+        assert est.shell_history[0] == (0.3, True)
+        assert est.r_lo == ladder.r_lo and est.r_hi == ladder.r_hi
+
+
+def walk_every_rung(m, a, dom, cfg, direction_count, growth_factor=1.05, _r_start=None):
+    """inscribed_lower_bound as it was before the galloping search: every
+    rung of the ladder in turn, each warm-started from the rung below."""
+    a = landau.algebra.as_vector(a)
+    if not growth_factor > 1.0:
+        raise ValueError("growth_factor must be > 1")
+    if direction_count < 1:
+        raise ValueError("direction_count must be >= 1")
+    center_sol = solve_membership(m, a, dom, cfg)
+    if isinstance(center_sol, NotFound):
+        raise CenterNotInImage(
+            f"no certificate for center {a}; best residual {center_sol.best_residual:.3e}"
+        )
+    dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
+    r = float(_r_start) if _r_start else cfg.tolerance * 1e3
+    warm = np.tile(center_sol.preimage, (direction_count, 1))
+    last = None  # (targets, z, res, margins) of the last certified shell
+    r_lo, r_hi = 0.0, np.inf
+    history: list = []
+    while len(history) < landau._MAX_SHELLS:
+        targets = a + r * dirs
+        ok, z, res, margins = landau._certify_shell(m, targets, warm, dom, cfg)
+        if bool(ok.all()):
+            history.append((r, True))
+            r_lo = r
+            last = (targets, z, res, margins)
+            warm = z
+            r *= growth_factor
+        else:
+            history.append((r, False))
+            r_hi = r
+            break
+    shell_certs = []
+    if last is not None:
+        targets, z, res, margins = last
+        shell_certs = [
+            MembershipCertificate(targets[j], np.array(z[j]), float(res[j]), float(margins[j]))
+            for j in range(direction_count)
+        ]
+    return landau.LandauEstimate(
+        center=a,
+        r_lo=float(r_lo),
+        r_lo_label="sampled",
+        r_hi=float(r_hi),
+        r_hi_label="heuristic",
+        certificates=[center_sol] + shell_certs,
+        directions_tested=int(direction_count),
+        shell_history=history,
+    )
 
 
 def count_calls(monkeypatch, module, name):

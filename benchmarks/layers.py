@@ -1,6 +1,6 @@
 """Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
-search, one failing membership search, and the two evaluators at three
-batch sizes.
+search, one failing membership search, the two evaluators at three batch
+sizes, batched singular values and refined_sup's batched product.
 
     python3 benchmarks/layers.py OUTPUT.json
 
@@ -22,6 +22,11 @@ Entries:
                           the origin and the multistarts, one Newton batch
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
                           N in {1, 96, 10^4}
+  svd.k2.n<N>             singular_values_batch on N random complex 2 x 2
+                          matrices, N in {1, 8, 96, 32769}
+  svd.k3.n96              the same on 96 3 x 3 matrices (LAPACK)
+  refined_product.n32769  times_batch of 32769 2 x 2 matrices by one 2 x 2
+                          matrix: the J(a + z) J(a)^-1 of refined_sup
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from holomaplab._sampling import sphere_directions  # noqa: E402
 REPEATS = 7
 MIN_REPEAT_S = 0.05
 BATCH_SIZES = (1, 96, 10_000)
+SVD_BATCH_SIZES = (1, 8, 96, 32_769)  # 32,769: one sup-dense sample set
 LINEAR_TEXT = "linear(a=[[0.9+0.3i, -0.2+0.5i], [0.4-0.1i, 0.3+0.6i]])"
 
 
@@ -136,6 +142,15 @@ def main(argv=None) -> int:
         for name, m in maps.items():
             cases[f"jacobian_batch.{name}.n{n}"] = lambda m=m, pts=pts: hl.jacobian_batch(m, pts)
             cases[f"evaluate_batch.{name}.n{n}"] = lambda m=m, pts=pts: hl.evaluate_batch(m, pts)
+
+    def cstack(n, k):
+        return rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+
+    for n in SVD_BATCH_SIZES:
+        cases[f"svd.k2.n{n}"] = lambda mats=cstack(n, 2): hl.algebra.singular_values_batch(mats)
+    cases["svd.k3.n96"] = lambda mats=cstack(96, 3): hl.algebra.singular_values_batch(mats)
+    jacs, b = cstack(SVD_BATCH_SIZES[-1], 2), cstack(1, 2)[0]
+    cases[f"refined_product.n{len(jacs)}"] = lambda: hl.algebra.times_batch(jacs, b)
 
     layers = {}
     for name, fn in cases.items():

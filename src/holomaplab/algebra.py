@@ -6,6 +6,29 @@ kappa = sigma_max / sigma_min.  Matrices whose sigma_min falls below a
 relative threshold are treated as singular and map to kappa = +inf
 rather than an error, which lets samplers skip the exceptional set of a
 map instead of aborting.
+
+Singular values of a stack of 2 x 2 matrices [[a, b], [c, d]] come from a
+closed form in real arithmetic.  With row sums of squares p = |a|^2 + |b|^2
+and r = |c|^2 + |d|^2, cross term q = a conj(c) + b conj(d) and
+f = p + r (the squared Frobenius norm):
+
+    sigma_max^2 = (f + sqrt((p - r)^2 + 4 |q|^2)) / 2
+    sigma_min   = |ad - bc| / sigma_max
+
+Both terms of sigma_max^2 are nonnegative, so it is accurate to a few
+ulps; sigma_min carries an absolute error of a few ulps of sigma_max, as
+LAPACK's does.  A row whose f is NaN, infinite or outside
+[2^-480, 2^480] goes to np.linalg.svd instead, as one subset of the
+stack: inside that range no square or product overflows, and where
+|ad - bc|^2 underflows the error it leaves is far below an ulp of
+sigma_max.  So extreme scales keep LAPACK's accuracy, and a NaN Jacobian
+still raises numpy's LinAlgError.  Every step is elementwise and which
+path a row takes depends on that row's entries alone, so a row's singular
+values do not depend on the batch it is computed in; there is no
+batch-size threshold.  Stacks of any other k go to np.linalg.svd
+unchanged.  The single-matrix functions call the batch kernel on a stack
+of one, so a pointwise value equals the row a batched scorer computes for
+the same matrix, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +65,7 @@ def as_matrix(entries) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Singular values in descending order."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
+    return singular_values_batch(as_matrix(a)[None])[0]
 
 
 def spectral_norm(a) -> float:
@@ -53,7 +76,7 @@ def spectral_norm(a) -> float:
 def invert(a, rtol: float = SINGULAR_RTOL) -> np.ndarray:
     """Matrix inverse; raises SingularMatrix when sigma_min <= rtol * sigma_max."""
     a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = singular_values(a)
     if s[-1] <= rtol * s[0]:
         raise SingularMatrix(
             f"sigma_min {s[-1]:.3e} <= {rtol:g} * sigma_max {s[0]:.3e}"
@@ -63,10 +86,7 @@ def invert(a, rtol: float = SINGULAR_RTOL) -> np.ndarray:
 
 def kappa(a, rtol: float = SINGULAR_RTOL) -> float:
     """Spectral condition number sigma_max / sigma_min in [1, +inf]."""
-    s = singular_values(a)
-    if s[0] == 0.0 or s[-1] <= rtol * s[0]:
-        return float("inf")
-    return max(float(s[0] / s[-1]), 1.0)
+    return float(kappa_from_singular_values(singular_values(a), rtol))
 
 
 def eigen_moduli(a) -> np.ndarray:
@@ -74,9 +94,44 @@ def eigen_moduli(a) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(as_matrix(a))))
 
 
+# squared Frobenius norms outside this range go to LAPACK
+_FRO2_MIN, _FRO2_MAX = 2.0 ** -480, 2.0 ** 480
+
+
 def singular_values_batch(mats) -> np.ndarray:
     """Singular values (descending) for a stack of square matrices -> (..., k)."""
-    return np.linalg.svd(np.asarray(mats, dtype=np.complex128), compute_uv=False)
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.shape[-2:] != (2, 2):
+        return np.linalg.svd(mats, compute_uv=False)
+    return _singular_values_2x2(mats.reshape(-1, 2, 2)).reshape(mats.shape[:-1])
+
+
+def _singular_values_2x2(m) -> np.ndarray:
+    """(n, 2, 2) -> (n, 2) by the closed form of the module docstring."""
+    n = len(m)
+    ar, ai, br, bi, cr, ci, dr, di = np.ascontiguousarray(m).reshape(n, 4).view(np.float64).T
+    out = np.empty((n, 2))
+    with np.errstate(all="ignore"):  # rows outside the safe range are redone below
+        p = ar * ar + ai * ai + br * br + bi * bi
+        r = cr * cr + ci * ci + dr * dr + di * di
+        qr = ar * cr + ai * ci + br * dr + bi * di
+        qi = ai * cr - ar * ci + bi * dr - br * di
+        det_r = ar * dr - ai * di - br * cr + bi * ci
+        det_i = ar * di + ai * dr - br * ci - bi * cr
+        f, g = p + r, p - r
+        smax = np.sqrt(0.5 * (f + np.sqrt(g * g + 4.0 * (qr * qr + qi * qi))), out=out[:, 0])
+        np.minimum(np.sqrt(det_r * det_r + det_i * det_i) / smax, smax, out=out[:, 1])
+    lapack = ~((f >= _FRO2_MIN) & (f <= _FRO2_MAX))
+    if lapack.any():
+        out[lapack] = np.linalg.svd(m[lapack], compute_uv=False)
+    return out
+
+
+def times_batch(mats, b) -> np.ndarray:
+    """mats @ b for a stack (n, k, k) and one (k, k) matrix b.  einsum forms
+    each row in C; a stacked matmul of 2 x 2 blocks costs 6-8x more at
+    n = 32k."""
+    return np.einsum("nij,jk->nik", mats, b)
 
 
 def spectral_norm_batch(mats) -> np.ndarray:

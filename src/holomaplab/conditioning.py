@@ -117,7 +117,8 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
     offsets = shell_points(ball, cfg.radial_shells, cfg.points_per_shell,
                            subseed(cfg.rng_seed, "refined-sup"))
     _, best, _, _ = sampled_sup(
-        lambda off: algebra.spectral_norm_batch(jacobian_batch(m, a + off)[1] @ j0_inv),
+        lambda off: algebra.spectral_norm_batch(
+            algebra.times_batch(jacobian_batch(m, a + off)[1], j0_inv)),
         offsets, cfg.refine_steps, 0.1 * rad,
         inside=lambda off: np.linalg.norm(off) <= rad,  # closed ball
     )

@@ -17,7 +17,8 @@ the certificates report; a direction it misses fails the shell.  A
 Newton failure is never proof of non-membership, so the upper bound
 from rung lo + 1 is heuristic - except for the Harris and Duren-Rudin
 maps on the unit polydisc, where the counterexample witnesses supply a
-certified bound.
+certified bound.  When the ladder's last rung certifies, r_hi is inf,
+labeled "ladder_end".
 """
 
 from __future__ import annotations
@@ -199,8 +200,10 @@ def inscribed_lower_bound(
     when rung lo+1 failed from lo's own preimages; a lo+1 that failed from
     a lower warm start is tested again, and galloping resumes from it if it
     certifies.  r_lo, the radius of rung lo, is a sampled lower bound, not
-    a proven one; r_hi is rung lo+1 (inf if the ladder's last rung, rung
-    _MAX_SHELLS - 1, certified).  shell_history lists (radius, certified)
+    a proven one; r_hi is rung lo+1, labeled "heuristic".  If the ladder's
+    last rung, rung _MAX_SHELLS - 1, certified, r_hi is inf labeled
+    "ladder_end": the search ran out of rungs, and no shell failed to bound
+    the radius from above.  shell_history lists (radius, certified)
     in the order the shells were tested.  The returned certificates are
     the center's followed by those of rung lo; none when no rung
     certified.
@@ -269,7 +272,7 @@ def inscribed_lower_bound(
         r_lo=radii[lo] if lo >= 0 else 0.0,
         r_lo_label="sampled",
         r_hi=radii[hi] if hi is not None else np.inf,
-        r_hi_label="heuristic",
+        r_hi_label="heuristic" if hi is not None else "ladder_end",
         certificates=[center_sol] + shell_certs,
         directions_tested=int(direction_count),
         shell_history=history,

@@ -138,3 +138,92 @@ class TestValidation:
             algebra.as_vector([1.0, np.inf])
         with pytest.raises(ValueError):
             algebra.as_matrix([[np.nan, 0], [0, 1]])
+
+
+def _cstack(rng, n, k=2):
+    return rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+
+
+def _families(rng):
+    """Named stacks of 2 x 2 matrices that the closed form must handle."""
+    rank1 = np.einsum("ni,nj->nij", _cstack(rng, 40)[:, 0], _cstack(rng, 40)[:, 1])
+    nearly = [rank1[:8] + 10.0 ** -e * _cstack(rng, 8) for e in range(3, 16)]
+    return {
+        "random": _cstack(rng, 200),
+        "diagonal": _cstack(rng, 40) * np.eye(2),
+        "antidiagonal": _cstack(rng, 40) * np.array([[0, 1], [1, 0]]),
+        "rank1": rank1,
+        "zero": np.zeros((3, 2, 2), complex),
+        "nearly_singular": np.concatenate(nearly),
+        "scaled_1e200": 1e200 * _cstack(rng, 20),
+        "scaled_1e-200": 1e-200 * _cstack(rng, 20),
+    }
+
+
+FAMILIES = _families(np.random.default_rng(8))
+
+
+class TestSingularValuesBatch:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_agrees_with_lapack(self, family):
+        mats = FAMILIES[family]
+        ours = algebra.singular_values_batch(mats)
+        ref = np.linalg.svd(mats, compute_uv=False)
+        assert ours.shape == ref.shape
+        assert (np.abs(ours - ref) <= 1e-13 * ref[:, :1]).all()
+        assert (ours[:, 0] >= ours[:, 1]).all()
+        if family.startswith("scaled") or family == "zero":
+            # outside the closed form's range: LAPACK's own values
+            assert ours.tobytes() == ref.tobytes()
+
+    def test_mpmath_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        mats = np.concatenate([FAMILIES["random"][:40], FAMILIES["rank1"][:10],
+                               FAMILIES["nearly_singular"]])
+        ours = algebra.singular_values_batch(mats)
+        ref = np.linalg.svd(mats, compute_uv=False)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for a, s, r in zip(mats, ours, ref):
+                exact = mpmath.svd_c(mpmath.matrix(a.tolist()), compute_uv=False)
+                exact = np.sort([float(x) for x in exact])[::-1]
+                # as accurate as LAPACK: a few ulps of sigma_max, absolute
+                assert np.abs(s - exact).max() <= 4 * eps * exact[0]
+                assert np.abs(r - exact).max() <= 4 * eps * exact[0]
+
+    def test_nan_row_raises_like_lapack(self):
+        mats = _cstack(np.random.default_rng(10), 5)
+        mats[2, 1, 0] = complex(np.nan, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            algebra.singular_values_batch(mats)
+
+    def test_inf_row_matches_lapack(self):
+        # LAPACK returns NaN singular values for an infinite entry rather
+        # than raising; the row goes to LAPACK and keeps that behaviour
+        mats = _cstack(np.random.default_rng(11), 5)
+        mats[3, 0, 1] = np.inf
+        ours = algebra.singular_values_batch(mats)
+        assert np.isnan(ours[3]).all()
+        assert ours[3].tobytes() == np.linalg.svd(mats[3:4], compute_uv=False)[0].tobytes()
+        assert np.isfinite(np.delete(ours, 3, axis=0)).all()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_sizes_are_lapack_bit_for_bit(self, k):
+        mats = _cstack(np.random.default_rng(12), 17, k)
+        ref = np.linalg.svd(mats, compute_uv=False)
+        assert algebra.singular_values_batch(mats).tobytes() == ref.tobytes()
+
+    def test_leading_dimensions(self):
+        mats = _cstack(np.random.default_rng(13), 12).reshape(3, 4, 2, 2)
+        ours = algebra.singular_values_batch(mats)
+        assert ours.shape == (3, 4, 2)
+        assert ours.tobytes() == algebra.singular_values_batch(mats.reshape(12, 2, 2)).tobytes()
+
+    def test_single_matrix_functions_use_the_batch_rows(self):
+        mats = _cstack(np.random.default_rng(14), 30)
+        rows = algebra.singular_values_batch(mats)
+        kappas = algebra.kappa_batch(mats)
+        for a, s, k in zip(mats, rows, kappas):
+            assert algebra.singular_values(a).tobytes() == s.tobytes()
+            assert algebra.spectral_norm(a) == s[0]
+            assert np.float64(algebra.kappa(a)).tobytes() == k.tobytes()

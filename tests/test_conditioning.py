@@ -15,7 +15,7 @@ from holomaplab import (
     refined_sup,
     sup_kappa,
 )
-from holomaplab import _sampling
+from holomaplab import _sampling, conditioning
 from holomaplab._sampling import sampled_sup, shell_points
 from holomaplab.errors import (
     EmptySample,
@@ -91,6 +91,24 @@ class TestKappaAt:
     def test_singular_point_is_inf(self):
         m = parse("(z1^2, z2)")
         assert kappa_at(m, [0, 0.3]) == np.inf
+
+    def test_equals_the_row_sup_kappa_scores(self, monkeypatch):
+        # kappa_at and the batched scorer share one arithmetic path, bit for bit
+        g = parse("compose(henon(b=0.5), expcoord(c=0.1, k=2))")
+        scored = []
+
+        def recording(score, pts, *args, **kwargs):
+            scored.append((pts, score(pts)))
+            return sampled_sup(score, pts, *args, **kwargs)
+
+        monkeypatch.setattr(conditioning, "sampled_sup", recording)
+        cfg = SamplerConfig(radial_shells=4, points_per_shell=32, rng_seed=3, refine_steps=5)
+        rep = sup_kappa(g, BALL2, cfg)
+        (pts, rows), = scored
+        for z, row in zip(pts, rows):
+            assert np.float64(kappa_at(g, z)).tobytes() == row.tobytes()
+        assert np.float64(kappa_at(g, rep.argmax_point)).tobytes() == \
+            np.float64(rep.sup_estimate).tobytes()
 
 
 class TestSupKappa:

@@ -195,6 +195,15 @@ class TestInscribedLowerBound:
         assert est.shell_history[0] == (0.3, True)
         assert est.r_lo == ladder.r_lo and est.r_hi == ladder.r_hi
 
+    def test_certified_last_rung_is_labeled_ladder_end(self):
+        # the identity's image is the whole ball, and at ratio 1.000001 the
+        # ladder tops out near 1.2e-5: 18 doubling steps reach its last rung
+        est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG, 8, 1.000001)
+        assert len(est.shell_history) == 18
+        assert all(ok for _, ok in est.shell_history)
+        assert est.r_hi == np.inf and est.r_hi_label == "ladder_end"
+        assert est.r_lo == est.shell_history[-1][0]
+
 
 def walk_every_rung(m, a, dom, cfg, direction_count, growth_factor=1.05, _r_start=None):
     """inscribed_lower_bound as it was before the galloping search: every

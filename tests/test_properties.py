@@ -30,7 +30,7 @@ from holomaplab import (  # noqa: E402
     parse,
 )
 from holomaplab._sampling import coordinate_ascent  # noqa: E402
-from holomaplab.algebra import singular_values_batch  # noqa: E402
+from holomaplab.algebra import singular_values_batch, times_batch  # noqa: E402
 from holomaplab.mapkit import MapExpr  # noqa: E402
 from test_conditioning import sequential_climb  # noqa: E402
 
@@ -71,9 +71,23 @@ def points_and_splits(draw):
     return np.array(rows), [c for c in cuts if c < n]
 
 
-def _rows(m, pts):
+# row scales that send a 2 x 2 matrix down each path of singular_values_batch:
+# the closed form, or LAPACK for zero and extreme-scale rows
+ROW_SCALES = (1.0, 0.0, 1e-200, 1e200, 2.0 ** -241, 2.0 ** 239, 1e-3)
+
+
+@st.composite
+def mixed_stacks(draw, n):
+    mats = draw(st.lists(mat2, min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from(ROW_SCALES), min_size=n, max_size=n))
+    return np.array([s * a for s, a in zip(scales, mats)])
+
+
+def _rows(m, pts, mixed, j0_inv):
     values, jacs = jacobian_batch(m, pts)
-    return values, jacs, singular_values_batch(jacs)
+    product = times_batch(jacs, j0_inv)  # refined_sup's J(a + off) J(a)^-1
+    return (values, jacs, singular_values_batch(jacs), product,
+            singular_values_batch(product), singular_values_batch(mixed))
 
 
 def _same_bits(a, b):
@@ -81,35 +95,32 @@ def _same_bits(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(maps, points_and_splits())
-def test_rows_do_not_depend_on_the_batch(m, data):
+@given(maps, points_and_splits(), mat2, st.data())
+def test_rows_do_not_depend_on_the_batch(m, data, j0_inv, draw):
     pts, cuts = data
-    whole = _rows(m, pts)
+    mixed = draw.draw(mixed_stacks(len(pts)))
+    whole = _rows(m, pts, mixed, j0_inv)
     for i in range(len(pts)):
-        single = _rows(m, pts[i:i + 1])
+        single = _rows(m, pts[i:i + 1], mixed[i:i + 1], j0_inv)
         for w, s in zip(whole, single):
             assert _same_bits(w[i:i + 1], s)
     for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
-        part = _rows(m, pts[lo:hi])
+        part = _rows(m, pts[lo:hi], mixed[lo:hi], j0_inv)
         for w, p in zip(whole, part):
             assert _same_bits(w[lo:hi], p)
 
 
 @settings(max_examples=150, deadline=None)
-@given(maps, points_and_splits(), vec2, mat2)
-def test_scorer_steps_do_not_depend_on_the_batch(m, data, a, j0_inv):
-    # refined_sup scores J(a + off) J(a)^-1, lambda weights by 1 - |z|
+@given(points_and_splits())
+def test_scorer_steps_do_not_depend_on_the_batch(data):
+    # the Brody-Zalcman functional weights each row by 1 - |z|; the
+    # refined-sup product is covered by test_rows_do_not_depend_on_the_batch
     pts, cuts = data
-    steps = (
-        lambda z: jacobian_batch(m, a + z)[1] @ j0_inv,
-        lambda z: np.linalg.norm(z, axis=1),
-    )
-    for step in steps:
-        whole = step(pts)
-        for i in range(len(pts)):
-            assert _same_bits(whole[i:i + 1], step(pts[i:i + 1]))
-        for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
-            assert _same_bits(whole[lo:hi], step(pts[lo:hi]))
+    whole = np.linalg.norm(pts, axis=1)
+    for i in range(len(pts)):
+        assert _same_bits(whole[i:i + 1], np.linalg.norm(pts[i:i + 1], axis=1))
+    for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
+        assert _same_bits(whole[lo:hi], np.linalg.norm(pts[lo:hi], axis=1))
 
 
 _PINNED_PTS = np.random.default_rng(3).standard_normal((16, 2, 2)) @ np.array([1, 1j])

@@ -1,6 +1,7 @@
 """Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
 search, one failing membership search, the two evaluators at three batch
-sizes, batched singular values and refined_sup's batched product.
+sizes, batched singular values, refined_sup's batched product and the
+scoring of one dense sample set.
 
     python3 benchmarks/layers.py OUTPUT.json
 
@@ -27,6 +28,14 @@ Entries:
   svd.k3.n96              the same on 96 3 x 3 matrices (LAPACK)
   refined_product.n32769  times_batch of 32769 2 x 2 matrices by one 2 x 2
                           matrix: the J(a + z) J(a)^-1 of refined_sup
+  jacobian_batch.<map>.n32769
+                          one jacobian_batch call on the 32769 shell samples
+                          of 17 shells (the first is the center) x 2048
+                          points in the unit ball, for the tree henon_exp,
+                          the polynomial poly and linear
+  score.kappa.<map>.n32769
+                          the whole sup_kappa call on those samples with
+                          refine_steps=0: sampling and scoring, no climb
 """
 
 from __future__ import annotations
@@ -51,13 +60,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import holomaplab as hl  # noqa: E402
 from holomaplab import landau  # noqa: E402
-from holomaplab._sampling import sphere_directions  # noqa: E402
+from holomaplab._sampling import shell_points, sphere_directions  # noqa: E402
 
 REPEATS = 7
 MIN_REPEAT_S = 0.05
 BATCH_SIZES = (1, 96, 10_000)
-SVD_BATCH_SIZES = (1, 8, 96, 32_769)  # 32,769: one sup-dense sample set
+SVD_BATCH_SIZES = (1, 8, 96, 32_769)  # about one sup-dense sample set (30,721)
 LINEAR_TEXT = "linear(a=[[0.9+0.3i, -0.2+0.5i], [0.4-0.1i, 0.3+0.6i]])"
+POLY_TEXT = "(z1 + (0.1+0.05i)*z2^2 + (-0.12+0.08i)*z1*z2, z2 + (0.07-0.1i)*z1^2 + 0.05*z1^3)"
+DENSE_SHELLS, DENSE_PER_SHELL = 17, 2048  # 1 + 16 * 2048 = 32,769 samples
 
 
 def per_call(fn) -> float:
@@ -151,6 +162,14 @@ def main(argv=None) -> int:
     cases["svd.k3.n96"] = lambda mats=cstack(96, 3): hl.algebra.singular_values_batch(mats)
     jacs, b = cstack(SVD_BATCH_SIZES[-1], 2), cstack(1, 2)[0]
     cases[f"refined_product.n{len(jacs)}"] = lambda: hl.algebra.times_batch(jacs, b)
+
+    dense = hl.SamplerConfig(radial_shells=DENSE_SHELLS, points_per_shell=DENSE_PER_SHELL,
+                             rng_seed=3, refine_steps=0)
+    samples = shell_points(ball, DENSE_SHELLS, DENSE_PER_SHELL, 3)
+    dense_maps = {"henon_exp": maps["henon_exp"], "poly": hl.parse(POLY_TEXT), "linear": linear}
+    for name, m in dense_maps.items():
+        cases[f"jacobian_batch.{name}.n{len(samples)}"] = lambda m=m: hl.jacobian_batch(m, samples)
+        cases[f"score.kappa.{name}.n{len(samples)}"] = lambda m=m: hl.sup_kappa(m, ball, dense)
 
     layers = {}
     for name, fn in cases.items():

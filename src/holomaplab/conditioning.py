@@ -90,6 +90,8 @@ def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig) -> ConditionRepor
     limit = dom.radius * (1.0 - 0.5 * BOUNDARY_GAP)
     best_pt, best, evals, skipped = sampled_sup(
         score, pts, cfg.refine_steps, 0.1 * dom.radius,
+        # dom.norm reduces over the last axis for one row and for a batch
+        # alike, so each row of the mask is that row's own answer
         inside=lambda z: dom.norm(z) <= limit,
     )
     return ConditionReport(best, best_pt, evals, skipped)
@@ -120,7 +122,9 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
         lambda off: algebra.spectral_norm_batch(
             algebra.times_batch(jacobian_batch(m, a + off)[1], j0_inv)),
         offsets, cfg.refine_steps, 0.1 * rad,
-        inside=lambda off: np.linalg.norm(off) <= rad,  # closed ball
+        # closed ball; each row's own 1-D norm, which rounds unlike axis=1
+        inside=lambda offs: np.fromiter(
+            (np.linalg.norm(off) <= rad for off in offs), bool, len(offs)),
     )
     return best
 

@@ -19,10 +19,12 @@ and combinators:
 
 Jacobians are computed by forward-mode differentiation with holomorphic
 dual numbers: a pair (v, d) carries the value together with a full
-complex gradient row, multiplication follows (v, d)(v', d') =
+complex gradient, multiplication follows (v, d)(v', d') =
 (vv', v d' + v' d) and exp lifts to (e^v, e^v d).  All built-ins are
 holomorphic, so one dual pass yields the exact Jacobian up to roundoff.
-Evaluation is batch-aware: coordinates may be scalars or (N,) arrays.
+Evaluation is batch-aware: coordinates may be scalars or (N,) arrays.  A
+batched dual stores its gradient as a (k, N) array, one contiguous tangent
+per input coordinate, so a value (N,) multiplies it by plain broadcasting.
 
 Constants multiply coordinates from the right, as in a dual's value, and
 powers are repeated products: numpy's complex multiply is not bitwise
@@ -43,14 +45,12 @@ from .errors import DimensionMismatch
 # holomorphic dual numbers
 
 
-def _row(x):
-    """Broadcast a value over the trailing derivative axis."""
-    x = np.asarray(x)
-    return x if x.ndim == 0 else x[..., None]
-
-
 class _Dual:
-    """Value plus complex gradient row for forward-mode differentiation."""
+    """Value plus complex gradient for forward-mode differentiation.
+
+    val is a scalar or an (N,) array; der is (k, N), der[j] being the
+    derivative along input coordinate j, so val broadcasts against der.
+    """
 
     __slots__ = ("val", "der")
 
@@ -80,9 +80,9 @@ class _Dual:
         if isinstance(other, _Dual):
             return _Dual(
                 self.val * other.val,
-                _row(self.val) * other.der + _row(other.val) * self.der,
+                self.val * other.der + other.val * self.der,
             )
-        return _Dual(self.val * other, _row(other) * self.der)
+        return _Dual(self.val * other, other * self.der)
 
     __rmul__ = __mul__
 
@@ -90,7 +90,7 @@ class _Dual:
 def _exp(x):
     if isinstance(x, _Dual):
         ev = np.exp(x.val)
-        return _Dual(ev, _row(ev) * x.der)
+        return _Dual(ev, ev * x.der)
     return np.exp(x)
 
 
@@ -542,8 +542,8 @@ def jacobian_batch(m: MapExpr, pts):
     n, k = Z.shape
     duals = []
     for j in range(k):
-        der = np.zeros((n, k), dtype=np.complex128)
-        der[:, j] = 1.0
+        der = np.zeros((k, n), dtype=np.complex128)
+        der[j] = 1.0
         duals.append(_Dual(Z[:, j], der))
     out = m.apply(tuple(duals))
     values = np.empty((n, k), dtype=np.complex128)
@@ -551,7 +551,7 @@ def jacobian_batch(m: MapExpr, pts):
     for i, o in enumerate(out):
         if isinstance(o, _Dual):
             values[:, i] = o.val
-            jacs[:, i, :] = o.der
+            jacs[:, i, :] = o.der.T
         else:
             values[:, i] = o
             jacs[:, i, :] = 0.0

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra
-from ._sampling import sampled_sup, shell_points, subseed
+from ._sampling import blocks, sampled_sup, score_blocks, shell_points, subseed
 from .conditioning import SamplerConfig
 from .errors import RadiusExceedsValidity, SingularJacobianAtBase, SingularMatrix
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
@@ -71,7 +71,9 @@ def lambda_functional(m: MapExpr, cfg: SamplerConfig):
         return (1.0 - np.linalg.norm(z, axis=1)) * norms
 
     best_pt, best, _, _ = sampled_sup(
-        score, pts, cfg.refine_steps, 0.1, inside=lambda z: np.linalg.norm(z) < 1.0,
+        score, pts, cfg.refine_steps, 0.1,
+        # each row's own 1-D norm, which rounds unlike axis=1
+        inside=lambda zs: np.fromiter((np.linalg.norm(z) < 1.0 for z in zs), bool, len(zs)),
     )
     return best, best_pt
 
@@ -103,7 +105,8 @@ def bz_step(
     grid_dom = DomainSpec.ball(m.dim, grid_factor * validity)
     grid = shell_points(grid_dom, cfg.radial_shells, cfg.points_per_shell,
                         subseed(cfg.rng_seed, "bz-grid"))
-    norms = algebra.spectral_norm_batch(jacobian_batch(psi, grid)[1])
+    norms = score_blocks(
+        lambda block: algebra.spectral_norm_batch(jacobian_batch(psi, block)[1]), grid)
     imax = int(np.argmax(norms))
     max_norm = float(norms[imax])
     bound = 2.0 * c_bound
@@ -144,7 +147,10 @@ def convergence_diagnostic(
     per real axis, restricted to the ball; with an odd grid_per_axis it
     contains the points of norm exactly `radius` on each axis.  Decreasing
     d_i is evidence of convergence of the rescaled sequence; the limit map
-    itself is not computed.
+    itself is not computed.  The grid is built and evaluated in blocks of
+    SCORE_BLOCK grid points, and each d_i is the max over blocks of the
+    block's max, so neither the grid nor any step's values are held whole.
+    Raises ValueError when no grid point lies in the ball.
     """
     if len(steps) < 2:
         return []
@@ -161,12 +167,19 @@ def convergence_diagnostic(
     if grid_per_axis ** (2 * k) > 2_000_000:
         raise ValueError("comparison grid too large; reduce grid_per_axis")
     axes = np.linspace(-radius, radius, grid_per_axis)
-    mesh = np.meshgrid(*([axes] * (2 * k)), indexing="ij")
-    flat = np.stack([axis.ravel() for axis in mesh], axis=1)
-    pts = flat[:, :k] + 1j * flat[:, k:]
-    pts = pts[np.linalg.norm(pts, axis=1) <= radius * (1.0 + 1e-12)]
-    values = [evaluate_batch(s.psi, pts) for s in steps]
-    return [
-        float(np.max(np.linalg.norm(values[i + 1] - values[i], axis=1)))
-        for i in range(len(values) - 1)
-    ]
+    shape = (grid_per_axis,) * (2 * k)
+
+    def block_maxima(indices):
+        # the grid points of these row-major indices that lie in the ball
+        flat = axes[np.stack(np.unravel_index(indices, shape), axis=1)]
+        pts = flat[:, :k] + 1j * flat[:, k:]
+        pts = pts[np.linalg.norm(pts, axis=1) <= radius * (1.0 + 1e-12)]
+        values = [evaluate_batch(s.psi, pts) for s in steps]
+        return len(pts), [np.max(np.linalg.norm(values[i + 1] - values[i], axis=1),
+                                 initial=-np.inf) for i in range(len(values) - 1)]
+
+    counts, maxima = zip(*(block_maxima(ix) for ix in blocks(range(grid_per_axis ** (2 * k)))))
+    if not sum(counts):
+        raise ValueError("no comparison grid point lies in the ball; "
+                         "use an odd grid_per_axis")
+    return [float(d) for d in np.max(maxima, axis=0)]

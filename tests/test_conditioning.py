@@ -7,16 +7,18 @@ from holomaplab import (
     Identity,
     Linear,
     SamplerConfig,
+    bz_step,
     comparability_ratio,
     jacobian,
     kappa,
     kappa_at,
+    lambda_functional,
     parse,
     refined_sup,
     sup_kappa,
 )
 from holomaplab import _sampling, conditioning
-from holomaplab._sampling import sampled_sup, shell_points
+from holomaplab._sampling import sampled_sup, score_blocks, shell_points
 from holomaplab.errors import (
     EmptySample,
     PreconditionFailed,
@@ -71,6 +73,12 @@ def sequential_climb(score, x0, steps, step0, inside):
 
     x, best = sequential_ascent(objective, x0, steps, step0, inside)
     return x, best, counts[0], counts[1]
+
+
+def as_mask(inside):
+    """A one-point test as the mask function of (M, k) candidates that
+    coordinate_ascent takes."""
+    return lambda zs: np.array([inside(z) for z in zs], dtype=bool)
 
 
 class TestKappaAt:
@@ -179,16 +187,18 @@ class TestSupKappa:
         assert rep.sup_estimate == ref_val and np.array_equal(rep.argmax_point, ref_pt)
 
 
+def _in_unit_ball(z):
+    return np.linalg.norm(z) <= 1.0
+
+
 class TestSampledSup:
     PTS = shell_points(BALL2, 4, 16, 3)
-
-    @staticmethod
-    def inside(z):
-        return np.linalg.norm(z) <= 1.0
+    inside = staticmethod(_in_unit_ball)
+    mask = staticmethod(as_mask(_in_unit_ball))
 
     def test_all_excluded_raises_empty_sample(self):
         with pytest.raises(EmptySample):
-            sampled_sup(lambda z: np.full(len(z), -np.inf), self.PTS, 5, 0.1, self.inside)
+            sampled_sup(lambda z: np.full(len(z), -np.inf), self.PTS, 5, 0.1, self.mask)
 
     def test_infinite_sample_skips_the_climb(self, monkeypatch):
         def climb(*args, **kwargs):
@@ -196,7 +206,7 @@ class TestSampledSup:
 
         monkeypatch.setattr(_sampling, "coordinate_ascent", climb)
         score = lambda z: np.where(z[:, 0] == 0, np.inf, 1.0)  # the center sample
-        pt, val, evals, excluded = sampled_sup(score, self.PTS, 5, 0.1, self.inside)
+        pt, val, evals, excluded = sampled_sup(score, self.PTS, 5, 0.1, self.mask)
         assert val == np.inf and np.array_equal(pt, np.zeros(2))
         assert (evals, excluded) == (len(self.PTS), 0)
 
@@ -204,7 +214,7 @@ class TestSampledSup:
         # the climb starts at the best sample, then rejects every move off it
         best = self.PTS[int(np.argmax(self.PTS[:, 0].real))]
         score = lambda z: np.where((z == best).all(axis=1), 1.0, -np.inf)
-        pt, val, evals, excluded = sampled_sup(score, self.PTS, 1, 0.1, self.inside)
+        pt, val, evals, excluded = sampled_sup(score, self.PTS, 1, 0.1, self.mask)
         assert val == 1.0 and np.array_equal(pt, best)
         climbed = evals - len(self.PTS)
         assert climbed > 1
@@ -217,7 +227,7 @@ class TestSampledSup:
         vals = score(self.PTS)
         nan_samples = int(np.isnan(vals).sum())
         assert nan_samples > 0
-        pt, val, evals, excluded = sampled_sup(score, self.PTS, 5, 0.1, self.inside)
+        pt, val, evals, excluded = sampled_sup(score, self.PTS, 5, 0.1, self.mask)
         start = self.PTS[int(np.nanargmax(vals))]
         ref_pt, ref_val, ref_evals, ref_excluded = sequential_climb(
             score, start, 5, 0.1, self.inside)
@@ -226,6 +236,67 @@ class TestSampledSup:
         assert (val, evals, excluded) == (ref_val, len(self.PTS) + ref_evals,
                                           nan_samples + ref_excluded)
         assert np.array_equal(pt, ref_pt)
+
+
+class TestScoreBlocks:
+    """Sampled suprema score their samples in blocks of SCORE_BLOCK rows;
+    with rows independent of their batch, the block size changes nothing."""
+
+    B = 7
+    TREE = parse("compose(henon(b=0.5), expcoord(c=0.3, k=2))")
+    SINGULAR = parse("(z1^2, z2)")  # singular at the center sample
+
+    @staticmethod
+    def first_coordinate(z):
+        return z[:, 0].real
+
+    def test_blocks_in_order(self, monkeypatch):
+        monkeypatch.setattr(_sampling, "SCORE_BLOCK", self.B)
+        sizes = []
+
+        def score(z):
+            sizes.append(len(z))
+            return self.first_coordinate(z)
+
+        pts = shell_points(BALL2, 3, 7, 1)
+        vals = score_blocks(score, pts)
+        assert sizes == [7, 7, 1]
+        assert vals.tobytes() == self.first_coordinate(pts).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("block", [B, _sampling.SCORE_BLOCK])
+    def test_empty_and_single_row(self, n, block, monkeypatch):
+        monkeypatch.setattr(_sampling, "SCORE_BLOCK", block)
+        pts = shell_points(BALL2, 2, 4, 1)[:n]
+        vals = score_blocks(self.first_coordinate, pts)
+        assert vals.shape == (n,)
+        assert vals.tobytes() == self.first_coordinate(pts).tobytes()
+
+    def suprema(self, cfg):
+        out = []
+        for m in (self.TREE, self.SINGULAR):
+            rep = sup_kappa(m, BALL2, cfg)
+            out += [rep.sup_estimate, rep.argmax_point, rep.samples_used, rep.skipped_singular]
+        out.append(refined_sup(self.TREE, [0.1, -0.2j], cfg))
+        out += list(lambda_functional(self.TREE, cfg))
+        check = bz_step(self.TREE, 3.0, cfg).bound_check
+        out += [check.max_jacobian_norm, check.worst_point, check.shift_max, check.passed]
+        return out
+
+    # 1 + (shells - 1) * per_shell samples: B - 1, B, B + 1 and 2B + 1
+    @pytest.mark.parametrize("shells, per_shell, count",
+                             [(2, 5, B - 1), (2, 6, B), (2, 7, B + 1), (3, 7, 2 * B + 1)])
+    def test_suprema_do_not_depend_on_the_block(self, shells, per_shell, count, monkeypatch):
+        assert len(shell_points(BALL2, shells, per_shell, 0)) == count
+        cfg = SamplerConfig(radial_shells=shells, points_per_shell=per_shell, rng_seed=4,
+                            refine_steps=5)
+        monkeypatch.setattr(_sampling, "SCORE_BLOCK", 10**9)
+        whole = self.suprema(cfg)
+        monkeypatch.setattr(_sampling, "SCORE_BLOCK", self.B)
+        blocked = self.suprema(cfg)
+        assert whole[7] > 0  # the singular map's center sample was skipped
+        for w, b in zip(whole, blocked):
+            assert np.asarray(w).tobytes() == np.asarray(b).tobytes()
 
 
 class TestRefinedSup:

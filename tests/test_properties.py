@@ -1,8 +1,10 @@
 """Property tests: a row's Jacobian, singular values and the other scorer
 steps do not depend on the batch they are computed in.  The sampled sups
-score the samples as one batch and each hill-climb sweep as another, so the
-batched climb follows the one-candidate-at-a-time climb only if this holds;
-that equivalence is checked here too, on arbitrary scorers."""
+score the samples in blocks and each hill-climb sweep as one batch, so the
+blocks change nothing and the batched climb follows the
+one-candidate-at-a-time climb only if this holds; that equivalence is
+checked here too, on arbitrary scorers.  The dual numbers' (k, N) gradient
+layout is checked bit for bit against the (N, k) layout it replaced."""
 
 import zlib
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 from holomaplab import (  # noqa: E402
     Affine,
     Compose,
+    DomainSpec,
     DurenRudin,
     ExpCoord,
     Harris,
@@ -29,10 +32,11 @@ from holomaplab import (  # noqa: E402
     jacobian_batch,
     parse,
 )
+from holomaplab import mapkit  # noqa: E402
 from holomaplab._sampling import coordinate_ascent  # noqa: E402
 from holomaplab.algebra import singular_values_batch, times_batch  # noqa: E402
 from holomaplab.mapkit import MapExpr  # noqa: E402
-from test_conditioning import sequential_climb  # noqa: E402
+from test_conditioning import as_mask, sequential_climb  # noqa: E402
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 cplx = st.builds(complex, unit, unit)
@@ -113,12 +117,17 @@ def test_rows_do_not_depend_on_the_batch(m, data, j0_inv, draw):
 @settings(max_examples=150, deadline=None)
 @given(points_and_splits())
 def test_scorer_steps_do_not_depend_on_the_batch(data):
-    # the Brody-Zalcman functional weights each row by 1 - |z|; the
-    # refined-sup product is covered by test_rows_do_not_depend_on_the_batch
+    # the Brody-Zalcman functional weights each row by 1 - |z|, and sup
+    # kappa's climb tests a sweep's candidates with one DomainSpec.norm
+    # call; the refined-sup product is covered by
+    # test_rows_do_not_depend_on_the_batch
     pts, cuts = data
     whole = np.linalg.norm(pts, axis=1)
+    doms = (DomainSpec.ball(2, 1.0), DomainSpec.polydisc(2, 1.0))
     for i in range(len(pts)):
         assert _same_bits(whole[i:i + 1], np.linalg.norm(pts[i:i + 1], axis=1))
+        for dom in doms:
+            assert _same_bits(dom.norm(pts)[i], dom.norm(pts[i]))
     for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
         assert _same_bits(whole[lo:hi], np.linalg.norm(pts[lo:hi], axis=1))
 
@@ -150,6 +159,9 @@ class _ConstFirst(MapExpr):
     def apply(self, coords):
         return (1.0, coords[1])
 
+    def __repr__(self):
+        return "_ConstFirst()"
+
 
 @settings(max_examples=50, deadline=None)
 @given(points_and_splits())
@@ -164,6 +176,107 @@ def test_constant_coordinate_broadcasts(data):
         values, jacs = jacobian_batch(m, pts)
         assert _same_bits(values, expected)
         assert _same_bits(jacs, np.broadcast_to(np.array([[0, 0], [0, 1]], complex), (n, 2, 2)))
+
+
+# The (N, k) dual layout that mapkit used before it stored gradients as
+# (k, N), kept verbatim as the reference for the layout test below.
+
+
+def _row(x):
+    """Broadcast a value over the trailing derivative axis."""
+    x = np.asarray(x)
+    return x if x.ndim == 0 else x[..., None]
+
+
+class _RowDual:
+    """Value plus complex gradient row for forward-mode differentiation."""
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val, der):
+        self.val = val
+        self.der = der
+
+    def __add__(self, other):
+        if isinstance(other, _RowDual):
+            return _RowDual(self.val + other.val, self.der + other.der)
+        return _RowDual(self.val + other, self.der)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RowDual(-self.val, -self.der)
+
+    def __sub__(self, other):
+        if isinstance(other, _RowDual):
+            return _RowDual(self.val - other.val, self.der - other.der)
+        return _RowDual(self.val - other, self.der)
+
+    def __rsub__(self, other):
+        return _RowDual(other - self.val, -self.der)
+
+    def __mul__(self, other):
+        if isinstance(other, _RowDual):
+            return _RowDual(
+                self.val * other.val,
+                _row(self.val) * other.der + _row(other.val) * self.der,
+            )
+        return _RowDual(self.val * other, _row(other) * self.der)
+
+    __rmul__ = __mul__
+
+
+def _row_exp(x):
+    if isinstance(x, _RowDual):
+        ev = np.exp(x.val)
+        return _RowDual(ev, _row(ev) * x.der)
+    return np.exp(x)
+
+
+def row_jacobian_batch(m, pts):
+    """Values (N, k) and Jacobians (N, k, k) at N points in one dual pass."""
+    Z = np.asarray(pts, dtype=np.complex128)
+    n, k = Z.shape
+    duals = []
+    for j in range(k):
+        der = np.zeros((n, k), dtype=np.complex128)
+        der[:, j] = 1.0
+        duals.append(_RowDual(Z[:, j], der))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mapkit, "_exp", _row_exp)  # ExpCoord's exp of a dual
+        out = m.apply(tuple(duals))
+    values = np.empty((n, k), dtype=np.complex128)
+    jacs = np.empty((n, k, k), dtype=np.complex128)
+    for i, o in enumerate(out):
+        if isinstance(o, _RowDual):
+            values[:, i] = o.val
+            jacs[:, i, :] = o.der
+        else:
+            values[:, i] = o
+            jacs[:, i, :] = 0.0
+    return values, jacs
+
+
+_LAYOUT_PTS = np.random.default_rng(5).standard_normal((97, 2, 2)) @ np.array([1, 1j])
+
+
+@st.composite
+def layout_points(draw):
+    n = draw(st.sampled_from([1, 3, 97]))
+    return np.array(draw(st.lists(vec2, min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps, layout_points())
+@example(_ConstFirst(), _LAYOUT_PTS)
+@example(parse("(1, z2)"), _LAYOUT_PTS[:3])
+@example(parse("compose(henon(b=0.3+0.4i), expcoord(c=0.1+0.3i, k=2))"), _LAYOUT_PTS)
+def test_gradient_layout_keeps_the_bits(m, pts):
+    # every dual operation is the same elementwise operation in either layout
+    values, jacs = jacobian_batch(m, pts)
+    ref_values, ref_jacs = row_jacobian_batch(m, pts)
+    assert _same_bits(values, ref_values)
+    assert _same_bits(jacs, ref_jacs)
 
 
 SCORE_VALUES = (-np.inf, np.inf, np.nan, 0.0, 0.5, 1.0, 2.0)
@@ -208,7 +321,8 @@ def test_batched_climb_follows_the_sequential_climb(score, k, data):
         return score(z)
 
     start = float(score(x0[None])[0])
-    pt, val, evals, excluded = coordinate_ascent(counted, x0, start, steps, step0, inside)
+    pt, val, evals, excluded = coordinate_ascent(counted, x0, start, steps, step0,
+                                                 as_mask(inside))
     assert _same_bits(pt, ref_pt)
     assert _same_bits(np.float64(val), np.float64(ref_val))
     # the reference also scored (and may have excluded) the start

@@ -19,7 +19,7 @@ from holomaplab import (
     parse,
     sup_kappa,
 )
-from holomaplab import algebra
+from holomaplab import _sampling, algebra
 from holomaplab.errors import RadiusExceedsValidity, SingularJacobianAtBase
 
 # dense-grid oracles (1e6 points + coordinate polish) for the boundary-weighted
@@ -178,6 +178,32 @@ class TestConvergenceDiagnostic:
         steps = bz_sequence(lambda n: Linear(n * np.eye(2)), [1, 2], 1.0, CFG)
         with pytest.raises(RadiusExceedsValidity):
             convergence_diagnostic(steps, 0.6, 5)  # min validity is 0.5
+
+    def test_blocks_keep_the_bits(self, monkeypatch):
+        # each d_i is the max over blocks of the block maxima; max is exact,
+        # so it equals the whole-grid max of the unblocked diagnostic; blocks
+        # of 7 grid points leave many blocks with no point in the ball
+        steps = [RenormStep(1.0, np.zeros(2), np.eye(2), psi, 1.0, None)
+                 for psi in (g_map(), Scalar(1.1, g_map()), Henon(0.5 + 0.2j), Henon(0.5))]
+        radius, per_axis = 0.3, 7
+        axes = np.linspace(-radius, radius, per_axis)
+        flat = np.stack([a.ravel() for a in np.meshgrid(*[axes] * 4, indexing="ij")], axis=1)
+        pts = flat[:, :2] + 1j * flat[:, 2:]
+        pts = pts[np.linalg.norm(pts, axis=1) <= radius * (1.0 + 1e-12)]
+        values = [evaluate_batch(s.psi, pts) for s in steps]
+        expected = [float(np.max(np.linalg.norm(values[i + 1] - values[i], axis=1)))
+                    for i in range(len(values) - 1)]
+        for block in (7, 10**9):
+            monkeypatch.setattr(_sampling, "SCORE_BLOCK", block)
+            diffs = convergence_diagnostic(steps, radius, per_axis)
+            assert np.array(diffs).tobytes() == np.array(expected).tobytes()
+        assert len(pts) > 7 and min(expected) > 0
+
+    def test_grid_without_points_raises(self):
+        # two values per axis put every grid point on a corner, outside the ball
+        steps = [RenormStep(1.0, np.zeros(2), np.eye(2), Henon(b), 1.0, None) for b in (0.5, 0.6)]
+        with pytest.raises(ValueError, match="no comparison grid point"):
+            convergence_diagnostic(steps, 0.5, 2)
 
     def test_short_sequences(self):
         steps = bz_sequence(lambda n: Identity(2), [1], 1.0, CFG)

@@ -36,6 +36,15 @@ Entries:
   score.kappa.<map>.n32769
                           the whole sup_kappa call on those samples with
                           refine_steps=0: sampling and scoring, no climb
+  climb.kappa.<map>       one coordinate_ascent of the sup_kappa scorer and
+                          domain test, 20 steps of 0.1 from a fixed start in
+                          the unit ball, for henon_exp and linear (whose
+                          constant kappa never moves the climb)
+  row_norms.n160          _sampling.row_norms of 160 rows of C^2, one
+                          20-sweep climb ladder; on a src without row_norms,
+                          the per-row np.linalg.norm loop it replaced
+  spectral_norm.k2.n4096  spectral_norm_batch of one scoring block of 4096
+                          random complex 2 x 2 matrices
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import holomaplab as hl  # noqa: E402
-from holomaplab import landau  # noqa: E402
+from holomaplab import _sampling, conditioning, landau  # noqa: E402
 from holomaplab._sampling import shell_points, sphere_directions  # noqa: E402
 
 REPEATS = 7
@@ -118,6 +127,30 @@ def ilb_case(m, dom, cfg, directions):
     return run
 
 
+def sup_kappa_climb(m, dom, x0):
+    """One coordinate_ascent of the scorer and domain test that sup_kappa
+    hands to sampled_sup, 20 steps of 0.1 from x0."""
+    handed = {}
+
+    def capture(score, pts, steps, step0, inside):
+        handed.update(score=score, inside=inside)
+        return pts[0], 0.0, len(pts), 0
+
+    original, conditioning.sampled_sup = conditioning.sampled_sup, capture
+    try:
+        hl.sup_kappa(m, dom, hl.SamplerConfig(radial_shells=1, points_per_shell=1))
+    finally:
+        conditioning.sampled_sup = original
+    score, inside = handed["score"], handed["inside"]
+    x0 = np.array(x0, dtype=complex)
+    best = float(score(x0[None])[0])
+    return lambda: _sampling.coordinate_ascent(score, x0, best, 20, 0.1, inside)
+
+
+def per_row_norms(z):
+    return np.fromiter((np.linalg.norm(r) for r in z), float, len(z))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("output")
@@ -170,6 +203,15 @@ def main(argv=None) -> int:
     for name, m in dense_maps.items():
         cases[f"jacobian_batch.{name}.n{len(samples)}"] = lambda m=m: hl.jacobian_batch(m, samples)
         cases[f"score.kappa.{name}.n{len(samples)}"] = lambda m=m: hl.sup_kappa(m, ball, dense)
+
+    start = [0.3 + 0.2j, -0.25 + 0.4j]
+    for name in ("henon_exp", "linear"):
+        cases[f"climb.kappa.{name}"] = sup_kappa_climb(dense_maps[name], ball, start)
+    row_norms = getattr(_sampling, "row_norms", per_row_norms)
+    ladder = 0.5 * (rng.random((160, 2)) + 1j * rng.random((160, 2)))
+    cases["row_norms.n160"] = lambda: row_norms(ladder)
+    cases["spectral_norm.k2.n4096"] = (
+        lambda mats=cstack(4096, 2): hl.algebra.spectral_norm_batch(mats))
 
     layers = {}
     for name, fn in cases.items():

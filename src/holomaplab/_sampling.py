@@ -5,9 +5,12 @@ families are prefix-stable: asking for more points extends a sample set
 without changing the points already generated, so sweeps over sample
 sizes behave monotonically.  Sampled suprema are scored by one batch
 function: the samples are scored in blocks of SCORE_BLOCK rows, so that
-the temporaries of one block stay in cache, and each hill-climb sweep
-scores its remaining candidates as one batch.  Rows score independently
-of their batch, so the blocks change no value.
+the temporaries of one block stay in cache.  The hill climb scores ahead:
+a sweep from a point is scored in one batch together with the sweeps at
+halved steps that would follow it if none moved, a ladder of at most
+SCORE_BLOCK rows, and its domain test is one mask call (row_norms gives
+each row's own 1-D norm in one call).  Rows score independently of their
+batch, so neither the blocks nor the ladders change a value or a count.
 """
 
 from __future__ import annotations
@@ -130,54 +133,103 @@ def _kept(vals):
     return vals > -np.inf
 
 
+def row_norms(z) -> np.ndarray:
+    """Each row's own 1-D np.linalg.norm, in one call: (N, k) -> (N,).
+
+    numpy takes the 1-D norm of a complex vector as
+    sqrt(re.dot(re) + im.dot(im)) on the strided real and imaginary views;
+    a stacked matmul of those same views makes the same dot calls, so each
+    row keeps its bits.  norm(z, axis=1) sums in another order, and so do
+    dots of contiguous copies: both round differently on some rows.
+    """
+    re, im = z.real, z.imag
+    sq = (np.matmul(re[:, None, :], re[:, :, None])
+          + np.matmul(im[:, None, :], im[:, :, None]))
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _first_gain(score, inside, cands, best):
+    """Score the candidates that inside passes, as one batch, up to the
+    first that beats best.  Returns (its row in cands or None, the best
+    value, evaluations, excluded), counting the rows up to that one."""
+    batch = np.flatnonzero(inside(cands))
+    if not batch.size:
+        return None, best, 0, 0
+    vals = score(cands[batch])
+    better = np.flatnonzero(vals > best)
+    used = int(better[0]) + 1 if better.size else len(batch)
+    excluded = int(np.count_nonzero(~_kept(vals[:used])))
+    if not better.size:
+        return None, best, used, excluded
+    return int(batch[used - 1]), float(vals[used - 1]), used, excluded
+
+
 def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
     """Deterministic first-improvement hill climb over the real coordinates
     of a complex vector, from x0 whose score is best.
 
     A sweep at step h tries (j, +h), (j, -h), (j, +ih), (j, -ih) for each
     coordinate j in turn and moves on every improvement; h halves after a
-    sweep without one.  inside maps the sweep's (M, k) candidates to a
-    mask of those the climb may score; it must give each row the answer
-    it gives that row alone (a 1-D norm can round differently from a
-    batched one).  The candidates that pass are scored as one batch; the
-    climb moves to the first that improves and rebuilds the rest of the
-    sweep from there.  Rows score independently of their batch, so the
-    point and value are those of scoring one candidate at a time.  Returns
-    (point, value, evaluations, excluded), counting only the candidates up
-    to each move, as that climb would score them.
+    sweep without one, until it falls below 1e-14 * max(1, step0).  Each
+    sweep that starts from a point scores ahead: its candidates and those
+    of the sweeps at h/2, h/4, ... that would follow if none moved form a
+    ladder, cut where the steps run out, where h would fall below the
+    floor, or where the ladder would pass SCORE_BLOCK rows.  inside maps
+    the ladder's (M, k) candidates to a mask of those the climb may score;
+    it must give each row the answer it gives that row alone (a 1-D norm
+    can round differently from a batched one; see row_norms).  The
+    candidates that pass are scored as one batch, and the levels are
+    walked in order to the first improvement.  After a move the rest of
+    that sweep is rebuilt from the new point and scored as one batch, up
+    to the next move; the next sweep starts a new ladder.  Rows score
+    independently of their batch, so the point and value are those of
+    scoring one candidate at a time.  Returns (point, value, evaluations,
+    excluded), counting only the candidates up to each move, as that
+    climb would score them.
     """
     x = np.array(x0, dtype=np.complex128)
     evals = excluded = 0
     h = float(step0)
+    floor = 1e-14 * max(1.0, float(step0))
     # sweep position p moves coordinate p // 4 by the (p % 4)-th step; flat
-    # indexes that entry in the sweep's (4k, k) candidates
-    sweep = np.arange(4 * x.size)
+    # indexes that entry in a sweep's (4k, k) candidates
+    n = 4 * x.size
+    sweep = np.arange(n)
     flat = sweep * x.size + sweep // 4
-    for _ in range(int(steps)):
-        deltas = np.array([h, -h, 1j * h, -1j * h])[sweep % 4]
-        start = 0
-        moved = False
-        while start < sweep.size:
-            cands = np.repeat(x[None], sweep.size, axis=0)
-            cands.reshape(-1)[flat] += deltas
-            batch = start + np.flatnonzero(inside(cands[start:]))
-            if not batch.size:
+    levels_cap = max(1, SCORE_BLOCK // n)
+    left = int(steps)
+    while left > 0:
+        ladder = [h]
+        while len(ladder) < min(left, levels_cap) and 0.5 * ladder[-1] >= floor:
+            ladder.append(0.5 * ladder[-1])
+        hs = np.array(ladder)
+        deltas = np.stack([hs, -hs, 1j * hs, -1j * hs], axis=1)[:, sweep % 4]
+        cands = np.repeat(x[None], deltas.size, axis=0)
+        cands.reshape(len(ladder), -1)[:, flat] += deltas
+        row, best, used, excl = _first_gain(score, inside, cands, best)
+        evals += used
+        excluded += excl
+        if row is None:
+            left -= len(ladder)
+            h = 0.5 * ladder[-1]
+            if h < floor:
                 break
-            vals = score(cands[batch])
-            better = np.flatnonzero(vals > best)
-            used = int(better[0]) + 1 if better.size else len(batch)
+            continue
+        # the levels before row's did not move; row's sweep moved at p
+        level, p = divmod(row, n)
+        left -= level + 1
+        h = ladder[level]
+        x = cands[row]
+        while p + 1 < n:  # the rest of the sweep, from the new point
+            cands = np.repeat(x[None], n, axis=0)
+            cands.reshape(-1)[flat] += deltas[level]
+            row, best, used, excl = _first_gain(score, inside, cands[p + 1:], best)
             evals += used
-            excluded += int(np.count_nonzero(~_kept(vals[:used])))
-            if not better.size:
+            excluded += excl
+            if row is None:
                 break
-            x = cands[batch[used - 1]]
-            best = float(vals[used - 1])
-            start = batch[used - 1] + 1
-            moved = True
-        if not moved:
-            h *= 0.5
-            if h < 1e-14 * max(1.0, float(step0)):
-                break
+            p += row + 1
+            x = cands[p]
     return x, best, evals, excluded
 
 
@@ -187,8 +239,8 @@ def sampled_sup(score, pts, steps: int, step0: float, inside):
     score maps (N, k) points to (N,) values; -inf or NaN marks an excluded
     point.  The samples are scored in blocks of SCORE_BLOCK rows
     (score_blocks); the best sample is refined by coordinate_ascent, which
-    scores each sweep's candidates as one batch and tests them with the
-    mask function inside.  Returns (point, value, evaluations, excluded),
+    scores a ladder of sweeps as one batch and tests it with the mask
+    function inside.  Returns (point, value, evaluations, excluded),
     where the counts cover the samples and the climb; the climb's start
     counts once more, as its first evaluation.
     """

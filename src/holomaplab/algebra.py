@@ -25,10 +25,12 @@ sigma_max.  So extreme scales keep LAPACK's accuracy, and a NaN Jacobian
 still raises numpy's LinAlgError.  Every step is elementwise and which
 path a row takes depends on that row's entries alone, so a row's singular
 values do not depend on the batch it is computed in; there is no
-batch-size threshold.  Stacks of any other k go to np.linalg.svd
-unchanged.  The single-matrix functions call the batch kernel on a stack
-of one, so a pointwise value equals the row a batched scorer computes for
-the same matrix, bit for bit.
+batch-size threshold.  spectral_norm_batch takes sigma_max alone from the
+same expressions, without the determinant, so its rows have the bits of
+the first column of singular_values_batch.  Stacks of any other k go to
+np.linalg.svd unchanged.  The single-matrix functions call the batch
+kernel on a stack of one, so a pointwise value equals the row a batched
+scorer computes for the same matrix, bit for bit.
 """
 
 from __future__ import annotations
@@ -106,25 +108,46 @@ def singular_values_batch(mats) -> np.ndarray:
     return _singular_values_2x2(mats.reshape(-1, 2, 2)).reshape(mats.shape[:-1])
 
 
+def _components(m):
+    """The eight real rows ar, ai, br, bi, cr, ci, dr, di of (n, 2, 2) matrices."""
+    return np.ascontiguousarray(m).reshape(len(m), 4).view(np.float64).T
+
+
+def _sigma_max_2x2(ar, ai, br, bi, cr, ci, dr, di, out=None):
+    """sigma_max by the closed form of the module docstring, and the mask of
+    the rows to redo with LAPACK: those whose f is NaN, infinite or outside
+    the safe range.  Call it under np.errstate."""
+    p = ar * ar + ai * ai + br * br + bi * bi
+    r = cr * cr + ci * ci + dr * dr + di * di
+    qr = ar * cr + ai * ci + br * dr + bi * di
+    qi = ai * cr - ar * ci + bi * dr - br * di
+    f, g = p + r, p - r
+    smax = np.sqrt(0.5 * (f + np.sqrt(g * g + 4.0 * (qr * qr + qi * qi))), out=out)
+    return smax, ~((f >= _FRO2_MIN) & (f <= _FRO2_MAX))
+
+
 def _singular_values_2x2(m) -> np.ndarray:
     """(n, 2, 2) -> (n, 2) by the closed form of the module docstring."""
-    n = len(m)
-    ar, ai, br, bi, cr, ci, dr, di = np.ascontiguousarray(m).reshape(n, 4).view(np.float64).T
-    out = np.empty((n, 2))
+    ar, ai, br, bi, cr, ci, dr, di = c = _components(m)
+    out = np.empty((len(m), 2))
     with np.errstate(all="ignore"):  # rows outside the safe range are redone below
-        p = ar * ar + ai * ai + br * br + bi * bi
-        r = cr * cr + ci * ci + dr * dr + di * di
-        qr = ar * cr + ai * ci + br * dr + bi * di
-        qi = ai * cr - ar * ci + bi * dr - br * di
+        smax, lapack = _sigma_max_2x2(*c, out=out[:, 0])
         det_r = ar * dr - ai * di - br * cr + bi * ci
         det_i = ar * di + ai * dr - br * ci - bi * cr
-        f, g = p + r, p - r
-        smax = np.sqrt(0.5 * (f + np.sqrt(g * g + 4.0 * (qr * qr + qi * qi))), out=out[:, 0])
         np.minimum(np.sqrt(det_r * det_r + det_i * det_i) / smax, smax, out=out[:, 1])
-    lapack = ~((f >= _FRO2_MIN) & (f <= _FRO2_MAX))
     if lapack.any():
         out[lapack] = np.linalg.svd(m[lapack], compute_uv=False)
     return out
+
+
+def _spectral_norm_2x2(m) -> np.ndarray:
+    """(n, 2, 2) -> (n,): sigma_max alone, with the bits of
+    _singular_values_2x2(m)[:, 0]."""
+    with np.errstate(all="ignore"):  # rows outside the safe range are redone below
+        smax, lapack = _sigma_max_2x2(*_components(m))
+    if lapack.any():
+        smax[lapack] = np.linalg.svd(m[lapack], compute_uv=False)[:, 0]
+    return smax
 
 
 def times_batch(mats, b) -> np.ndarray:
@@ -135,7 +158,12 @@ def times_batch(mats, b) -> np.ndarray:
 
 
 def spectral_norm_batch(mats) -> np.ndarray:
-    return singular_values_batch(mats)[..., 0]
+    """Largest singular value of each matrix of a stack -> (...,); the
+    2 x 2 closed form skips the determinant that sigma_min needs."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.shape[-2:] != (2, 2):
+        return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return _spectral_norm_2x2(mats.reshape(-1, 2, 2)).reshape(mats.shape[:-2])
 
 
 def kappa_batch(mats, rtol: float = SINGULAR_RTOL) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from ._sampling import BOUNDARY_GAP, sampled_sup, shell_points, subseed
+from ._sampling import BOUNDARY_GAP, row_norms, sampled_sup, shell_points, subseed
 from .errors import (
     DimensionMismatch,
     PreconditionFailed,
@@ -123,8 +123,7 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
             algebra.times_batch(jacobian_batch(m, a + off)[1], j0_inv)),
         offsets, cfg.refine_steps, 0.1 * rad,
         # closed ball; each row's own 1-D norm, which rounds unlike axis=1
-        inside=lambda offs: np.fromiter(
-            (np.linalg.norm(off) <= rad for off in offs), bool, len(offs)),
+        inside=lambda offs: row_norms(offs) <= rad,
     )
     return best
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra
-from ._sampling import blocks, sampled_sup, score_blocks, shell_points, subseed
+from ._sampling import blocks, row_norms, sampled_sup, score_blocks, shell_points, subseed
 from .conditioning import SamplerConfig
 from .errors import RadiusExceedsValidity, SingularJacobianAtBase, SingularMatrix
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
@@ -73,7 +73,7 @@ def lambda_functional(m: MapExpr, cfg: SamplerConfig):
     best_pt, best, _, _ = sampled_sup(
         score, pts, cfg.refine_steps, 0.1,
         # each row's own 1-D norm, which rounds unlike axis=1
-        inside=lambda zs: np.fromiter((np.linalg.norm(z) < 1.0 for z in zs), bool, len(zs)),
+        inside=lambda zs: row_norms(zs) < 1.0,
     )
     return best, best_pt
 

@@ -227,3 +227,48 @@ class TestSingularValuesBatch:
             assert algebra.singular_values(a).tobytes() == s.tobytes()
             assert algebra.spectral_norm(a) == s[0]
             assert np.float64(algebra.kappa(a)).tobytes() == k.tobytes()
+
+
+class TestSpectralNormBatch:
+    """sigma_max alone, with the bits of the first singular value."""
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_first_singular_value_bit_for_bit(self, family):
+        mats = FAMILIES[family]
+        ref = algebra.singular_values_batch(mats)[:, 0]
+        assert algebra.spectral_norm_batch(mats).tobytes() == ref.tobytes()
+
+    def test_edge_of_the_closed_form_range(self):
+        # squared Frobenius norms on both sides of 2^-480 and 2^480
+        rng = np.random.default_rng(15)
+        base = _cstack(rng, 40)
+        base /= np.sqrt((np.abs(base) ** 2).sum(axis=(1, 2)))[:, None, None]
+        scales = 2.0 ** np.array([-241.0, -240.0, -239.9, 239.9, 240.0, 241.0, 600.0, -600.0])
+        mats = np.concatenate([s * base for s in scales])
+        ref = algebra.singular_values_batch(mats)[:, 0]
+        assert algebra.spectral_norm_batch(mats).tobytes() == ref.tobytes()
+
+    def test_inf_row(self):
+        mats = _cstack(np.random.default_rng(16), 5)
+        mats[1, 1, 1] = complex(0.0, -np.inf)
+        ours = algebra.spectral_norm_batch(mats)
+        assert np.isnan(ours[1])
+        assert ours.tobytes() == algebra.singular_values_batch(mats)[:, 0].tobytes()
+
+    def test_nan_row_raises_like_lapack(self):
+        mats = _cstack(np.random.default_rng(17), 5)
+        mats[0, 0, 1] = complex(0.0, np.nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            algebra.spectral_norm_batch(mats)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_sizes(self, k):
+        mats = _cstack(np.random.default_rng(18), 17, k)
+        ref = algebra.singular_values_batch(mats)[..., 0]
+        assert algebra.spectral_norm_batch(mats).tobytes() == ref.tobytes()
+
+    def test_leading_dimensions(self):
+        mats = _cstack(np.random.default_rng(19), 12).reshape(3, 4, 2, 2)
+        ours = algebra.spectral_norm_batch(mats)
+        assert ours.shape == (3, 4)
+        assert ours.tobytes() == algebra.singular_values_batch(mats)[..., 0].tobytes()

@@ -238,6 +238,134 @@ class TestSampledSup:
         assert np.array_equal(pt, ref_pt)
 
 
+class TestClimbLadder:
+    """coordinate_ascent scores a sweep and the halved sweeps that would
+    follow it as one ladder, capped at SCORE_BLOCK rows."""
+
+    X0 = np.array([0.1 + 0.2j, -0.3j])
+
+    def climb(self, score, steps, step0=0.1):
+        calls = {"score": [], "inside": []}
+
+        def scored(z):
+            calls["score"].append(len(z))
+            return score(z)
+
+        def mask(z):
+            calls["inside"].append(len(z))
+            return as_mask(_in_unit_ball)(z)
+
+        start = float(score(self.X0[None])[0])
+        out = _sampling.coordinate_ascent(scored, self.X0, start, steps, step0, mask)
+        ref = sequential_climb(score, self.X0, steps, step0, _in_unit_ball)
+        assert np.array_equal(out[0], ref[0]) and out[1] == ref[1]
+        assert out[2:] == (ref[2] - 1, ref[3] - (not start > -np.inf))
+        return calls
+
+    def test_a_climb_that_never_moves_is_one_batch(self):
+        calls = self.climb(lambda z: -np.abs(z - self.X0).sum(axis=1), 20)
+        assert calls == {"score": [20 * 8], "inside": [20 * 8]}
+
+    def test_the_floor_cuts_the_ladder(self):
+        # h = 0.1 * 2^-i stays >= 1e-14 for i <= 43: 44 sweeps, not 60
+        calls = self.climb(lambda z: -np.abs(z - self.X0).sum(axis=1), 60)
+        assert calls == {"score": [44 * 8], "inside": [44 * 8]}
+
+    def test_the_ladder_is_cut_at_score_block(self, monkeypatch):
+        monkeypatch.setattr(_sampling, "SCORE_BLOCK", 8)
+        calls = self.climb(lambda z: -np.abs(z - self.X0).sum(axis=1), 20)
+        assert calls == {"score": [8] * 20, "inside": [8] * 20}
+
+    @pytest.mark.parametrize("block", [8, 20, 4096])
+    def test_moving_climb_matches_at_any_cap(self, block, monkeypatch):
+        monkeypatch.setattr(_sampling, "SCORE_BLOCK", block)
+        target = np.array([0.33 - 0.1j, 0.05 + 0.4j])
+        calls = self.climb(lambda z: -np.round(16 * np.abs(z - target).sum(axis=1)), 20, 0.3)
+        assert 1 < len(calls["score"]) and max(calls["score"]) <= max(block, 8)
+
+
+def _row_norm_cases():
+    """(N, k) complex rows for k = 1-4 over scales 1e-300 to 1e300, with
+    zero rows and inf and NaN entries."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for k in range(1, 5):
+        z = rng.standard_normal((3000, k)) + 1j * rng.standard_normal((3000, k))
+        z *= 10.0 ** rng.uniform(-300, 300, (3000, 1))
+        z[:5] = 0.0
+        z[5, 0] = np.inf
+        z[6, -1] = complex(0.0, -np.inf)
+        z[7, 0] = np.nan
+        z[8, -1] = complex(np.inf, np.nan)
+        cases.append(z)
+    return cases
+
+
+def _per_row_norms(z):
+    return np.array([np.linalg.norm(r) for r in z], dtype=np.float64)
+
+
+class TestRowNorms:
+    CASES = _row_norm_cases()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_each_row_is_its_own_norm(self, k):
+        z = self.CASES[k - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _sampling.row_norms(z).tobytes() == _per_row_norms(z).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_no_rows(self, k):
+        assert _sampling.row_norms(np.zeros((0, k), complex)).shape == (0,)
+
+    def test_the_cases_tell_apart_other_sums(self):
+        # norm(axis=1) and dots of contiguous copies round differently on
+        # these rows, so a row_norms built either way fails the test above
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z in self.CASES:
+                assert np.linalg.norm(z, axis=1).tobytes() != _per_row_norms(z).tobytes()
+            z = self.CASES[3]
+            re, im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+            sq = (np.matmul(re[:, None, :], re[:, :, None])
+                  + np.matmul(im[:, None, :], im[:, :, None]))
+            assert np.sqrt(sq[:, 0, 0]).tobytes() != _per_row_norms(z).tobytes()
+
+    def climbs(self, monkeypatch, run):
+        """run() with coordinate_ascent recorded: each climb's result and
+        its score, start and arguments."""
+        recorded = []
+        original = _sampling.coordinate_ascent
+
+        def recording(score, x0, best, *args):
+            out = original(score, x0, best, *args)
+            recorded.append((out, score, x0, args[:2]))
+            return out
+
+        monkeypatch.setattr(_sampling, "coordinate_ascent", recording)
+        run()
+        assert recorded
+        return recorded
+
+    @staticmethod
+    def same_as_sequential(recorded, inside):
+        for (pt, val, evals, excluded), score, x0, args in recorded:
+            ref = sequential_climb(score, x0, *args, inside)
+            assert np.array_equal(pt, ref[0]) and val == ref[1]
+            assert (evals, excluded) == (ref[2] - 1, ref[3])
+
+    def test_refined_sup_climb_follows_the_1d_norm_test(self, monkeypatch):
+        m = parse("compose(henon(b=0.5), expcoord(c=0.4, k=2))")
+        a = np.array([0.1, -0.05j])
+        rad = 0.5 * (1.0 - float(np.linalg.norm(a)))
+        recorded = self.climbs(monkeypatch, lambda: refined_sup(m, a, CFG))
+        self.same_as_sequential(recorded, lambda z: np.linalg.norm(z) <= rad)
+
+    def test_lambda_functional_climb_follows_the_1d_norm_test(self, monkeypatch):
+        m = parse("compose(henon(b=0.5), expcoord(c=0.3, k=2))")
+        recorded = self.climbs(monkeypatch, lambda: lambda_functional(m, CFG))
+        self.same_as_sequential(recorded, lambda z: np.linalg.norm(z) < 1.0)
+
+
 class TestScoreBlocks:
     """Sampled suprema score their samples in blocks of SCORE_BLOCK rows;
     with rows independent of their batch, the block size changes nothing."""

@@ -308,8 +308,10 @@ def scorers(draw):
 @given(scorers(), st.integers(1, 3), st.data())
 def test_batched_climb_follows_the_sequential_climb(score, k, data):
     x0 = np.array(data.draw(st.lists(cplx, min_size=k, max_size=k)))
-    steps = data.draw(st.integers(1, 6))
-    step0 = data.draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]))
+    # up to 20 steps, so the ladder of halved sweeps runs long; from 1e-13
+    # the 1e-14 floor cuts it after four levels
+    steps = data.draw(st.integers(1, 20))
+    step0 = data.draw(st.sampled_from([1e-13, 0.05, 0.1, 0.3, 1.0]))
     radius = data.draw(st.floats(0.5, 2.0))
     inside = lambda z: np.linalg.norm(z) <= radius
 

@@ -2,25 +2,24 @@
 
 EBNF sketch (whitespace insignificant, complex literals written a+bi):
 
-    map      := builtin | tuple
-              | "compose" "(" map "," map ")"
-              | "affine"  "(" vector "," matrix "," map ")"
-              | "dilate"  "(" real "," map ")"
-              | "scalar"  "(" "s" "=" complex "," map ")"
-    builtin  := name "(" params ")"          named parameters, any order
+    map      := call | tuple
+    call     := name "(" [ arg { "," arg } ] ")"   keyword args (key "=" value)
+                in any order first, then the positional values in order
     tuple    := "(" poly { "," poly } ")"    one polynomial per coordinate
     poly     := expression over z1..zk with +, -, *, ^ (nonneg int) and
                 complex literals; "i" is the imaginary unit
     vector   := "[" complex { "," complex } "]"
     matrix   := "[" vector { "," vector } "]"
 
-Built-ins: identity(k=..), linear(a=matrix), translation(t=vector),
-henon(b=..), harris(n=..), durenrudin(delta=..), expcoord(c=.., k=..).
+The calls, their keywords and value kinds come from the `fields` of the
+nodes in mapkit.NODES, plus the sugar dilate(real, map); see
+BUILTIN_SIGNATURES.  A constructor's ValueError or DimensionMismatch is
+reported as a ParseError at the constructor's name.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from . import mapkit
 
 # Resource caps, checked while parsing and expanding; beyond them, ParseError.
@@ -172,30 +171,20 @@ class _Poly:
         return out
 
 
-_BUILTIN_PARAMS = {
-    "identity": (("k", "int"),),
-    "linear": (("a", "matrix"),),
-    "translation": (("t", "vector"),),
-    "henon": (("b", "complex"),),
-    "harris": (("n", "int"),),
-    "durenrudin": (("delta", "real"),),
-    "expcoord": (("c", "complex"), ("k", "int")),
-}
+def _call(fields, build):
+    """(fields, constructor, keyword -> kind, positional kinds) of a call."""
+    return (fields, build, {kw: kind for _, kw, kind in fields if kw},
+            [kind for _, kw, kind in fields if kw is None])
 
-BUILTIN_SIGNATURES = (
-    "identity(k=<int>)",
-    "linear(a=<matrix>)",
-    "translation(t=<vector>)",
-    "henon(b=<complex>)",
-    "harris(n=<int>)",
-    "durenrudin(delta=<real>)",
-    "expcoord(c=<complex>, k=<int>)",
-    "scalar(s=<complex>, <map>)",
-    "compose(<map>, <map>)",
-    "affine(<vector>, <matrix>, <map>)",
-    "dilate(<real>, <map>)",
-    "(<poly>, ..., <poly>)    polynomials in z1..zk",
-)
+
+_CONSTRUCTORS = {node.name: _call(node.fields, node) for node in mapkit.NODES}
+_CONSTRUCTORS["dilate"] = _call((("factor", None, "real"), ("inner", None, "map")),
+                                lambda factor, inner: mapkit.dilate(inner, factor))
+
+BUILTIN_SIGNATURES = tuple(
+    f"{name}({', '.join(f'{kw}=<{kind}>' if kw else f'<{kind}>' for _, kw, kind in fields)})"
+    for name, (fields, *_) in _CONSTRUCTORS.items()
+) + ("(<poly>, ..., <poly>)    polynomials in z1..zk",)
 
 
 class _Parser:
@@ -231,110 +220,50 @@ class _Parser:
         raise ParseError(f"got {tok.value!r}", tok.pos, expected=("builtin name", "("))
 
     def parse_named(self) -> mapkit.MapExpr:
+        """name "(" keyword arguments in any order, then positional ones ")"."""
         tok = self.expect("NAME")
         name = tok.value
-        if name == "compose":
-            self.expect("(")
-            outer = self.parse_map()
-            self.expect(",")
-            inner = self.parse_map()
-            self.expect(")")
-            return mapkit.Compose(outer, inner)
-        if name == "affine":
-            self.expect("(")
-            shift = self.parse_vector()
-            self.expect(",")
-            matrix = self.parse_matrix()
-            self.expect(",")
-            inner = self.parse_map()
-            self.expect(")")
-            return mapkit.Affine(shift, matrix, inner)
-        if name == "dilate":
-            self.expect("(")
-            factor = self.parse_real()
-            self.expect(",")
-            inner = self.parse_map()
-            self.expect(")")
-            return mapkit.dilate(inner, factor)
-        if name == "scalar":
-            self.expect("(")
-            key = self.expect("NAME")
-            if key.value != "s":
-                raise ParseError(f"got parameter {key.value!r}", key.pos, expected=("s",))
-            self.expect("=")
-            s = self.parse_complex()
-            self.expect(",")
-            inner = self.parse_map()
-            self.expect(")")
-            return mapkit.Scalar(s, inner)
-        if name in _BUILTIN_PARAMS:
-            params = self.parse_params(name, _BUILTIN_PARAMS[name])
-            return self.build_builtin(name, params, tok.pos)
-        raise ParseError(
-            f"unknown map constructor {name!r}",
-            tok.pos,
-            expected=tuple(_BUILTIN_PARAMS) + ("compose", "affine", "dilate", "scalar"),
-        )
-
-    def build_builtin(self, name, params, pos):
-        try:
-            if params.get("k", 0) > MAX_BUILTIN_DIM:
-                raise ParseError(f"{name} k exceeds {MAX_BUILTIN_DIM}", pos)
-            if name == "identity":
-                return mapkit.Identity(params["k"])
-            if name == "linear":
-                return mapkit.Linear(params["a"])
-            if name == "translation":
-                return mapkit.Translation(params["t"])
-            if name == "henon":
-                return mapkit.Henon(params["b"])
-            if name == "harris":
-                return mapkit.Harris(params["n"])
-            if name == "durenrudin":
-                return mapkit.DurenRudin(params["delta"])
-            if name == "expcoord":
-                return mapkit.ExpCoord(params["c"], params["k"])
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from exc
-        raise ParseError(f"unknown builtin {name!r}", pos)
-
-    def parse_params(self, name, spec):
-        self.expect("(")
-        wanted = dict(spec)
-        values = {}
-        while True:
-            key = self.expect("NAME")
-            if key.value not in wanted:
-                raise ParseError(
-                    f"unknown parameter {key.value!r} for {name}",
-                    key.pos,
-                    expected=tuple(wanted),
-                )
-            if key.value in values:
-                raise ParseError(f"duplicate parameter {key.value!r}", key.pos)
-            self.expect("=")
-            kind = wanted[key.value]
-            if kind == "int":
-                values[key.value] = self.parse_int()
-            elif kind == "real":
-                values[key.value] = self.parse_real()
-            elif kind == "complex":
-                values[key.value] = self.parse_complex()
-            elif kind == "vector":
-                values[key.value] = self.parse_vector()
-            elif kind == "matrix":
-                values[key.value] = self.parse_matrix()
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            break
-        tok = self.expect(")")
-        missing = [k for k, _ in spec if k not in values]
-        if missing:
+        if name not in _CONSTRUCTORS:
             raise ParseError(
-                f"{name} is missing parameter(s) {', '.join(missing)}", tok.pos
+                f"unknown map constructor {name!r}", tok.pos, expected=tuple(_CONSTRUCTORS)
             )
-        return values
+        fields, build, kinds, positional = _CONSTRUCTORS[name]
+        named, args = {}, []
+        comma = None
+        self.expect("(")
+        # an empty list goes to the missing check; after a comma an argument follows
+        while self.peek().kind != ")" or comma:
+            arg = self.peek()
+            if arg.kind == "NAME" and self.toks[self.i + 1].kind == "=" and not args:
+                if arg.value not in kinds:
+                    raise ParseError(f"unknown parameter {arg.value!r} for {name}", arg.pos,
+                                     expected=tuple(kinds))
+                if arg.value in named:
+                    raise ParseError(f"duplicate parameter {arg.value!r}", arg.pos)
+                self.i += 2
+                named[arg.value] = _PARSE[kinds[arg.value]](self)
+            elif len(args) < len(positional):
+                args.append(_PARSE[positional[len(args)]](self))
+            elif comma:
+                raise ParseError("got ','", comma.pos, expected=(")",))
+            else:
+                raise ParseError(f"got {arg.value!r}", arg.pos,
+                                 expected=tuple(f"{kw}=" for kw in kinds if kw not in named))
+            if self.peek().kind != ",":
+                break
+            comma = self.advance()
+        end = self.expect(")")
+        missing = [kw for kw in kinds if kw not in named]
+        missing += [f"<{kind}>" for kind in positional[len(args):]]
+        if missing:
+            raise ParseError(f"{name} is missing parameter(s) {', '.join(missing)}", end.pos)
+        if named.get("k", 0) > MAX_BUILTIN_DIM:
+            raise ParseError(f"{name} k exceeds {MAX_BUILTIN_DIM}", tok.pos)
+        rest = iter(args)
+        try:
+            return build(*[named[kw] if kw else next(rest) for _, kw, _ in fields])
+        except (ValueError, DimensionMismatch) as exc:
+            raise ParseError(str(exc), tok.pos) from exc
 
     # -- scalar / literal parsing -------------------------------------------
 
@@ -463,6 +392,12 @@ class _Parser:
         raise ParseError(
             f"got {tok.value!r}", tok.pos, expected=("number", "z<j>", "i", "(")
         )
+
+
+# parser per field kind; mapkit._FORMAT holds the matching printers
+_PARSE = {"int": _Parser.parse_int, "real": _Parser.parse_real,
+          "complex": _Parser.parse_complex, "vector": _Parser.parse_vector,
+          "matrix": _Parser.parse_matrix, "map": _Parser.parse_map}
 
 
 def parse(text: str) -> mapkit.MapExpr:

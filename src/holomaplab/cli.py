@@ -38,6 +38,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -61,18 +62,17 @@ from .mapkit import DomainSpec, evaluate, jacobian, parse, to_text
 
 SCHEMA_VERSION = 1
 
-_SAMPLER_DEFAULTS = {
-    "radial_shells": 12,
-    "points_per_shell": 96,
-    "refine_steps": 20,
-    "exclusion_tolerance": 1e-12,
-}
 
-_NEWTON_DEFAULTS = {
-    "max_iterations": 40,
-    "tolerance": 1e-8,
-    "multistart_count": 8,
-    "domain_margin_min": 1e-4,
+def _param_fields(kind) -> list:
+    """The fields of a library config class that are CLI params: all but
+    rng_seed, which comes from the config seed."""
+    return [f for f in dataclasses.fields(kind) if f.name != "rng_seed"]
+
+
+_SAMPLER_DEFAULTS = {f.name: f.default for f in _param_fields(conditioning.SamplerConfig)}
+# the one CLI default that is not the library's: Newton tolerance 1e-8, not 1e-9
+_NEWTON_DEFAULTS = {f.name: f.default for f in _param_fields(landau.NewtonConfig)} | {
+    "tolerance": 1e-8
 }
 
 
@@ -202,28 +202,12 @@ def _point_from(param, k) -> np.ndarray:
     return out
 
 
-def _sampler_from(params, seed) -> conditioning.SamplerConfig:
+def _config_from(kind, params, seed, label):
+    """A kind (SamplerConfig or NewtonConfig) from the task params, each cast
+    by the type of its field default, seeded by the named sub-seed."""
+    values = {f.name: _cast(params, f.name, type(f.default)) for f in _param_fields(kind)}
     try:
-        return conditioning.SamplerConfig(
-            radial_shells=_cast(params, "radial_shells", int),
-            points_per_shell=_cast(params, "points_per_shell", int),
-            rng_seed=subseed(seed, "sampler"),
-            refine_steps=_cast(params, "refine_steps", int),
-            exclusion_tolerance=_cast(params, "exclusion_tolerance", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _newton_from(params, seed) -> landau.NewtonConfig:
-    try:
-        return landau.NewtonConfig(
-            max_iterations=_cast(params, "max_iterations", int),
-            tolerance=_cast(params, "tolerance", float),
-            multistart_count=_cast(params, "multistart_count", int),
-            domain_margin_min=_cast(params, "domain_margin_min", float),
-            rng_seed=subseed(seed, "newton"),
-        )
+        return kind(rng_seed=subseed(seed, label), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -298,7 +282,8 @@ def _run_jacobian(m, cfg):
 
 
 def _run_kappa_sup(m, cfg):
-    report = conditioning.sup_kappa(m, cfg.domain, _sampler_from(cfg.params, cfg.seed))
+    sampler = _config_from(conditioning.SamplerConfig, cfg.params, cfg.seed, "sampler")
+    report = conditioning.sup_kappa(m, cfg.domain, sampler)
     return {
         "sup_estimate": _enc(report.sup_estimate),
         "argmax_point": _enc(report.argmax_point),
@@ -310,23 +295,25 @@ def _run_kappa_sup(m, cfg):
 
 def _run_refined_sup(m, cfg):
     a = _point_from(cfg.params["base_point"], m.dim)
-    value = conditioning.refined_sup(m, a, _sampler_from(cfg.params, cfg.seed))
+    sampler = _config_from(conditioning.SamplerConfig, cfg.params, cfg.seed, "sampler")
+    value = conditioning.refined_sup(m, a, sampler)
     return {"base_point": _enc(a), "sup": _enc(value), "norm": algebra.NORM_NAME}
 
 
 def _run_bz_run(m, cfg):
-    return _step_payload(renorm.bz_step(
-        m, _cast(cfg.params, "C", float), _sampler_from(cfg.params, cfg.seed),
-        grid_factor=_cast(cfg.params, "grid_factor", float),
-    ))
+    C = _cast(cfg.params, "C", float)
+    sampler = _config_from(conditioning.SamplerConfig, cfg.params, cfg.seed, "sampler")
+    grid_factor = _cast(cfg.params, "grid_factor", float)
+    return _step_payload(renorm.bz_step(m, C, sampler, grid_factor=grid_factor))
 
 
 def _run_bz_sequence(m, cfg):
     params = cfg.params
     n_values = _cast(params, "n_values", lambda v: [int(n) for n in v])
+    C = _cast(params, "C", float)
+    sampler = _config_from(conditioning.SamplerConfig, params, cfg.seed, "sampler")
     steps = renorm.bz_sequence(
-        lambda n: parse(_family_member(cfg.map_text, n)), n_values,
-        _cast(params, "C", float), _sampler_from(params, cfg.seed),
+        lambda n: parse(_family_member(cfg.map_text, n)), n_values, C, sampler,
         grid_factor=_cast(params, "grid_factor", float),
     )
     return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
@@ -354,9 +341,8 @@ def _landau_kwargs(params) -> dict:
 
 
 def _run_landau(m, cfg):
-    est = landau.landau_estimate(
-        m, cfg.domain, _newton_from(cfg.params, cfg.seed), **_landau_kwargs(cfg.params)
-    )
+    newton = _config_from(landau.NewtonConfig, cfg.params, cfg.seed, "newton")
+    est = landau.landau_estimate(m, cfg.domain, newton, **_landau_kwargs(cfg.params))
     return _estimate_payload(est)
 
 
@@ -364,9 +350,8 @@ def _run_rescaled_growth(m, cfg):
     params = cfg.params
     r_values = _cast(params, "R_values", lambda v: [float(r) for r in v])
     _check(all(r > 0 for r in r_values), "R_values entries must be positive")
-    series = landau.rescaled_growth(
-        m, r_values, _newton_from(params, cfg.seed), **_landau_kwargs(params),
-    )
+    newton = _config_from(landau.NewtonConfig, params, cfg.seed, "newton")
+    series = landau.rescaled_growth(m, r_values, newton, **_landau_kwargs(params))
     return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
 
 

@@ -17,6 +17,15 @@ and combinators:
     Compose(outer, inner)      z -> outer(inner(z))
     Affine(a, B, m)            z -> m(a + B z)
 
+Each named node class states its grammar `name` and its constructor
+`fields`, one (attribute, keyword or None, kind) triple per argument in
+constructor order.  That table is the one source for parsing (_grammar
+builds its calls and BUILTIN_SIGNATURES from NODES), printing (to_text;
+PolyCoord prints as a tuple), equality and hashing.  To add a node, set
+`name` and `fields` on a MapExpr subclass with `dim` and `apply`, and add
+it to NODES; a new kind also needs a printer in _FORMAT and a parser in
+_grammar._PARSE.
+
 Jacobians are computed by forward-mode differentiation with holomorphic
 dual numbers: a pair (v, d) carries the value together with a full
 complex gradient, multiplication follows (v, d)(v', d') =
@@ -98,8 +107,20 @@ def _exp(x):
 # expression nodes
 
 
+def _key(value):
+    """Hashable equality key of a field value; an array becomes its shape and
+    entries, so -0.0 and 0.0 match, as under np.array_equal."""
+    if isinstance(value, np.ndarray):
+        return value.shape, tuple(value.ravel().tolist())
+    return value
+
+
 class MapExpr:
-    """Base class of holomorphic map expressions C^k -> C^k (immutable)."""
+    """Base class of holomorphic map expressions C^k -> C^k (immutable);
+    equality and hashing compare the attributes named in `fields`."""
+
+    name: str | None = None
+    fields: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -110,11 +131,17 @@ class MapExpr:
         dual numbers); returns a tuple of the same kind."""
         raise NotImplementedError
 
+    def _keys(self):
+        return tuple(_key(getattr(self, attr)) for attr, _, _ in self.fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._keys() == self._keys()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._keys()))
+
     def __repr__(self):
         return to_text(self)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -123,6 +150,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class Identity(MapExpr):
+    name = "identity"
+    fields = (("k", "k", "int"),)
+
     def __init__(self, k: int):
         k = int(k)
         if k < 1:
@@ -136,14 +166,11 @@ class Identity(MapExpr):
     def apply(self, coords):
         return tuple(coords)
 
-    def __eq__(self, other):
-        return type(other) is Identity and other.k == self.k
-
-    def __hash__(self):
-        return hash(("identity", self.k))
-
 
 class Linear(MapExpr):
+    name = "linear"
+    fields = (("matrix", "a", "matrix"),)
+
     def __init__(self, matrix):
         self.matrix = _frozen(algebra.as_matrix(matrix))
 
@@ -154,14 +181,11 @@ class Linear(MapExpr):
     def apply(self, coords):
         return _affine_apply(None, self.matrix, coords)
 
-    def __eq__(self, other):
-        return type(other) is Linear and np.array_equal(other.matrix, self.matrix)
-
-    def __hash__(self):
-        return hash(("linear", self.matrix.tobytes()))
-
 
 class Translation(MapExpr):
+    name = "translation"
+    fields = (("offset", "t", "vector"),)
+
     def __init__(self, offset):
         self.offset = _frozen(algebra.as_vector(offset))
 
@@ -172,15 +196,12 @@ class Translation(MapExpr):
     def apply(self, coords):
         return tuple(c + t for c, t in zip(coords, self.offset))
 
-    def __eq__(self, other):
-        return type(other) is Translation and np.array_equal(other.offset, self.offset)
-
-    def __hash__(self):
-        return hash(("translation", self.offset.tobytes()))
-
 
 class Henon(MapExpr):
     """(z, w) -> (z^2 + b w, z), the model polynomial automorphism of C^2."""
+
+    name = "henon"
+    fields = (("b", "b", "complex"),)
 
     def __init__(self, b):
         self.b = complex(b)
@@ -193,16 +214,13 @@ class Henon(MapExpr):
         z, w = coords
         return (z * z + w * self.b, z)
 
-    def __eq__(self, other):
-        return type(other) is Henon and other.b == self.b
-
-    def __hash__(self):
-        return hash(("henon", self.b))
-
 
 class Harris(MapExpr):
     """(z, w) -> (z + n w^2, w); its polydisc image pinches balls of radius
     above sqrt(2/n)."""
+
+    name = "harris"
+    fields = (("n", "n", "int"),)
 
     def __init__(self, n):
         n = int(n)
@@ -218,16 +236,13 @@ class Harris(MapExpr):
         z, w = coords
         return (z + (w * w) * self.n, w)
 
-    def __eq__(self, other):
-        return type(other) is Harris and other.n == self.n
-
-    def __hash__(self):
-        return hash(("harris", self.n))
-
 
 class DurenRudin(MapExpr):
     """(z, w) -> (z, w + (z/delta)^2); volume-preserving shear whose polydisc
     image contains no closed ball of radius delta."""
+
+    name = "durenrudin"
+    fields = (("delta", "delta", "real"),)
 
     def __init__(self, delta):
         delta = float(delta)
@@ -245,15 +260,12 @@ class DurenRudin(MapExpr):
         u = z * self._inv_delta
         return (z, w + u * u)
 
-    def __eq__(self, other):
-        return type(other) is DurenRudin and other.delta == self.delta
-
-    def __hash__(self):
-        return hash(("durenrudin", self.delta))
-
 
 class ExpCoord(MapExpr):
     """Coordinatewise z_i -> exp(c z_i) - 1; fixes 0 with Jacobian c*I."""
+
+    name = "expcoord"
+    fields = (("c", "c", "complex"), ("k", "k", "int"))
 
     def __init__(self, c, k: int):
         k = int(k)
@@ -269,15 +281,12 @@ class ExpCoord(MapExpr):
     def apply(self, coords):
         return tuple(_exp(c * self.c) - 1.0 for c in coords)
 
-    def __eq__(self, other):
-        return type(other) is ExpCoord and other.c == self.c and other.k == self.k
-
-    def __hash__(self):
-        return hash(("expcoord", self.c, self.k))
-
 
 class Scalar(MapExpr):
     """z -> s * inner(z) with s != 0."""
+
+    name = "scalar"
+    fields = (("s", "s", "complex"), ("inner", None, "map"))
 
     def __init__(self, s, inner: MapExpr):
         s = complex(s)
@@ -293,15 +302,12 @@ class Scalar(MapExpr):
     def apply(self, coords):
         return tuple(y * self.s for y in self.inner.apply(coords))
 
-    def __eq__(self, other):
-        return type(other) is Scalar and other.s == self.s and other.inner == self.inner
-
-    def __hash__(self):
-        return hash(("scalar", self.s, self.inner))
-
 
 class Compose(MapExpr):
     """z -> outer(inner(z)); both factors must share the same dimension."""
+
+    name = "compose"
+    fields = (("outer", None, "map"), ("inner", None, "map"))
 
     def __init__(self, outer: MapExpr, inner: MapExpr):
         if outer.dim != inner.dim:
@@ -318,19 +324,12 @@ class Compose(MapExpr):
     def apply(self, coords):
         return self.outer.apply(self.inner.apply(coords))
 
-    def __eq__(self, other):
-        return (
-            type(other) is Compose
-            and other.outer == self.outer
-            and other.inner == self.inner
-        )
-
-    def __hash__(self):
-        return hash(("compose", self.outer, self.inner))
-
 
 class Affine(MapExpr):
     """z -> inner(a + B z): precomposition with an affine change of variable."""
+
+    name = "affine"
+    fields = (("shift", None, "vector"), ("matrix", None, "matrix"), ("inner", None, "map"))
 
     def __init__(self, shift, matrix, inner: MapExpr):
         self.shift = _frozen(algebra.as_vector(shift))
@@ -349,17 +348,6 @@ class Affine(MapExpr):
     def apply(self, coords):
         return self.inner.apply(_affine_apply(self.shift, self.matrix, coords))
 
-    def __eq__(self, other):
-        return (
-            type(other) is Affine
-            and np.array_equal(other.shift, self.shift)
-            and np.array_equal(other.matrix, self.matrix)
-            and other.inner == self.inner
-        )
-
-    def __hash__(self):
-        return hash(("affine", self.shift.tobytes(), self.matrix.tobytes(), self.inner))
-
 
 class PolyCoord(MapExpr):
     """Tuple of sparse multivariate polynomials in z1..zk, one per coordinate.
@@ -367,8 +355,11 @@ class PolyCoord(MapExpr):
     Each polynomial is a sequence of (exponents, coefficient) terms where
     exponents is a length-k tuple of nonnegative ints.  Terms are merged,
     zero coefficients dropped, and the term list sorted, so structurally
-    equal polynomials compare equal.
+    equal polynomials compare equal.  It has no name: the grammar writes it
+    as a bare tuple.
     """
+
+    fields = (("polys", None, "polys"),)
 
     def __init__(self, polys):
         polys = list(polys)
@@ -416,11 +407,10 @@ class PolyCoord(MapExpr):
             out.append(acc)
         return tuple(out)
 
-    def __eq__(self, other):
-        return type(other) is PolyCoord and other.polys == self.polys
 
-    def __hash__(self):
-        return hash(("polycoord", self.polys))
+# the named nodes, in `holomaplab list-builtins` order
+NODES = (Identity, Linear, Translation, Henon, Harris, DurenRudin, ExpCoord,
+         Scalar, Compose, Affine)
 
 
 def _affine_apply(shift, matrix, coords):
@@ -605,7 +595,7 @@ def _fmt_matrix(a: np.ndarray) -> str:
     return "[" + ", ".join(_fmt_vector(row) for row in a) + "]"
 
 
-def _fmt_poly(terms, k: int) -> str:
+def _fmt_poly(terms) -> str:
     if not terms:
         return "0"
     parts = []
@@ -631,29 +621,18 @@ def _fmt_poly(terms, k: int) -> str:
 
 def to_text(m: MapExpr) -> str:
     """Canonical textual form; parse(to_text(m)) reproduces the tree."""
-    if isinstance(m, Identity):
-        return f"identity(k={m.k})"
-    if isinstance(m, Linear):
-        return f"linear(a={_fmt_matrix(m.matrix)})"
-    if isinstance(m, Translation):
-        return f"translation(t={_fmt_vector(m.offset)})"
-    if isinstance(m, Henon):
-        return f"henon(b={_fmt_complex(m.b)})"
-    if isinstance(m, Harris):
-        return f"harris(n={m.n})"
-    if isinstance(m, DurenRudin):
-        return f"durenrudin(delta={_fmt_real(m.delta)})"
-    if isinstance(m, ExpCoord):
-        return f"expcoord(c={_fmt_complex(m.c)}, k={m.k})"
-    if isinstance(m, Scalar):
-        return f"scalar(s={_fmt_complex(m.s)}, {to_text(m.inner)})"
-    if isinstance(m, Compose):
-        return f"compose({to_text(m.outer)}, {to_text(m.inner)})"
-    if isinstance(m, Affine):
-        return f"affine({_fmt_vector(m.shift)}, {_fmt_matrix(m.matrix)}, {to_text(m.inner)})"
     if isinstance(m, PolyCoord):
-        return "(" + ", ".join(_fmt_poly(p, m.k) for p in m.polys) + ")"
-    raise TypeError(f"unknown map node {type(m).__name__}")
+        return "(" + ", ".join(_fmt_poly(p) for p in m.polys) + ")"
+    if m.name is None:
+        raise TypeError(f"unknown map node {type(m).__name__}")
+    args = [(f"{keyword}=" if keyword else "") + _FORMAT[kind](getattr(m, attr))
+            for attr, keyword, kind in m.fields]
+    return f"{m.name}({', '.join(args)})"
+
+
+# printer per field kind; _grammar._PARSE holds the matching parsers
+_FORMAT = {"int": str, "real": _fmt_real, "complex": _fmt_complex,
+           "vector": _fmt_vector, "matrix": _fmt_matrix, "map": to_text}
 
 
 def parse(text: str) -> MapExpr:

@@ -213,6 +213,27 @@ class TestExitCodeContract:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "parse-check"])
+    @pytest.mark.parametrize("text", [
+        "compose(henon(b=0.5), identity(k=3))",
+        "affine([1,2,3], [[1,0],[0,1]], identity(k=2))",
+        "linear(a=[[1,2]])",
+        "scalar(s=0, identity(k=2))",
+        "dilate(0, identity(k=2))",
+    ])
+    def test_rejected_constructor_exits_2(self, tmp_path, capsys, command, text):
+        # a constructor's own check fails after the text has parsed; the
+        # error points at the constructor's name
+        if command == "run":
+            args = run_args(dict(EVAL_CONFIG, map=text))(tmp_path)
+        else:
+            args = ["parse-check", text]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "at position 0" in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestEmit:
     def test_bz_sequence_rows(self, tmp_path):
@@ -273,10 +294,23 @@ class TestSmallCommands:
         assert "position" in result.stderr
 
     def test_list_builtins(self):
+        # the signatures derive from the node fields; this pins them
         result = run_cli("list-builtins")
         assert result.returncode == 0
-        assert "henon(b=<complex>)" in result.stdout
-        assert "compose(<map>, <map>)" in result.stdout
+        assert result.stdout == (
+            "identity(k=<int>)\n"
+            "linear(a=<matrix>)\n"
+            "translation(t=<vector>)\n"
+            "henon(b=<complex>)\n"
+            "harris(n=<int>)\n"
+            "durenrudin(delta=<real>)\n"
+            "expcoord(c=<complex>, k=<int>)\n"
+            "scalar(s=<complex>, <map>)\n"
+            "compose(<map>, <map>)\n"
+            "affine(<vector>, <matrix>, <map>)\n"
+            "dilate(<real>, <map>)\n"
+            "(<poly>, ..., <poly>)    polynomials in z1..zk\n"
+        )
 
 
 class TestBundledConfigsValidate:

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -216,6 +217,14 @@ class TestParse:
             parse("(z1, z3)")  # variable beyond dimension
         with pytest.raises(ParseError):
             parse("henon(b=0.5) trailing")
+        with pytest.raises(ParseError, match=re.escape("missing parameter(s) <map>")):
+            parse("compose(henon(b=0.5))")
+        with pytest.raises(ParseError) as err:
+            parse("henon(b=0.5, identity(k=2))")  # more arguments than fields
+        assert err.value.position == 11
+        with pytest.raises(ParseError) as err:
+            parse("compose(henon(b=0.5), identity(k=3))")  # the constructor's check
+        assert err.value.position == 0
 
     def test_resource_caps(self):
         t0 = time.perf_counter()
@@ -262,6 +271,28 @@ class TestParse:
         ]
         for m in maps:
             assert parse(to_text(m)) == m
+
+    def test_keywords_in_any_order_then_positionals(self):
+        assert parse("expcoord(k=2, c=0.1)") == ExpCoord(0.1, 2)
+        with pytest.raises(ParseError):
+            parse("scalar(henon(b=0.5), s=2)")  # a keyword after a positional
+        with pytest.raises(ParseError):
+            parse("henon(b=0.5, b=0.5)")
+
+
+class TestEquality:
+    def test_signed_zeros_compare_and_hash_equal(self):
+        a, b = Linear([[1, 0], [0, 1]]), Linear([[1, -0.0], [0, 1]])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_type_and_fields_decide(self):
+        assert Henon(0.5) != Henon(0.25)
+        assert Identity(2) != Identity(3)
+        assert Compose(Henon(0.5), Identity(2)) != Compose(Identity(2), Henon(0.5))
+        assert Linear(np.eye(2)) != Translation([1, 0])
+        assert Affine([0, 0], np.eye(2), Henon(0.5)) != Affine([0, 0], np.eye(2), Harris(1))
 
 
 class TestDomainSpec:

@@ -14,7 +14,8 @@ EBNF sketch (whitespace insignificant, complex literals written a+bi):
 The calls, their keywords and value kinds come from the `fields` of the
 nodes in mapkit.NODES, plus the sugar dilate(real, map); see
 BUILTIN_SIGNATURES.  A constructor's ValueError or DimensionMismatch is
-reported as a ParseError at the constructor's name.
+reported as a ParseError at the constructor's name, or at a tuple's "(".
+A character other than ASCII letters, digits, _PUNCT and whitespace is a ParseError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ MAX_TERMS = 4096  # per expanded coordinate, cancelled terms included
 MAX_PRODUCT_PAIRS = 4 * MAX_TERMS  # term pairs one product of two polynomials walks
 
 _PUNCT = "()[],=+-*^"
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
+_DIGITS = frozenset("0123456789")  # str.isdigit and isalpha also accept non-ASCII
+_NAME_CHARS = _DIGITS | set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 
 class _Token:
@@ -49,21 +51,21 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             if j < n and text[j] in "eE":
                 t = j + 1
                 if t < n and text[t] in "+-":
                     t += 1
-                if t < n and text[t].isdigit():
+                if t < n and text[t] in _DIGITS:
                     j = t
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             value = float(text[i:j])
             # an 'i' suffix makes the literal imaginary, unless it starts a name
@@ -74,7 +76,7 @@ def _tokenize(text: str):
                 toks.append(_Token("NUM", value, i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_CHARS:  # not a digit: the number branch took those
             j = i
             while j < n and text[j] in _NAME_CHARS:
                 j += 1
@@ -313,7 +315,7 @@ class _Parser:
     # -- polynomial expressions ----------------------------------------------
 
     def parse_tuple(self) -> mapkit.MapExpr:
-        self.expect("(")
+        start = self.expect("(")
         polys = [self.parse_poly_expr(allow_vars=True)]
         while self.peek().kind == ",":
             self.advance()
@@ -325,7 +327,10 @@ class _Parser:
             raise ParseError(
                 f"variable z{max_var + 1} exceeds the map dimension k={k}", tok.pos
             )
-        return mapkit.PolyCoord([p.to_terms(k) for p in polys])
+        try:
+            return mapkit.PolyCoord([p.to_terms(k) for p in polys])
+        except ValueError as exc:  # a non-finite coefficient
+            raise ParseError(str(exc), start.pos) from exc
 
     def parse_poly_expr(self, allow_vars: bool) -> _Poly:
         out = self.parse_poly_term(allow_vars)

@@ -55,6 +55,14 @@ def as_vector(entries) -> np.ndarray:
     return v
 
 
+def as_scalar(value, kind=complex):
+    """Convert to a finite Python complex (or float, with kind=float)."""
+    x = kind(value)
+    if not np.isfinite(x):
+        raise ValueError(f"scalar {x!r} must be finite")
+    return x
+
+
 def as_matrix(entries) -> np.ndarray:
     """Validate and convert to a square complex128 matrix with finite entries."""
     a = np.asarray(entries, dtype=np.complex128)
@@ -101,7 +109,9 @@ _FRO2_MIN, _FRO2_MAX = 2.0 ** -480, 2.0 ** 480
 
 
 def singular_values_batch(mats) -> np.ndarray:
-    """Singular values (descending) for a stack of square matrices -> (..., k)."""
+    """Singular values (descending) for a stack of square matrices -> (..., k).
+    A row with a NaN entry raises LinAlgError; a row with +-inf entries but
+    no NaN gives NaN without raising."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.shape[-2:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)
@@ -159,7 +169,8 @@ def times_batch(mats, b) -> np.ndarray:
 
 def spectral_norm_batch(mats) -> np.ndarray:
     """Largest singular value of each matrix of a stack -> (...,); the
-    2 x 2 closed form skips the determinant that sigma_min needs."""
+    2 x 2 closed form skips the determinant that sigma_min needs.  NaN and
+    infinite entries behave as in singular_values_batch."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.shape[-2:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)[..., 0]

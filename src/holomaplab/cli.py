@@ -32,7 +32,9 @@ Exit codes: 0 success; 2 validation error (a malformed config, a param
 that does not cast or is out of range, an unreadable or malformed input
 or an unwritable output); 3 numerical failure, any unexpected exception
 from the task included (a partial report with the error is still
-written).
+written).  The CLI only casts JSON values; the library owns every range
+rule and raises PreconditionFailed when one fails.  The CLI adds only
+the rules of its own params, centers_count and bz-sequence's n_values.
 """
 
 from __future__ import annotations
@@ -51,13 +53,7 @@ import numpy as np
 from . import __version__, algebra, conditioning, counterexamples, landau, renorm
 from ._grammar import BUILTIN_SIGNATURES
 from ._sampling import subseed
-from .errors import (
-    ConfigError,
-    HolomapError,
-    ParseError,
-    PreconditionFailed,
-    UnsupportedPayload,
-)
+from .errors import ConfigError, ParseError, PreconditionFailed, UnsupportedPayload
 from .mapkit import DomainSpec, evaluate, jacobian, parse, to_text
 
 SCHEMA_VERSION = 1
@@ -130,10 +126,7 @@ class ExperimentConfig:
         dim = _cast(dom_raw, "dim", int) if "dim" in dom_raw else m.dim
         if dim != m.dim:
             raise ConfigError(f"domain dim {dim} does not match map dim {m.dim}")
-        try:
-            domain = DomainSpec(shape, radius, dim)
-        except (ValueError, HolomapError) as exc:
-            raise ConfigError(str(exc)) from exc
+        domain = DomainSpec(shape, radius, dim)
         seed = raw.get("seed")
         if seed is None:
             raise ConfigError("config needs an explicit integer 'seed'")
@@ -206,10 +199,7 @@ def _config_from(kind, params, seed, label):
     """A kind (SamplerConfig or NewtonConfig) from the task params, each cast
     by the type of its field default, seeded by the named sub-seed."""
     values = {f.name: _cast(params, f.name, type(f.default)) for f in _param_fields(kind)}
-    try:
-        return kind(rng_seed=subseed(seed, label), **values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return kind(rng_seed=subseed(seed, label), **values)
 
 
 def _cert_payload(cert: landau.MembershipCertificate) -> dict:
@@ -309,7 +299,9 @@ def _run_bz_run(m, cfg):
 
 def _run_bz_sequence(m, cfg):
     params = cfg.params
-    n_values = _cast(params, "n_values", lambda v: [int(n) for n in v])
+    n_values = params["n_values"]
+    if not (isinstance(n_values, list) and all(type(n) is int and n >= 1 for n in n_values)):
+        raise ConfigError("n_values must be a list of integers >= 1")
     C = _cast(params, "C", float)
     sampler = _config_from(conditioning.SamplerConfig, params, cfg.seed, "sampler")
     steps = renorm.bz_sequence(
@@ -319,25 +311,13 @@ def _run_bz_sequence(m, cfg):
     return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
 
 
-def _check(ok: bool, rule: str):
-    """A param that casts but is out of range is a ConfigError, raised before
-    the library is called."""
-    if not ok:
-        raise ConfigError(rule)
-
-
 def _landau_kwargs(params) -> dict:
-    kwargs = dict(
+    return dict(
         center_candidates=_cast(params, "center_candidates", int),
         direction_count=_cast(params, "direction_count", lambda v: v if v is None else int(v)),
         growth_factor=_cast(params, "growth_factor", float),
         center_refine_steps=_cast(params, "center_refine_steps", int),
     )
-    _check(kwargs["center_candidates"] >= 1, "center_candidates must be >= 1")
-    _check(kwargs["direction_count"] is None or kwargs["direction_count"] >= 1,
-           "direction_count must be >= 1")
-    _check(kwargs["growth_factor"] > 1.0, "growth_factor must be > 1")
-    return kwargs
 
 
 def _run_landau(m, cfg):
@@ -349,7 +329,6 @@ def _run_landau(m, cfg):
 def _run_rescaled_growth(m, cfg):
     params = cfg.params
     r_values = _cast(params, "R_values", lambda v: [float(r) for r in v])
-    _check(all(r > 0 for r in r_values), "R_values entries must be positive")
     newton = _config_from(landau.NewtonConfig, params, cfg.seed, "newton")
     series = landau.rescaled_growth(m, r_values, newton, **_landau_kwargs(params))
     return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
@@ -363,7 +342,8 @@ def _run_counterexample(m, cfg):
         ])
     else:
         count = _cast(params, "centers_count", int)
-        _check(count >= 0, "centers_count must be >= 0")
+        if count < 0:
+            raise ConfigError("centers_count must be >= 0")
         scale = _cast(params, "centers_scale", float)
         rng = np.random.default_rng(
             np.random.SeedSequence([subseed(cfg.seed, "centers") & (2**63 - 1)])
@@ -430,6 +410,7 @@ _REGISTRY = {
     ),
 }
 TASKS = tuple(_REGISTRY)
+_INVALID = (ConfigError, ParseError, PreconditionFailed)  # exit 2, no report
 
 
 def _run_task(cfg: ExperimentConfig) -> dict:
@@ -447,7 +428,7 @@ def run(config_path: str, output: str | None = None) -> int:
         return 2
     try:
         cfg = ExperimentConfig.from_dict(raw)
-    except (ConfigError, ParseError, PreconditionFailed, ValueError) as exc:
+    except _INVALID as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
@@ -465,7 +446,7 @@ def run(config_path: str, output: str | None = None) -> int:
     try:
         report["payload"] = _run_task(cfg)
         code = 0
-    except (ConfigError, PreconditionFailed) as exc:
+    except _INVALID as exc:  # ParseError: a bz-sequence member's text
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # HolomapError, or e.g. LinAlgError from an overflowing map

@@ -38,14 +38,14 @@ class SamplerConfig:
     exclusion_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.radial_shells < 1 or self.points_per_shell < 1:
-            raise ValueError("sampler needs at least one shell and one point")
-        if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
-        if self.exclusion_tolerance < 0:
-            raise ValueError("exclusion_tolerance must be >= 0")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be a nonnegative integer")
+        if not (self.radial_shells >= 1 and self.points_per_shell >= 1):
+            raise PreconditionFailed("sampler needs at least one shell and one point")
+        if not self.refine_steps >= 0:
+            raise PreconditionFailed("refine_steps must be >= 0")
+        if not (0 <= self.exclusion_tolerance < np.inf):
+            raise PreconditionFailed("exclusion_tolerance must be finite and >= 0")
+        if not self.rng_seed >= 0:
+            raise PreconditionFailed("rng_seed must be a nonnegative integer")
 
 
 @dataclass

@@ -53,8 +53,10 @@ class WitnessFailed(HolomapError):
     """A counterexample witness inequality failed; indicates an implementation bug."""
 
 
-class PreconditionFailed(HolomapError):
-    """A documented operation precondition does not hold for the given inputs."""
+class PreconditionFailed(HolomapError, ValueError):
+    """A documented precondition does not hold for the given inputs, such as
+    an argument outside its documented range.  It is a ValueError, so code
+    that catches ValueError still catches it."""
 
 
 class UnsupportedPayload(HolomapError):

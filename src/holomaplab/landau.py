@@ -31,7 +31,7 @@ import numpy as np
 from . import algebra
 from ._sampling import interior_points, sphere_directions, subseed
 from .counterexamples import certify_no_ball
-from .errors import CenterNotInImage, DimensionMismatch
+from .errors import CenterNotInImage, DimensionMismatch, PreconditionFailed
 from .mapkit import (
     DomainSpec,
     DurenRudin,
@@ -58,12 +58,12 @@ class NewtonConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.multistart_count < 1:
-            raise ValueError("iteration and start counts must be positive")
-        if not self.tolerance > 0 or not self.domain_margin_min > 0:
-            raise ValueError("tolerance and domain_margin_min must be positive")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be a nonnegative integer")
+        if not (self.max_iterations >= 1 and self.multistart_count >= 1):
+            raise PreconditionFailed("iteration and start counts must be positive")
+        if not (0 < self.tolerance < np.inf and 0 < self.domain_margin_min < np.inf):
+            raise PreconditionFailed("tolerance and domain_margin_min must be finite and > 0")
+        if not self.rng_seed >= 0:
+            raise PreconditionFailed("rng_seed must be a nonnegative integer")
 
 
 @dataclass
@@ -209,10 +209,10 @@ def inscribed_lower_bound(
     certified.
     """
     a = algebra.as_vector(a)
-    if not growth_factor > 1.0:
-        raise ValueError("growth_factor must be > 1")
-    if direction_count < 1:
-        raise ValueError("direction_count must be >= 1")
+    if not (1.0 < growth_factor < np.inf):
+        raise PreconditionFailed("growth_factor must be > 1 and finite")
+    if not direction_count >= 1:
+        raise PreconditionFailed("direction_count must be >= 1")
     center_sol = solve_membership(m, a, dom, cfg)
     if isinstance(center_sol, NotFound):
         raise CenterNotInImage(
@@ -311,8 +311,10 @@ def landau_estimate(
     """
     if dom.dim != m.dim:
         raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
-    if center_candidates < 1:
-        raise ValueError("center_candidates must be >= 1")
+    if not center_candidates >= 1:
+        raise PreconditionFailed("center_candidates must be >= 1")
+    if not center_refine_steps >= 0:
+        raise PreconditionFailed("center_refine_steps must be >= 0")
     if direction_count is None:
         direction_count = 64 * m.dim
 
@@ -381,19 +383,10 @@ def rescaled_growth(
     """Inscribed-ball growth of an entire map under dilation: for each R,
     estimate the Landau number of z -> (1/R) m(R z) on the unit ball and
     scale it back, reporting the series (R, R * r_lo(R)) whose growth
-    mirrors 'contains balls of arbitrarily large radius'."""
+    mirrors 'contains balls of arbitrarily large radius'.  Every dilation
+    is built, and so every R checked by dilate, before the first estimate."""
     dom = DomainSpec.ball(m.dim, 1.0)
-    series = []
-    for R in r_values:
-        R = float(R)
-        if not R > 0:
-            raise ValueError("dilation factors must be positive")
-        est = landau_estimate(
-            dilate(m, R), dom, cfg,
-            center_candidates=center_candidates,
-            direction_count=direction_count,
-            growth_factor=growth_factor,
-            center_refine_steps=center_refine_steps,
-        )
-        series.append((R, R * est.r_lo))
-    return series
+    dilated = [(float(R), dilate(m, R)) for R in r_values]
+    kwargs = dict(center_candidates=center_candidates, direction_count=direction_count,
+                  growth_factor=growth_factor, center_refine_steps=center_refine_steps)
+    return [(R, R * landau_estimate(m_R, dom, cfg, **kwargs).r_lo) for R, m_R in dilated]

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreconditionFailed
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +204,7 @@ class Henon(MapExpr):
     fields = (("b", "b", "complex"),)
 
     def __init__(self, b):
-        self.b = complex(b)
+        self.b = algebra.as_scalar(b)
 
     @property
     def dim(self):
@@ -245,11 +245,11 @@ class DurenRudin(MapExpr):
     fields = (("delta", "delta", "real"),)
 
     def __init__(self, delta):
-        delta = float(delta)
+        delta = algebra.as_scalar(delta, float)
         if not delta > 0:
             raise ValueError("durenrudin parameter delta must be positive")
         self.delta = delta
-        self._inv_delta = 1.0 / delta
+        self._inv_delta = algebra.as_scalar(1.0 / delta, float)
 
     @property
     def dim(self):
@@ -271,7 +271,7 @@ class ExpCoord(MapExpr):
         k = int(k)
         if k < 1:
             raise DimensionMismatch("expcoord needs dimension k >= 1")
-        self.c = complex(c)
+        self.c = algebra.as_scalar(c)
         self.k = k
 
     @property
@@ -289,7 +289,7 @@ class Scalar(MapExpr):
     fields = (("s", "s", "complex"), ("inner", None, "map"))
 
     def __init__(self, s, inner: MapExpr):
-        s = complex(s)
+        s = algebra.as_scalar(s)
         if s == 0:
             raise ValueError("scalar factor must be nonzero")
         self.s = s
@@ -379,9 +379,8 @@ class PolyCoord(MapExpr):
                 if any(e < 0 for e in exps):
                     raise ValueError("exponents must be nonnegative")
                 merged[exps] = merged.get(exps, 0j) + complex(coeff)
-            normalized.append(
-                tuple(sorted((e, c) for e, c in merged.items() if c != 0))
-            )
+            normalized.append(tuple(sorted(
+                (e, algebra.as_scalar(c)) for e, c in merged.items() if c != 0)))
         self.polys = tuple(normalized)
         self.k = k
 
@@ -444,6 +443,7 @@ class DomainSpec:
     """Ball (Euclidean norm) or polydisc (max norm) of a given radius in C^k.
 
     Membership is strict: z belongs to the domain iff norm(z) < radius.
+    The radius must be finite and > 0, else PreconditionFailed.
     """
 
     shape: str
@@ -452,11 +452,11 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.shape not in ("ball", "polydisc"):
-            raise ValueError(f"unknown domain shape {self.shape!r}")
-        if not self.radius > 0:
-            raise ValueError("domain radius must be positive")
-        if self.dim < 1:
-            raise DimensionMismatch("domain dimension must be >= 1")
+            raise PreconditionFailed(f"unknown domain shape {self.shape!r}")
+        if not (0 < self.radius < np.inf):
+            raise PreconditionFailed("domain radius must be finite and > 0")
+        if not self.dim >= 1:
+            raise PreconditionFailed("domain dimension must be >= 1")
 
     @staticmethod
     def ball(dim: int, radius: float = 1.0) -> "DomainSpec":
@@ -559,10 +559,11 @@ def reparametrize(m: MapExpr, a, B) -> MapExpr:
 
 
 def dilate(m: MapExpr, R: float) -> MapExpr:
-    """z -> (1/R) m(R z).  Preserves the Jacobian at the origin."""
+    """z -> (1/R) m(R z).  Preserves the Jacobian at the origin.  R and 1/R
+    must be finite and > 0, else PreconditionFailed."""
     R = float(R)
-    if not R > 0:
-        raise ValueError("dilation factor must be positive")
+    if not (0 < R < np.inf and 1.0 / R < np.inf):
+        raise PreconditionFailed("dilation factor and its inverse must be finite and > 0")
     k = m.dim
     inner = Affine(np.zeros(k), R * np.eye(k), m)
     return Scalar(1.0 / R, inner)

@@ -29,7 +29,8 @@ import numpy as np
 from . import algebra
 from ._sampling import blocks, row_norms, sampled_sup, score_blocks, shell_points, subseed
 from .conditioning import SamplerConfig
-from .errors import RadiusExceedsValidity, SingularJacobianAtBase, SingularMatrix
+from .errors import (PreconditionFailed, RadiusExceedsValidity, SingularJacobianAtBase,
+                     SingularMatrix)
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
 
 
@@ -90,10 +91,13 @@ def bz_step(
     c_bound is caller-supplied (typically a sup-kappa estimate plus a
     safety margin); the step does not recompute it.  The recorded
     validity radius is lambda/(2 c_bound); the check grid conservatively
-    stays within grid_factor of it.
+    stays within grid_factor of it.  c_bound must be finite and >= 1 and
+    grid_factor finite and > 0; both are checked before lambda is estimated.
     """
-    if c_bound < 1.0:
-        raise ValueError("c_bound must be >= 1 (kappa is never below 1)")
+    if not (1.0 <= c_bound < np.inf):
+        raise PreconditionFailed("c_bound must be finite and >= 1 (kappa is never below 1)")
+    if not (0.0 < grid_factor < np.inf):
+        raise PreconditionFailed("grid_factor must be finite and > 0")
     lam, a = lambda_functional(m, cfg)
     try:
         b_matrix = algebra.invert(jacobian(m, a).jacobian)

@@ -134,6 +134,10 @@ class TestValidation:
             algebra.as_matrix([[1, 2, 3], [4, 5, 6]])
 
     def test_finite_entries(self):
+        for value in (np.inf, complex(0, -np.inf), np.nan):
+            with pytest.raises(ValueError):
+                algebra.as_scalar(value)
+        assert algebra.as_scalar(1e308, float) == 1e308
         with pytest.raises(ValueError):
             algebra.as_vector([1.0, np.inf])
         with pytest.raises(ValueError):

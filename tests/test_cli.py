@@ -184,6 +184,8 @@ LANDAU_CONFIG = dict(EVAL_CONFIG, task="landau", params={})
 GROWTH_CONFIG = dict(EVAL_CONFIG, task="rescaled-growth", params={"R_values": [1.0, 0.0]})
 COUNTEREXAMPLE_CONFIG = dict(EVAL_CONFIG, map="harris(n=3)", task="counterexample",
                              domain={"shape": "polydisc"}, params={"centers_count": -1})
+BZ_RUN_CONFIG = dict(EVAL_CONFIG, task="bz-run")
+BZ_SEQUENCE_CONFIG = dict(EVAL_CONFIG, task="bz-sequence")
 
 
 class TestExitCodeContract:
@@ -204,10 +206,25 @@ class TestExitCodeContract:
         emit_to_missing_dir,
         emit_report([]),
         emit_report({"payload": {"series": 3}, "config": {"task": "bz-sequence"}}),
+        # range rules the library owns and checks at entry
+        run_args(dict(BZ_RUN_CONFIG, params={"C": 0.5})),
+        run_args(dict(BZ_RUN_CONFIG, params={"C": 2.0, "grid_factor": 0})),
+        run_args(dict(LANDAU_CONFIG, params={"tolerance": "inf"})),
+        run_args(dict(LANDAU_CONFIG, params={"center_refine_steps": -1})),
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", domain={"radius": 1e400}, params={})),
+        run_args(dict(GROWTH_CONFIG, params={"R_values": [1, -1]})),
+        run_args(dict(GROWTH_CONFIG, params={"R_values": [1, 1e400]})),
+        # the CLI's own rule on n_values
+        run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [0]})),
+        run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [1.5]})),
+        run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [True]})),
     ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
             "param-cast", "newton-validation", "continuation-steps", "center-candidates",
             "growth-factor", "direction-count", "r-values", "centers-count",
-            "emit-unwritable", "emit-report-list", "emit-series-number"])
+            "emit-unwritable", "emit-report-list", "emit-series-number",
+            "bz-c-below-1", "bz-grid-factor", "newton-tolerance-inf", "center-refine-steps",
+            "domain-radius-inf", "r-values-negative", "r-values-inf", "n-values-zero",
+            "n-values-float", "n-values-bool"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -220,10 +237,18 @@ class TestExitCodeContract:
         "linear(a=[[1,2]])",
         "scalar(s=0, identity(k=2))",
         "dilate(0, identity(k=2))",
+        # a constant that is not finite, or whose inverse or merged sum is not
+        "henon(b=1e400)",
+        "expcoord(c=1e400i, k=2)",
+        "scalar(s=1e400, identity(k=2))",
+        "durenrudin(delta=1e-320)",  # 1/delta overflows
+        "dilate(1e-320, identity(k=2))",
+        "(1e308*10*z1, z2)",
+        "(1e308*z1 + 1e308*z1, z2)",  # the merged coefficient overflows
     ])
     def test_rejected_constructor_exits_2(self, tmp_path, capsys, command, text):
         # a constructor's own check fails after the text has parsed; the
-        # error points at the constructor's name
+        # error points at the constructor's name or at the tuple's "("
         if command == "run":
             args = run_args(dict(EVAL_CONFIG, map=text))(tmp_path)
         else:
@@ -232,6 +257,19 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "at position 0" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "parse-check"])
+    @pytest.mark.parametrize("text, position", [("é", 0), ("henon(b=²)", 8)])
+    def test_rejected_character_exits_2(self, tmp_path, capsys, command, text, position):
+        # str.isalpha and str.isdigit accept these, the grammar does not
+        if command == "run":
+            args = run_args(dict(EVAL_CONFIG, map=text))(tmp_path)
+        else:
+            args = ["parse-check", text]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"unexpected character {text[position]!r} at position {position}" in err
         assert not (tmp_path / "r.json").exists()
 
 

@@ -17,7 +17,7 @@ from holomaplab import (
     refined_sup,
     sup_kappa,
 )
-from holomaplab import _sampling, conditioning
+from holomaplab import _sampling, algebra, conditioning
 from holomaplab._sampling import sampled_sup, score_blocks, shell_points
 from holomaplab.errors import (
     EmptySample,
@@ -186,6 +186,15 @@ class TestSupKappa:
         assert rep.samples_used == len(pts) + ref_evals
         assert rep.sup_estimate == ref_val and np.array_equal(rep.argmax_point, ref_pt)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"radial_shells": 0}, {"points_per_shell": 0}, {"refine_steps": -1},
+        {"rng_seed": -1}, {"exclusion_tolerance": -1e-12},
+        {"exclusion_tolerance": np.nan}, {"exclusion_tolerance": np.inf},
+    ])
+    def test_sampler_config_ranges(self, kwargs):
+        with pytest.raises(PreconditionFailed):
+            SamplerConfig(**kwargs)
+
 
 def _in_unit_ball(z):
     return np.linalg.norm(z) <= 1.0
@@ -236,6 +245,30 @@ class TestSampledSup:
         assert (val, evals, excluded) == (ref_val, len(self.PTS) + ref_evals,
                                           nan_samples + ref_excluded)
         assert np.array_equal(pt, ref_pt)
+
+    def test_infinite_jacobian_rows_are_excluded(self):
+        # a Jacobian row with an inf entry and no NaN gets NaN singular values
+        # without raising, so its kappa is NaN and the point counts as excluded,
+        # as if the score were NaN there
+        def jacobians(z):
+            mats = np.zeros((len(z), 2, 2), dtype=np.complex128)
+            mats[:, 0, 0], mats[:, 1, 1] = 1.0, 1.0 + np.abs(z[:, 1])
+            return mats
+
+        far = lambda z: np.abs(z[:, 0]) > 0.5
+
+        def score(z):
+            mats = jacobians(z)
+            mats[far(z), 0, 1] = np.inf
+            return algebra.kappa_batch(mats)
+
+        ref_score = lambda z: np.where(far(z), np.nan, algebra.kappa_batch(jacobians(z)))
+        vals = score(self.PTS)
+        assert far(self.PTS).any() and np.isnan(vals[far(self.PTS)]).all()
+        out = sampled_sup(score, self.PTS, 5, 0.1, self.mask)
+        ref = sampled_sup(ref_score, self.PTS, 5, 0.1, self.mask)
+        assert np.isfinite(out[1]) and out[3] >= np.count_nonzero(far(self.PTS))
+        assert out[1:] == ref[1:] and np.array_equal(out[0], ref[0])
 
 
 class TestClimbLadder:

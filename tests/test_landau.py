@@ -22,7 +22,7 @@ from holomaplab import (
 )
 from holomaplab import landau
 from holomaplab._sampling import interior_points, sphere_directions, subseed
-from holomaplab.errors import CenterNotInImage
+from holomaplab.errors import CenterNotInImage, PreconditionFailed
 
 BALL2 = DomainSpec.ball(2, 1.0)
 POLY2 = DomainSpec.polydisc(2, 1.0)
@@ -448,3 +448,34 @@ class TestRescaledGrowth:
                               direction_count=32, growth_factor=1.05,
                               center_refine_steps=1)
         assert series[0][1] == pytest.approx(2.0 * est.r_lo, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, np.inf, np.nan, 1e-320])
+    def test_every_r_is_checked_before_the_first_estimate(self, R, monkeypatch):
+        def estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran before every R was checked")
+
+        monkeypatch.setattr(landau, "landau_estimate", estimate)
+        with pytest.raises(PreconditionFailed):
+            rescaled_growth(Identity(2), [1.0, R], CFG)
+
+
+class TestArgumentRanges:
+    """Every range rule raises PreconditionFailed, a ValueError, and NaN and
+    inf fail it."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iterations": 0}, {"multistart_count": 0}, {"rng_seed": -1},
+        {"tolerance": 0.0}, {"tolerance": np.inf}, {"tolerance": np.nan},
+        {"domain_margin_min": np.inf}, {"domain_margin_min": np.nan},
+    ])
+    def test_newton_config(self, kwargs):
+        with pytest.raises(PreconditionFailed):
+            NewtonConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"center_candidates": 0}, {"center_refine_steps": -1}, {"direction_count": 0},
+        {"growth_factor": 1.0}, {"growth_factor": np.inf}, {"growth_factor": np.nan},
+    ])
+    def test_landau_estimate(self, kwargs):
+        with pytest.raises(PreconditionFailed):
+            landau_estimate(Identity(2), BALL2, CFG, **kwargs)

@@ -1,5 +1,4 @@
 import re
-import time
 
 import numpy as np
 import pytest
@@ -26,7 +25,8 @@ from holomaplab import (
     reparametrize,
     to_text,
 )
-from holomaplab.errors import DimensionMismatch, ParseError
+from holomaplab import _grammar
+from holomaplab.errors import DimensionMismatch, ParseError, PreconditionFailed
 
 
 def ball_points(n, k, radius, seed):
@@ -167,6 +167,11 @@ class TestDilate:
         d = dilate(ExpCoord(c, 2), 5.0)
         assert np.abs(jacobian(d, [0, 0]).jacobian - c * np.eye(2)).max() <= 1e-15
 
+    @pytest.mark.parametrize("R", [0.0, -2.0, np.inf, np.nan, 1e-320])
+    def test_factor_and_inverse_must_be_finite(self, R):
+        with pytest.raises(PreconditionFailed):
+            dilate(Identity(2), R)
+
     def test_dilate_one_is_identity_on_grid(self):
         m = Compose(Henon(0.5), ExpCoord(0.2, 2))
         d = dilate(m, 1.0)
@@ -226,12 +231,36 @@ class TestParse:
             parse("compose(henon(b=0.5), identity(k=3))")  # the constructor's check
         assert err.value.position == 0
 
-    def test_resource_caps(self):
-        t0 = time.perf_counter()
-        with pytest.raises(ParseError) as err:
-            parse("(z1^100000, z2)")
-        assert time.perf_counter() - t0 < 0.05
-        assert err.value.position == 4
+    def test_resource_caps(self, monkeypatch):
+        # each product counts the term pairs it walks: a capped text fails
+        # having walked at most MAX_PRODUCT_PAIRS pairs in any one product
+        walked = []
+
+        class Counted(dict):
+            def items(self):
+                for item in super().items():
+                    walked[-1] += 1
+                    yield item
+
+        mul = _grammar._Poly.__mul__
+
+        def counted_mul(a, b):
+            walked.append(0)
+            b_counted = _grammar._Poly()
+            b_counted.terms = Counted(b.terms)
+            return mul(a, b_counted)
+
+        monkeypatch.setattr(_grammar._Poly, "__mul__", counted_mul)
+
+        def rejected(text):
+            walked.clear()
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert max(walked, default=0) <= _grammar.MAX_PRODUCT_PAIRS, text
+            return err.value
+
+        assert rejected("(z1^100000, z2)").position == 4
+        assert not walked
         for text in (
             "(z1^65, z2)",
             "(z1^64^64, z2)",  # chained powers: the expanded exponent is capped too
@@ -245,20 +274,22 @@ class TestParse:
             "identity(k=1e400)",
             "(z1^1e400, z2)",
         ):
-            t0 = time.perf_counter()
-            with pytest.raises(ParseError):
-                parse(text)
-            assert time.perf_counter() - t0 < 0.5, text
+            rejected(text)
         # every factor and the product stay under the term cap, but the last
-        # product walks 1,056^2 term pairs
-        t0 = time.perf_counter()
-        with pytest.raises(ParseError):
-            parse("(((1+z1)^32*(1+z2)^31)*((1+z1)^32*(1+z2)^31), z2)")
-        assert time.perf_counter() - t0 < 0.05
+        # product would walk 1,056^2 term pairs
+        rejected("(((1+z1)^32*(1+z2)^31)*((1+z1)^32*(1+z2)^31), z2)")
+        assert walked[-1] == 0
         assert parse("(z1^64, z2)") == PolyCoord([[((64, 0), 1)], [((0, 1), 1)]])
         assert len(parse("((1 + z1)^63 * (1 + z2)^63, z2)").polys[0]) == 4096
         assert parse("identity(k=32)").dim == 32
         assert parse("expcoord(c=0.1, k=32)").dim == 32
+
+    @pytest.mark.parametrize("text, position", [("é", 0), ("henon(b=²)", 8), ("(z1, z²)", 6)])
+    def test_non_ascii_characters(self, text, position):
+        # str.isalpha and str.isdigit accept these; the grammar does not
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
 
     def test_roundtrip_all_constructors(self):
         maps = BUILTINS + [
@@ -268,6 +299,7 @@ class TestParse:
             PolyCoord([[((2, 0), 1.0), ((0, 1), 0.5)], [((1, 0), 1.0)]]),
             dilate(Compose(Henon(0.5), ExpCoord(2.0, 2)), 4.0),
             parse("(z1^2 + (0.5+0.5i)*z2 + 1, z2^3)"),
+            Compose(ExpCoord(1000, 2), Scalar(1e308, Identity(2))),  # large, finite
         ]
         for m in maps:
             assert parse(to_text(m)) == m
@@ -313,3 +345,6 @@ class TestDomainSpec:
             DomainSpec("cube", 1.0, 2)
         with pytest.raises(ValueError):
             DomainSpec.ball(2, 0.0)
+        for radius in (np.inf, np.nan, -1.0):
+            with pytest.raises(PreconditionFailed):
+                DomainSpec.ball(2, radius)

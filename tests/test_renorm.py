@@ -19,8 +19,12 @@ from holomaplab import (
     parse,
     sup_kappa,
 )
-from holomaplab import _sampling, algebra
-from holomaplab.errors import RadiusExceedsValidity, SingularJacobianAtBase
+from holomaplab import _sampling, algebra, renorm
+from holomaplab.errors import (
+    PreconditionFailed,
+    RadiusExceedsValidity,
+    SingularJacobianAtBase,
+)
 
 # dense-grid oracles (1e6 points + coordinate polish) for the boundary-weighted
 # derivative functional of g = compose(henon(b=0.5), expcoord(c=2.0, k=2))
@@ -125,6 +129,18 @@ class TestBzStep:
     def test_rejects_c_below_one(self):
         with pytest.raises(ValueError):
             bz_step(Identity(2), 0.5, CFG)
+
+    @pytest.mark.parametrize("c_bound, grid_factor", [
+        (0.5, 0.9), (np.inf, 0.9), (np.nan, 0.9),
+        (2.0, 0.0), (2.0, -1.0), (2.0, np.inf), (2.0, np.nan),
+    ])
+    def test_arguments_are_checked_before_lambda(self, c_bound, grid_factor, monkeypatch):
+        def lam(*args):
+            raise AssertionError("lambda was estimated before the arguments were checked")
+
+        monkeypatch.setattr(renorm, "lambda_functional", lam)
+        with pytest.raises(PreconditionFailed):
+            bz_step(Identity(2), c_bound, CFG, grid_factor=grid_factor)
 
 
 class TestBzSequence:

@@ -41,10 +41,6 @@ from .errors import (
     HolomapError,
     ParseError,
     PreconditionFailed,
-    RadiusExceedsValidity,
-    SingularBasePoint,
-    SingularJacobian,
-    SingularJacobianAtBase,
     SingularMatrix,
     UnsupportedPayload,
     WitnessFailed,

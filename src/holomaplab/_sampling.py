@@ -29,6 +29,9 @@ BOUNDARY_GAP = 1e-3
 # cache, where one scoring of the whole sample set would stream them
 SCORE_BLOCK = 4096
 
+# interior_points draws at radii <= INTERIOR_PULLBACK * radius
+INTERIOR_PULLBACK = 0.7
+
 
 def subseed(seed: int, label: str) -> int:
     """Stable 64-bit sub-seed derived from (seed, label)."""
@@ -100,8 +103,8 @@ def sphere_directions(n: int, k: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def interior_points(dom, n: int, seed: int, pullback: float = 0.7) -> np.ndarray:
-    """n points of the domain at radii <= pullback * radius.  Each index draws
+def interior_points(dom, n: int, seed: int) -> np.ndarray:
+    """n points of the domain at radii <= INTERIOR_PULLBACK * radius.  Each index draws
     from its own child stream, so the family is prefix-stable in n."""
     k = dom.dim
     pts = np.empty((n, k), dtype=np.complex128)
@@ -110,7 +113,7 @@ def interior_points(dom, n: int, seed: int, pullback: float = 0.7) -> np.ndarray
         g = rng.standard_normal(2 * k)
         v = g[:k] + 1j * g[k:]
         v = v / (np.linalg.norm(v) if dom.shape == "ball" else np.abs(v).max())
-        r = dom.radius * pullback * rng.random() ** (1.0 / (2 * k))
+        r = dom.radius * INTERIOR_PULLBACK * rng.random() ** (1.0 / (2 * k))
         pts[i] = r * v
     return pts
 

@@ -2,10 +2,11 @@
 
 The operator norm used throughout the package is the spectral norm
 (largest singular value), so the condition number is
-kappa = sigma_max / sigma_min.  Matrices whose sigma_min falls below a
-relative threshold are treated as singular and map to kappa = +inf
-rather than an error, which lets samplers skip the exceptional set of a
-map instead of aborting.
+kappa = sigma_max / sigma_min.  One rule, in kappa_from_singular_values
+alone, decides singularity: sigma_min <= rtol * sigma_max (rtol =
+SINGULAR_RTOL, or a caller's looser one).  A singular matrix has kappa =
++inf rather than an error, which lets samplers skip the exceptional set of
+a map instead of aborting; invert raises SingularMatrix there.
 
 Singular values of a stack of 2 x 2 matrices [[a, b], [c, d]] come from a
 closed form in real arithmetic.  With row sums of squares p = |a|^2 + |b|^2
@@ -83,20 +84,20 @@ def spectral_norm(a) -> float:
     return float(singular_values(a)[0])
 
 
-def invert(a, rtol: float = SINGULAR_RTOL) -> np.ndarray:
-    """Matrix inverse; raises SingularMatrix when sigma_min <= rtol * sigma_max."""
+def invert(a) -> np.ndarray:
+    """Matrix inverse; raises SingularMatrix where kappa is +inf."""
     a = as_matrix(a)
     s = singular_values(a)
-    if s[-1] <= rtol * s[0]:
+    if kappa_from_singular_values(s) == np.inf:
         raise SingularMatrix(
-            f"sigma_min {s[-1]:.3e} <= {rtol:g} * sigma_max {s[0]:.3e}"
+            f"sigma_min {s[-1]:.3e} <= {SINGULAR_RTOL:g} * sigma_max {s[0]:.3e}"
         )
     return np.linalg.inv(a)
 
 
-def kappa(a, rtol: float = SINGULAR_RTOL) -> float:
+def kappa(a) -> float:
     """Spectral condition number sigma_max / sigma_min in [1, +inf]."""
-    return float(kappa_from_singular_values(singular_values(a), rtol))
+    return float(kappa_from_singular_values(singular_values(a)))
 
 
 def eigen_moduli(a) -> np.ndarray:
@@ -177,13 +178,14 @@ def spectral_norm_batch(mats) -> np.ndarray:
     return _spectral_norm_2x2(mats.reshape(-1, 2, 2)).reshape(mats.shape[:-2])
 
 
-def kappa_batch(mats, rtol: float = SINGULAR_RTOL) -> np.ndarray:
-    """Vectorized kappa; +inf where singular per the rtol threshold."""
-    return kappa_from_singular_values(singular_values_batch(mats), rtol)
+def kappa_batch(mats) -> np.ndarray:
+    """Vectorized kappa; +inf where singular."""
+    return kappa_from_singular_values(singular_values_batch(mats))
 
 
 def kappa_from_singular_values(s, rtol: float = SINGULAR_RTOL) -> np.ndarray:
-    """kappa from descending singular values (..., k); +inf where singular."""
+    """kappa from descending singular values (..., k); +inf where singular:
+    sigma_min <= rtol * sigma_max, the package's one singularity test."""
     smax, smin = s[..., 0], s[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(smin <= rtol * smax, np.inf, smax / np.maximum(smin, 1e-300))

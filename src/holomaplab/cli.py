@@ -32,9 +32,10 @@ Exit codes: 0 success; 2 validation error (a malformed config, a param
 that does not cast or is out of range, an unreadable or malformed input
 or an unwritable output); 3 numerical failure, any unexpected exception
 from the task included (a partial report with the error is still
-written).  The CLI only casts JSON values; the library owns every range
-rule and raises PreconditionFailed when one fails.  The CLI adds only
-the rules of its own params, centers_count and bz-sequence's n_values.
+written).  The CLI only casts JSON values: an int param takes only a
+JSON integer, a point only finite [re, im] pairs.  The library owns every
+range rule and raises PreconditionFailed when one fails.  The CLI adds
+only the rules of its own params, centers_count and bz-sequence's n_values.
 """
 
 from __future__ import annotations
@@ -174,8 +175,11 @@ def _enc(obj):
 
 
 def _cast(params, key, kind):
-    """params[key] cast by kind; a value that does not cast is a ConfigError."""
+    """params[key] cast by kind; a value that does not cast is a ConfigError.
+    With kind int only a JSON integer casts: not a bool, float or string."""
     try:
+        if kind is int and type(params[key]) is not int:
+            raise TypeError(f"{params[key]!r} is not an integer")
         return kind(params[key])
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
@@ -192,6 +196,8 @@ def _point_from(param, k) -> np.ndarray:
             out[i] = complex(float(entry[0]), float(entry[1]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad coordinate {entry!r}: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise ConfigError(f"point coordinates must be finite, got {param!r}")
     return out
 
 
@@ -300,8 +306,9 @@ def _run_bz_run(m, cfg):
 def _run_bz_sequence(m, cfg):
     params = cfg.params
     n_values = params["n_values"]
-    if not (isinstance(n_values, list) and all(type(n) is int and n >= 1 for n in n_values)):
-        raise ConfigError("n_values must be a list of integers >= 1")
+    if not (isinstance(n_values, list)
+            and all(type(n) is int and 1 <= n <= sys.float_info.max for n in n_values)):
+        raise ConfigError("n_values must be a list of integers >= 1 with finite floats")
     C = _cast(params, "C", float)
     sampler = _config_from(conditioning.SamplerConfig, params, cfg.seed, "sampler")
     steps = renorm.bz_sequence(
@@ -314,7 +321,8 @@ def _run_bz_sequence(m, cfg):
 def _landau_kwargs(params) -> dict:
     return dict(
         center_candidates=_cast(params, "center_candidates", int),
-        direction_count=_cast(params, "direction_count", lambda v: v if v is None else int(v)),
+        direction_count=(None if params["direction_count"] is None
+                         else _cast(params, "direction_count", int)),
         growth_factor=_cast(params, "growth_factor", float),
         center_refine_steps=_cast(params, "center_refine_steps", int),
     )
@@ -337,9 +345,7 @@ def _run_rescaled_growth(m, cfg):
 def _run_counterexample(m, cfg):
     params = cfg.params
     if params["centers"] is not None:
-        centers = _cast(params, "centers", lambda v: [
-            (complex(c[0][0], c[0][1]), complex(c[1][0], c[1][1])) for c in v
-        ])
+        centers = _cast(params, "centers", lambda v: [_point_from(c, 2) for c in v])
     else:
         count = _cast(params, "centers_count", int)
         if count < 0:

@@ -39,6 +39,8 @@ import numpy as np
 from .errors import PreconditionFailed, WitnessFailed
 from .mapkit import DurenRudin, Harris, MapExpr, to_text
 
+DR_GRID, DR_REFINEMENTS = 1024, 40  # duren_rudin_witness: angles, golden-section steps
+
 
 @dataclass
 class HarrisWitness:
@@ -110,11 +112,10 @@ def circle_mean_square(delta: float, u: complex, v: complex) -> float:
     return abs(c0) ** 2 + 4.0 * abs(u) ** 2 * delta**2 + delta**4
 
 
-def duren_rudin_witness(
-    delta: float, u: complex, v: complex, grid: int = 1024, refinements: int = 40
-) -> DRWitness:
-    """Maximize g over a theta grid with golden-section refinement of the best
-    bracket; the maximum is guaranteed to reach delta^2."""
+def duren_rudin_witness(delta: float, u: complex, v: complex) -> DRWitness:
+    """Maximize g over a grid of DR_GRID angles with DR_REFINEMENTS
+    golden-section steps on the best bracket; the maximum is guaranteed to
+    reach delta^2."""
     delta = float(delta)
     if not delta > 0:
         raise PreconditionFailed("delta must be positive")
@@ -127,19 +128,19 @@ def duren_rudin_witness(
         e = np.exp(1j * np.asarray(theta))
         return np.abs(c0 + c1 * e + c2 * e * e)
 
-    thetas = -np.pi + 2.0 * np.pi * np.arange(grid) / grid
+    thetas = -np.pi + 2.0 * np.pi * np.arange(DR_GRID) / DR_GRID
     values = g(thetas)
     best = int(np.argmax(values))
     theta_star, best_val = float(thetas[best]), float(values[best])
 
     # golden-section ascent on the bracket around the best grid angle
-    lo = theta_star - 2.0 * np.pi / grid
-    hi = theta_star + 2.0 * np.pi / grid
+    lo = theta_star - 2.0 * np.pi / DR_GRID
+    hi = theta_star + 2.0 * np.pi / DR_GRID
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = float(g(x1)), float(g(x2))
-    for _ in range(int(refinements)):
+    for _ in range(DR_REFINEMENTS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
@@ -161,10 +162,13 @@ def duren_rudin_witness(
 def certify_no_ball(map_node: MapExpr, centers) -> CertifiedBound:
     """Run the matching witness at every center; on universal success return
     the analytic inscribed-ball upper bound (sqrt(2/n) for the Harris map,
-    delta for the Duren-Rudin map), tagged certified."""
-    centers = list(centers)
+    delta for the Duren-Rudin map), tagged certified.  Every center must be
+    a pair of finite complex numbers."""
+    centers = [(complex(c[0]), complex(c[1])) for c in centers]
     if not centers:
         raise PreconditionFailed("need at least one center to certify")
+    if not np.isfinite(centers).all():
+        raise PreconditionFailed("center coordinates must be finite")
     if isinstance(map_node, Harris):
         bound = math.sqrt(2.0 / map_node.n)
         delta_test = bound * (1.0 + 1e-6)

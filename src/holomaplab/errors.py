@@ -10,7 +10,8 @@ class DimensionMismatch(HolomapError):
 
 
 class SingularMatrix(HolomapError):
-    """Matrix is singular under the relative sigma_min threshold."""
+    """Matrix is singular under the relative sigma_min threshold; every
+    singular Jacobian raises it."""
 
 
 class ParseError(HolomapError):
@@ -27,22 +28,6 @@ class ParseError(HolomapError):
 
 class EmptySample(HolomapError):
     """Every sampled point was excluded, leaving nothing to estimate from."""
-
-
-class SingularBasePoint(HolomapError):
-    """The Jacobian at the requested base point is singular."""
-
-
-class SingularJacobian(HolomapError):
-    """The Jacobian at the requested point is singular."""
-
-
-class SingularJacobianAtBase(HolomapError):
-    """Rescaling failed: the Jacobian at the near-maximizer is singular."""
-
-
-class RadiusExceedsValidity(HolomapError):
-    """Requested comparison radius exceeds a rescaling step's validity radius."""
 
 
 class CenterNotInImage(HolomapError):

@@ -108,9 +108,10 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
     """Newton search for a preimage of b strictly inside the domain.
 
     Starts: the origin, then seeded interior multistarts.  All starts run
-    as one Newton batch; the first start, in that order, that certifies
-    gives the MembershipCertificate.  Otherwise NotFound carries the
-    smallest final residual over the starts.
+    as one shell of _certify_shell; the first start, in that order, that
+    certifies gives the MembershipCertificate.  Otherwise NotFound carries
+    the smallest finite final residual over the starts, or inf and the
+    origin when none is finite.
     """
     b = algebra.as_vector(b)
     if b.size != m.dim or dom.dim != m.dim:
@@ -120,16 +121,15 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
     starts = [np.zeros(m.dim, dtype=np.complex128)]
     starts.extend(interior_points(dom, cfg.multistart_count,
                                   subseed(cfg.rng_seed, "newton-starts")))
-    z, res = _newton_batch(m, np.tile(b, (len(starts), 1)), np.array(starts), dom, cfg)
-    best_res, best_z = np.inf, np.zeros(m.dim, dtype=np.complex128)
-    for j in range(len(starts)):
-        if res[j] <= cfg.tolerance:
-            margin = float(dom.margin(z[j]))
-            if margin >= cfg.domain_margin_min:
-                return MembershipCertificate(b, z[j], float(res[j]), margin)
-        if res[j] < best_res:
-            best_res, best_z = res[j], z[j]
-    return NotFound(float(best_res), best_z)
+    ok, z, res, margins = _certify_shell(
+        m, np.tile(b, (len(starts), 1)), np.array(starts), dom, cfg)
+    if ok.any():
+        j = int(np.argmax(ok))
+        return MembershipCertificate(b, z[j], float(res[j]), float(margins[j]))
+    finite = np.where(np.isfinite(res), res, np.inf)
+    j = int(np.argmin(finite))
+    best_z = z[j] if finite[j] < np.inf else np.zeros(m.dim, dtype=np.complex128)
+    return NotFound(float(finite[j]), best_z)
 
 
 def _newton_batch(m, targets, warm, dom, cfg):

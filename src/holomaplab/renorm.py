@@ -29,9 +29,11 @@ import numpy as np
 from . import algebra
 from ._sampling import blocks, row_norms, sampled_sup, score_blocks, shell_points, subseed
 from .conditioning import SamplerConfig
-from .errors import (PreconditionFailed, RadiusExceedsValidity, SingularJacobianAtBase,
-                     SingularMatrix)
+from .errors import PreconditionFailed
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
+
+# relative slack of the sampled derivative-bound check
+BOUND_RTOL = 1e-6
 
 
 @dataclass
@@ -84,7 +86,6 @@ def bz_step(
     c_bound: float,
     cfg: SamplerConfig,
     grid_factor: float = 0.9,
-    bound_rtol: float = 1e-6,
 ) -> RenormStep:
     """Build one rescaling step and check its derivative bounds.
 
@@ -99,10 +100,7 @@ def bz_step(
     if not (0.0 < grid_factor < np.inf):
         raise PreconditionFailed("grid_factor must be finite and > 0")
     lam, a = lambda_functional(m, cfg)
-    try:
-        b_matrix = algebra.invert(jacobian(m, a).jacobian)
-    except SingularMatrix as exc:
-        raise SingularJacobianAtBase(str(exc)) from exc
+    b_matrix = algebra.invert(jacobian(m, a).jacobian)
     psi = reparametrize(m, a, b_matrix)
     validity = lam / (2.0 * c_bound)
 
@@ -120,7 +118,7 @@ def bz_step(
     check = BoundCheck(
         max_jacobian_norm=max_norm,
         bound=bound,
-        passed=max_norm <= bound * (1.0 + bound_rtol),
+        passed=max_norm <= bound * (1.0 + BOUND_RTOL),
         worst_point=np.array(grid[imax]),
         shift_max=shift_max,
         shift_limit=shift_limit,
@@ -154,22 +152,22 @@ def convergence_diagnostic(
     itself is not computed.  The grid is built and evaluated in blocks of
     SCORE_BLOCK grid points, and each d_i is the max over blocks of the
     block's max, so neither the grid nor any step's values are held whole.
-    Raises ValueError when no grid point lies in the ball.
+    Raises PreconditionFailed on a bad argument or an empty grid.
     """
     if len(steps) < 2:
         return []
     k = steps[0].psi.dim
     if any(s.psi.dim != k for s in steps):
-        raise RadiusExceedsValidity("steps have mismatched dimensions")
+        raise PreconditionFailed("steps have mismatched dimensions")
     vmin = min(s.validity_radius for s in steps)
     if radius > vmin * (1.0 + 1e-12):
-        raise RadiusExceedsValidity(
+        raise PreconditionFailed(
             f"radius {radius} exceeds the smallest validity radius {vmin}"
         )
     if grid_per_axis < 2:
-        raise ValueError("grid_per_axis must be >= 2")
+        raise PreconditionFailed("grid_per_axis must be >= 2")
     if grid_per_axis ** (2 * k) > 2_000_000:
-        raise ValueError("comparison grid too large; reduce grid_per_axis")
+        raise PreconditionFailed("comparison grid too large; reduce grid_per_axis")
     axes = np.linspace(-radius, radius, grid_per_axis)
     shape = (grid_per_axis,) * (2 * k)
 
@@ -184,6 +182,6 @@ def convergence_diagnostic(
 
     counts, maxima = zip(*(block_maxima(ix) for ix in blocks(range(grid_per_axis ** (2 * k)))))
     if not sum(counts):
-        raise ValueError("no comparison grid point lies in the ball; "
+        raise PreconditionFailed("no comparison grid point lies in the ball; "
                          "use an odd grid_per_axis")
     return [float(d) for d in np.max(maxima, axis=0)]

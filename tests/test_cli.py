@@ -93,7 +93,7 @@ class TestRun:
         assert run(str(cfg), str(out)) == 3
         report = load_report(out)
         assert report["payload"] is None
-        assert report["error"]["type"] == "SingularBasePoint"
+        assert report["error"]["type"] == "SingularMatrix"
 
     @pytest.mark.parametrize("task, params", [
         ("kappa-sup", {"radial_shells": 8, "points_per_shell": 48, "refine_steps": 10}),
@@ -218,13 +218,21 @@ class TestExitCodeContract:
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [0]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [1.5]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [True]})),
+        run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [10**400]})),
+        # non-finite points and centers, and int params given as floats
+        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers": [[[math.nan, 0], [0, 0]]]})),
+        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_scale": 1e400})),
+        run_args(dict(EVAL_CONFIG, params={"point": [[1e400, 0], [0, 0]]})),
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", params={
+            "radial_shells": 1.5, "points_per_shell": 4.9, "refine_steps": 0})),
     ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
             "param-cast", "newton-validation", "continuation-steps", "center-candidates",
             "growth-factor", "direction-count", "r-values", "centers-count",
             "emit-unwritable", "emit-report-list", "emit-series-number",
             "bz-c-below-1", "bz-grid-factor", "newton-tolerance-inf", "center-refine-steps",
             "domain-radius-inf", "r-values-negative", "r-values-inf", "n-values-zero",
-            "n-values-float", "n-values-bool"])
+            "n-values-float", "n-values-bool", "n-values-huge", "center-nan",
+            "centers-scale-inf", "point-inf", "int-param-float"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -22,8 +22,7 @@ from holomaplab._sampling import sampled_sup, score_blocks, shell_points
 from holomaplab.errors import (
     EmptySample,
     PreconditionFailed,
-    SingularBasePoint,
-    SingularJacobian,
+    SingularMatrix,
 )
 
 # dense-grid oracle (1e6 boundary-biased points + coordinate polish) for
@@ -496,7 +495,7 @@ class TestRefinedSup:
             refined_sup(Identity(2), [1.0, 0.5], CFG)
 
     def test_singular_base_point(self):
-        with pytest.raises(SingularBasePoint):
+        with pytest.raises(SingularMatrix):
             refined_sup(parse("(z1^2, z2)"), [0, 0], CFG)
 
 
@@ -524,5 +523,5 @@ class TestComparabilityRatio:
                 assert comparability_ratio(m, z) <= kappa_at(m, z) + 1e-10
 
     def test_singular_raises(self):
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(SingularMatrix):
             comparability_ratio(parse("(z1^2, z2)"), [0, 0.5])

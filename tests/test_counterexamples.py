@@ -147,3 +147,9 @@ class TestCertifyNoBall:
     def test_empty_centers(self):
         with pytest.raises(PreconditionFailed):
             certify_no_ball(Harris(3), [])
+
+    @pytest.mark.parametrize("m", [Harris(3), DurenRudin(1.0)])
+    @pytest.mark.parametrize("center", [(np.nan, 0), (0, complex(0, np.inf))])
+    def test_non_finite_center(self, m, center):
+        with pytest.raises(PreconditionFailed):
+            certify_no_ball(m, [(0, 0), center])

@@ -32,6 +32,12 @@ SCORE_BLOCK = 4096
 # interior_points draws at radii <= INTERIOR_PULLBACK * radius
 INTERIOR_PULLBACK = 0.7
 
+STEP_FLOOR = 1e-14  # a hill climb halves its step until below STEP_FLOOR * max(1, step0)
+
+# the largest count that may size an array (shells, points per shell, sphere
+# directions, center candidates): far above a dense sample set's 30,721 points
+MAX_COUNT = 10**6
+
 
 def subseed(seed: int, label: str) -> int:
     """Stable 64-bit sub-seed derived from (seed, label)."""
@@ -173,7 +179,7 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
 
     A sweep at step h tries (j, +h), (j, -h), (j, +ih), (j, -ih) for each
     coordinate j in turn and moves on every improvement; h halves after a
-    sweep without one, until it falls below 1e-14 * max(1, step0).  Each
+    sweep without one, until it falls below STEP_FLOOR * max(1, step0).  Each
     sweep that starts from a point scores ahead: its candidates and those
     of the sweeps at h/2, h/4, ... that would follow if none moved form a
     ladder, cut where the steps run out, where h would fall below the
@@ -193,7 +199,7 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
     x = np.array(x0, dtype=np.complex128)
     evals = excluded = 0
     h = float(step0)
-    floor = 1e-14 * max(1.0, float(step0))
+    floor = STEP_FLOOR * max(1.0, float(step0))
     # sweep position p moves coordinate p // 4 by the (p % 4)-th step; flat
     # indexes that entry in a sweep's (4k, k) candidates
     n = 4 * x.size

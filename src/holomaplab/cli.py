@@ -21,12 +21,15 @@ A config is a JSON object:
 
 Tasks: eval | jacobian | kappa-sup | refined-sup | bz-run | bz-sequence |
 landau | rescaled-growth | counterexample.  Each task is one record in
-_REGISTRY: its param defaults, required params, runner and, for the series
-tasks, the csv rows that `emit --format rows` renders.  Complex numbers in
-configs and reports are [re, im] pairs.  All randomness flows from the
-single config seed through named sub-seeds (sampler, newton, centers), and
-a run is single-threaded, so re-running a config reproduces the payload
-byte for byte.
+_REGISTRY: its runner, the library config class it builds, the library
+function it calls, its own params, its required params and, for the series
+tasks, the csv rows that `emit --format rows` renders.  A task's params are
+the config's fields, the function's keyword params and its own, and every
+library default is the library's.  Complex numbers in configs and reports
+are [re, im] pairs.  All randomness flows from the single config seed
+through named sub-seeds (sampler, newton, centers), and a run is
+single-threaded, so re-running a config reproduces the payload byte for
+byte.
 
 Exit codes: 0 success; 2 validation error (a malformed config, a param
 that does not cast or is out of range, an unreadable or malformed input
@@ -41,7 +44,8 @@ only the rules of its own params, centers_count and bz-sequence's n_values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
+import inspect
 import json
 import math
 import sys
@@ -53,24 +57,14 @@ import numpy as np
 
 from . import __version__, algebra, conditioning, counterexamples, landau, renorm
 from ._grammar import BUILTIN_SIGNATURES
-from ._sampling import subseed
+from ._sampling import MAX_COUNT, subseed
 from .errors import ConfigError, ParseError, PreconditionFailed, UnsupportedPayload
 from .mapkit import DomainSpec, evaluate, jacobian, parse, to_text
 
 SCHEMA_VERSION = 1
-
-
-def _param_fields(kind) -> list:
-    """The fields of a library config class that are CLI params: all but
-    rng_seed, which comes from the config seed."""
-    return [f for f in dataclasses.fields(kind) if f.name != "rng_seed"]
-
-
-_SAMPLER_DEFAULTS = {f.name: f.default for f in _param_fields(conditioning.SamplerConfig)}
-# the one CLI default that is not the library's: Newton tolerance 1e-8, not 1e-9
-_NEWTON_DEFAULTS = {f.name: f.default for f in _param_fields(landau.NewtonConfig)} | {
-    "tolerance": 1e-8
-}
+_CENTERS_SCALE = 2.0  # counterexample: std of the seeded random centers
+# the named sub-seed of each library config class a task builds
+_SUBSEEDS = {conditioning.SamplerConfig: "sampler", landau.NewtonConfig: "newton"}
 
 
 @dataclass
@@ -201,11 +195,21 @@ def _point_from(param, k) -> np.ndarray:
     return out
 
 
-def _config_from(kind, params, seed, label):
-    """A kind (SamplerConfig or NewtonConfig) from the task params, each cast
-    by the type of its field default, seeded by the named sub-seed."""
-    values = {f.name: _cast(params, f.name, type(f.default)) for f in _param_fields(kind)}
-    return kind(rng_seed=subseed(seed, label), **values)
+@functools.cache
+def _library_defaults(source) -> dict:
+    """The params of a library config class or function that have defaults,
+    with them, in a shared dict that callers only read; a config's rng_seed
+    comes from the config seed instead."""
+    params = inspect.signature(source).parameters if source else {}
+    return {name: p.default for name, p in params.items()
+            if p.default is not p.empty and name != "rng_seed"}
+
+
+def _cast_like(params, defaults) -> dict:
+    """Each param named in defaults, cast by its default's type (None: an optional int)."""
+    return {key: None if default is None and params[key] is None
+            else _cast(params, key, int if default is None else type(default))
+            for key, default in defaults.items()}
 
 
 def _cert_payload(cert: landau.MembershipCertificate) -> dict:
@@ -277,9 +281,8 @@ def _run_jacobian(m, cfg):
     return {"point": _enc(z), "value": _enc(jet.value), "jacobian": _enc(jet.jacobian)}
 
 
-def _run_kappa_sup(m, cfg):
-    sampler = _config_from(conditioning.SamplerConfig, cfg.params, cfg.seed, "sampler")
-    report = conditioning.sup_kappa(m, cfg.domain, sampler)
+def _run_kappa_sup(m, cfg, sampler, **kwargs):
+    report = conditioning.sup_kappa(m, cfg.domain, sampler, **kwargs)
     return {
         "sup_estimate": _enc(report.sup_estimate),
         "argmax_point": _enc(report.argmax_point),
@@ -289,56 +292,35 @@ def _run_kappa_sup(m, cfg):
     }
 
 
-def _run_refined_sup(m, cfg):
+def _run_refined_sup(m, cfg, sampler):
     a = _point_from(cfg.params["base_point"], m.dim)
-    sampler = _config_from(conditioning.SamplerConfig, cfg.params, cfg.seed, "sampler")
     value = conditioning.refined_sup(m, a, sampler)
     return {"base_point": _enc(a), "sup": _enc(value), "norm": algebra.NORM_NAME}
 
 
-def _run_bz_run(m, cfg):
+def _run_bz_run(m, cfg, sampler, **kwargs):
     C = _cast(cfg.params, "C", float)
-    sampler = _config_from(conditioning.SamplerConfig, cfg.params, cfg.seed, "sampler")
-    grid_factor = _cast(cfg.params, "grid_factor", float)
-    return _step_payload(renorm.bz_step(m, C, sampler, grid_factor=grid_factor))
+    return _step_payload(renorm.bz_step(m, C, sampler, **kwargs))
 
 
-def _run_bz_sequence(m, cfg):
-    params = cfg.params
-    n_values = params["n_values"]
+def _run_bz_sequence(m, cfg, sampler, **kwargs):
+    n_values = cfg.params["n_values"]
     if not (isinstance(n_values, list)
             and all(type(n) is int and 1 <= n <= sys.float_info.max for n in n_values)):
         raise ConfigError("n_values must be a list of integers >= 1 with finite floats")
-    C = _cast(params, "C", float)
-    sampler = _config_from(conditioning.SamplerConfig, params, cfg.seed, "sampler")
+    C = _cast(cfg.params, "C", float)
     steps = renorm.bz_sequence(
-        lambda n: parse(_family_member(cfg.map_text, n)), n_values, C, sampler,
-        grid_factor=_cast(params, "grid_factor", float),
-    )
+        lambda n: parse(_family_member(cfg.map_text, n)), n_values, C, sampler, **kwargs)
     return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
 
 
-def _landau_kwargs(params) -> dict:
-    return dict(
-        center_candidates=_cast(params, "center_candidates", int),
-        direction_count=(None if params["direction_count"] is None
-                         else _cast(params, "direction_count", int)),
-        growth_factor=_cast(params, "growth_factor", float),
-        center_refine_steps=_cast(params, "center_refine_steps", int),
-    )
+def _run_landau(m, cfg, newton, **kwargs):
+    return _estimate_payload(landau.landau_estimate(m, cfg.domain, newton, **kwargs))
 
 
-def _run_landau(m, cfg):
-    newton = _config_from(landau.NewtonConfig, cfg.params, cfg.seed, "newton")
-    est = landau.landau_estimate(m, cfg.domain, newton, **_landau_kwargs(cfg.params))
-    return _estimate_payload(est)
-
-
-def _run_rescaled_growth(m, cfg):
-    params = cfg.params
-    r_values = _cast(params, "R_values", lambda v: [float(r) for r in v])
-    newton = _config_from(landau.NewtonConfig, params, cfg.seed, "newton")
-    series = landau.rescaled_growth(m, r_values, newton, **_landau_kwargs(params))
+def _run_rescaled_growth(m, cfg, newton, **kwargs):
+    r_values = _cast(cfg.params, "R_values", lambda v: [float(r) for r in v])
+    series = landau.rescaled_growth(m, r_values, newton, **kwargs)
     return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
 
 
@@ -348,13 +330,12 @@ def _run_counterexample(m, cfg):
         centers = _cast(params, "centers", lambda v: [_point_from(c, 2) for c in v])
     else:
         count = _cast(params, "centers_count", int)
-        if count < 0:
-            raise ConfigError("centers_count must be >= 0")
-        scale = _cast(params, "centers_scale", float)
+        if not 0 <= count <= MAX_COUNT:
+            raise ConfigError(f"centers_count must lie in [0, {MAX_COUNT}]")
         rng = np.random.default_rng(
             np.random.SeedSequence([subseed(cfg.seed, "centers") & (2**63 - 1)])
         )
-        raw = scale * rng.standard_normal((count, 4))
+        raw = _CENTERS_SCALE * rng.standard_normal((count, 4))
         centers = [(complex(r[0], r[1]), complex(r[2], r[3])) for r in raw]
     bound = counterexamples.certify_no_ball(m, centers)
     return {
@@ -368,60 +349,70 @@ def _run_counterexample(m, cfg):
 
 @dataclass(frozen=True)
 class _Task:
-    """Everything the CLI knows about one task."""
+    """Everything the CLI knows about one task.  Its params are the fields of
+    config, the keyword params of func and its own params, each with its
+    default.  func is read only for its signature: a runner calls the library
+    through module attributes, which tracing can patch."""
 
-    defaults: dict  # every param the task accepts, with its default
-    run: Callable  # (map, ExperimentConfig) -> payload
+    run: Callable  # (map, ExperimentConfig[, config], **func keywords) -> payload
+    func: Callable  # the library function whose keyword params the task accepts
+    config: type | None = None  # the library config class the task builds, seeded
+    own: dict = field(default_factory=dict)  # the task's own params, with defaults
     required: tuple = ()  # params that must be given
     rows: tuple | None = None  # (csv header, payload -> csv lines) for `emit --format rows`
     template: bool = False  # the map text is a family over {n} / {1/n}
+
+    @property
+    def defaults(self) -> dict:  # every param the task accepts, with its default
+        return {**_library_defaults(self.config), **_library_defaults(self.func), **self.own}
 
     def probe_text(self, map_text: str) -> str:
         """The text that validates the map: a family's member at n = 1."""
         return _family_member(map_text, 1) if self.template else map_text
 
 
+_SAMPLER, _NEWTON = conditioning.SamplerConfig, landau.NewtonConfig
 _REGISTRY = {
-    "eval": _Task({"point": None}, _run_eval, ("point",)),
-    "jacobian": _Task({"point": None}, _run_jacobian, ("point",)),
-    "kappa-sup": _Task(dict(_SAMPLER_DEFAULTS), _run_kappa_sup),
-    "refined-sup": _Task(
-        dict(_SAMPLER_DEFAULTS, base_point=None), _run_refined_sup, ("base_point",)
-    ),
-    "bz-run": _Task(dict(_SAMPLER_DEFAULTS, C=None, grid_factor=0.9), _run_bz_run, ("C",)),
+    "eval": _Task(_run_eval, evaluate, own={"point": None}, required=("point",)),
+    "jacobian": _Task(_run_jacobian, jacobian, own={"point": None}, required=("point",)),
+    "kappa-sup": _Task(_run_kappa_sup, conditioning.sup_kappa, _SAMPLER),
+    "refined-sup": _Task(_run_refined_sup, conditioning.refined_sup, _SAMPLER,
+                         own={"base_point": None}, required=("base_point",)),
+    "bz-run": _Task(_run_bz_run, renorm.bz_step, _SAMPLER, own={"C": None}, required=("C",)),
     "bz-sequence": _Task(
-        dict(_SAMPLER_DEFAULTS, C=None, n_values=None, grid_factor=0.9),
-        _run_bz_sequence,
-        ("C", "n_values"),
+        _run_bz_sequence, renorm.bz_sequence, _SAMPLER,
+        own={"C": None, "n_values": None}, required=("C", "n_values"),
         rows=("n,lambda", lambda p: [f"{row['n']},{row['lambda']}" for row in p["series"]]),
         template=True,
     ),
     "landau": _Task(
-        dict(_NEWTON_DEFAULTS, center_candidates=2, direction_count=None,
-             growth_factor=1.05, center_refine_steps=1),
-        _run_landau,
+        _run_landau, landau.landau_estimate, _NEWTON,
         rows=("radius,all_certified",
               lambda p: [f"{r},{1 if ok else 0}" for r, ok in p["shells"]]),
     ),
     "rescaled-growth": _Task(
-        dict(_NEWTON_DEFAULTS, R_values=None, center_candidates=1, direction_count=None,
-             growth_factor=1.05, center_refine_steps=0),
-        _run_rescaled_growth,
-        ("R_values",),
+        _run_rescaled_growth, landau.rescaled_growth, _NEWTON,
+        own={"R_values": None}, required=("R_values",),
         rows=("R,r_times_rlo",
               lambda p: [f"{row['R']},{row['r_times_rlo']}" for row in p["series"]]),
     ),
-    "counterexample": _Task(
-        {"centers_count": 100, "centers_scale": 2.0, "centers": None}, _run_counterexample
-    ),
+    "counterexample": _Task(_run_counterexample, counterexamples.certify_no_ball,
+                            own={"centers_count": 100, "centers": None}),
 }
 TASKS = tuple(_REGISTRY)
 _INVALID = (ConfigError, ParseError, PreconditionFailed)  # exit 2, no report
 
 
 def _run_task(cfg: ExperimentConfig) -> dict:
+    """Run a validated config: the task's library config is built once from
+    its params and seeded by its named sub-seed, and its func keywords are
+    cast once, each by the type of its library default."""
     task = _REGISTRY[cfg.task]
-    return task.run(parse(task.probe_text(cfg.map_text)), cfg)
+    args = [parse(task.probe_text(cfg.map_text)), cfg]
+    if task.config is not None:
+        values = _cast_like(cfg.params, _library_defaults(task.config))
+        args.append(task.config(rng_seed=subseed(cfg.seed, _SUBSEEDS[task.config]), **values))
+    return task.run(*args, **_cast_like(cfg.params, _library_defaults(task.func)))
 
 
 def run(config_path: str, output: str | None = None) -> int:

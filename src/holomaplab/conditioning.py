@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from ._sampling import BOUNDARY_GAP, row_norms, sampled_sup, shell_points, subseed
+from ._sampling import BOUNDARY_GAP, MAX_COUNT, row_norms, sampled_sup, shell_points, subseed
 from .errors import DimensionMismatch, PreconditionFailed, SingularMatrix
 from .mapkit import DomainSpec, MapExpr, jacobian, jacobian_batch
 
@@ -29,15 +29,12 @@ class SamplerConfig:
     points_per_shell: int = 96
     rng_seed: int = 0
     refine_steps: int = 20
-    exclusion_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if not (self.radial_shells >= 1 and self.points_per_shell >= 1):
-            raise PreconditionFailed("sampler needs at least one shell and one point")
+        if not (1 <= self.radial_shells <= MAX_COUNT and 1 <= self.points_per_shell <= MAX_COUNT):
+            raise PreconditionFailed(f"shell and point counts must lie in [1, {MAX_COUNT}]")
         if not self.refine_steps >= 0:
             raise PreconditionFailed("refine_steps must be >= 0")
-        if not (0 <= self.exclusion_tolerance < np.inf):
-            raise PreconditionFailed("exclusion_tolerance must be finite and >= 0")
         if not self.rng_seed >= 0:
             raise PreconditionFailed("rng_seed must be a nonnegative integer")
 
@@ -58,24 +55,27 @@ def kappa_at(m: MapExpr, z) -> float:
     return algebra.kappa(jacobian(m, z).jacobian)
 
 
-def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig) -> ConditionReport:
+def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig,
+              exclusion_tolerance: float = 1e-12) -> ConditionReport:
     """Sampled lower estimate of sup kappa over the domain.
 
     Stratified shell samples are refined with a coordinate-wise hill climb
     from the best point.  Points whose Jacobian is singular (relative
     sigma_min below max(exclusion_tolerance, machine threshold)) are
     skipped and counted when exclusion_tolerance > 0; with a zero
-    tolerance a singular sample makes the estimate +inf instead.
+    tolerance a singular sample makes the estimate +inf instead.  The
+    tolerance must lie in [0, 1): at 1 every Jacobian is singular.
     """
     if dom.dim != m.dim:
         raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
-    excl = cfg.exclusion_tolerance
-    rtol = max(algebra.SINGULAR_RTOL, excl)
+    if not (0 <= exclusion_tolerance < 1):
+        raise PreconditionFailed("exclusion_tolerance must lie in [0, 1)")
+    rtol = max(algebra.SINGULAR_RTOL, exclusion_tolerance)
 
     def score(z):
         kvals = algebra.kappa_from_singular_values(
             algebra.singular_values_batch(jacobian_batch(m, z)[1]), rtol)
-        return np.where(kvals == np.inf, -np.inf, kvals) if excl > 0 else kvals
+        return np.where(kvals == np.inf, -np.inf, kvals) if exclusion_tolerance > 0 else kvals
 
     pts = shell_points(dom, cfg.radial_shells, cfg.points_per_shell,
                        subseed(cfg.rng_seed, "kappa-shells"))

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
-from ._sampling import interior_points, sphere_directions, subseed
+from ._sampling import MAX_COUNT, STEP_FLOOR, interior_points, sphere_directions, subseed
 from .counterexamples import certify_no_ball
 from .errors import CenterNotInImage, DimensionMismatch, PreconditionFailed
 from .mapkit import (
@@ -45,23 +45,22 @@ from .mapkit import (
 
 _DIVERGENCE_FACTOR = 25.0
 _MAX_SHELLS = 200_000  # rungs on the ladder, and shells one search may test
+MAX_ITERATIONS = 40  # Newton steps per shell
+MULTISTART_COUNT = 8  # seeded interior starts of a membership search, after the origin
+DOMAIN_MARGIN_MIN = 1e-4  # least distance to the boundary of a certified preimage
+GROWTH_FACTOR = 1.05  # default ratio of the radius ladder
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Newton solver plan; deterministic given rng_seed."""
+    """Newton plan: a certificate's residual tolerance and the start seed."""
 
-    max_iterations: int = 40
-    tolerance: float = 1e-9
-    multistart_count: int = 8
-    domain_margin_min: float = 1e-4
+    tolerance: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (self.max_iterations >= 1 and self.multistart_count >= 1):
-            raise PreconditionFailed("iteration and start counts must be positive")
-        if not (0 < self.tolerance < np.inf and 0 < self.domain_margin_min < np.inf):
-            raise PreconditionFailed("tolerance and domain_margin_min must be finite and > 0")
+        if not (0 < self.tolerance < np.inf):
+            raise PreconditionFailed("tolerance must be finite and > 0")
         if not self.rng_seed >= 0:
             raise PreconditionFailed("rng_seed must be a nonnegative integer")
 
@@ -119,8 +118,7 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
             f"target k={b.size}, domain k={dom.dim}, map k={m.dim}"
         )
     starts = [np.zeros(m.dim, dtype=np.complex128)]
-    starts.extend(interior_points(dom, cfg.multistart_count,
-                                  subseed(cfg.rng_seed, "newton-starts")))
+    starts.extend(interior_points(dom, MULTISTART_COUNT, subseed(cfg.rng_seed, "newton-starts")))
     ok, z, res, margins = _certify_shell(
         m, np.tile(b, (len(starts), 1)), np.array(starts), dom, cfg)
     if ok.any():
@@ -143,12 +141,12 @@ def _newton_batch(m, targets, warm, dom, cfg):
     escape = _DIVERGENCE_FACTOR * (dom.radius + float(np.abs(targets).max()) + 1.0)
     moved = np.arange(z.shape[0])  # rows whose residual at z is not known yet
     live = np.ones(z.shape[0], dtype=bool)  # rows that may still take a step
-    for it in range(cfg.max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         f = evaluate_batch(m, z[moved]) - targets[moved]
         res[moved] = np.linalg.norm(f, axis=1)
         step_rows = live[moved] & ~(res[moved] <= cfg.tolerance)
         rem, f_rem = moved[step_rows], f[step_rows]
-        if it == cfg.max_iterations or rem.size == 0:
+        if it == MAX_ITERATIONS or rem.size == 0:
             break
         j_rem = jacobian_batch(m, z[rem])[1]
         try:
@@ -172,7 +170,7 @@ def _certify_shell(m, targets, warm, dom, cfg):
     starts; returns (ok, z, residual, margin) per target."""
     z, res = _newton_batch(m, targets, warm, dom, cfg)
     margins = np.asarray(dom.margin(z), dtype=float)
-    ok = (res <= cfg.tolerance) & (margins >= cfg.domain_margin_min)
+    ok = (res <= cfg.tolerance) & (margins >= DOMAIN_MARGIN_MIN)
     return ok, z, res, margins
 
 
@@ -182,7 +180,7 @@ def inscribed_lower_bound(
     dom: DomainSpec,
     cfg: NewtonConfig,
     direction_count: int,
-    growth_factor: float = 1.05,
+    growth_factor: float = GROWTH_FACTOR,
     _r_start: float | None = None,
 ) -> LandauEstimate:
     """Sampled inscribed radius around a fixed center a (which must itself
@@ -211,8 +209,8 @@ def inscribed_lower_bound(
     a = algebra.as_vector(a)
     if not (1.0 < growth_factor < np.inf):
         raise PreconditionFailed("growth_factor must be > 1 and finite")
-    if not direction_count >= 1:
-        raise PreconditionFailed("direction_count must be >= 1")
+    if not 1 <= direction_count <= MAX_COUNT:
+        raise PreconditionFailed(f"direction_count must lie in [1, {MAX_COUNT}]")
     center_sol = solve_membership(m, a, dom, cfg)
     if isinstance(center_sol, NotFound):
         raise CenterNotInImage(
@@ -292,10 +290,10 @@ def landau_estimate(
     m: MapExpr,
     dom: DomainSpec,
     cfg: NewtonConfig,
-    center_candidates: int = 4,
+    center_candidates: int = 2,
     direction_count: int | None = None,
-    growth_factor: float = 1.05,
-    center_refine_steps: int = 2,
+    growth_factor: float = GROWTH_FACTOR,
+    center_refine_steps: int = 1,
 ) -> LandauEstimate:
     """Sampled lower bound for the Landau number: best inscribed estimate
     over the image of the origin, seeded random image points, and a hill
@@ -304,15 +302,17 @@ def landau_estimate(
 
     center_candidates counts all starting centers, the origin's image
     included; the random candidates are prefix-stable in the count, so the
-    estimate never shrinks when more are requested.  Probe runs during the
-    climb start near the incumbent radius to fail fast; only centers whose
-    probe improves get a full (from-r0) run, and the reported estimate is
-    always a full run.
+    estimate never shrinks when more are requested.  The climb's sweeps
+    (+-h, +-ih per coordinate from h = r_lo / 4, halving after a sweep
+    without a move) stop after center_refine_steps or once h falls below
+    STEP_FLOOR * max(1, r_lo / 4).  Probe runs during the climb start near
+    the incumbent radius to fail fast; only centers whose probe improves get
+    a full (from-r0) run, and the reported estimate is always a full run.
     """
     if dom.dim != m.dim:
         raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
-    if not center_candidates >= 1:
-        raise PreconditionFailed("center_candidates must be >= 1")
+    if not 1 <= center_candidates <= MAX_COUNT:
+        raise PreconditionFailed(f"center_candidates must lie in [1, {MAX_COUNT}]")
     if not center_refine_steps >= 0:
         raise PreconditionFailed("center_refine_steps must be >= 0")
     if direction_count is None:
@@ -338,9 +338,10 @@ def landau_estimate(
         raise CenterNotInImage("no candidate center could be certified in the image")
     best = max(results, key=lambda est: est.r_lo)
 
-    step = 0.25 * best.r_lo if best.r_lo > 0 else 0.0
+    step = 0.25 * best.r_lo
+    floor = STEP_FLOOR * max(1.0, step)
     for _ in range(int(center_refine_steps)):
-        if step <= 0:
+        if step < floor:
             break
         improved = False
         for j in range(m.dim):
@@ -375,10 +376,10 @@ def rescaled_growth(
     m: MapExpr,
     r_values: Sequence[float],
     cfg: NewtonConfig,
-    center_candidates: int = 2,
+    center_candidates: int = 1,
     direction_count: int | None = None,
-    growth_factor: float = 1.05,
-    center_refine_steps: int = 1,
+    growth_factor: float = GROWTH_FACTOR,
+    center_refine_steps: int = 0,
 ) -> list[tuple[float, float]]:
     """Inscribed-ball growth of an entire map under dilation: for each R,
     estimate the Landau number of z -> (1/R) m(R z) on the unit ball and

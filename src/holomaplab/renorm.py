@@ -34,6 +34,7 @@ from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batc
 
 # relative slack of the sampled derivative-bound check
 BOUND_RTOL = 1e-6
+GRID_FACTOR = 0.9  # default share of the validity radius that the check grid covers
 
 
 @dataclass
@@ -85,7 +86,7 @@ def bz_step(
     m: MapExpr,
     c_bound: float,
     cfg: SamplerConfig,
-    grid_factor: float = 0.9,
+    grid_factor: float = GRID_FACTOR,
 ) -> RenormStep:
     """Build one rescaling step and check its derivative bounds.
 
@@ -132,7 +133,7 @@ def bz_sequence(
     n_values: Sequence[int],
     c_bound: float,
     cfg: SamplerConfig,
-    grid_factor: float = 0.9,
+    grid_factor: float = GRID_FACTOR,
 ) -> list[RenormStep]:
     """One rescaling step per family member; the lambda series of the result
     shows whether the family escapes (lambda unbounded) or stays normal."""

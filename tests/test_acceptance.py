@@ -132,7 +132,7 @@ def test_criterion_4_derivative_bound_linear_family():
 
 def test_criterion_5_landau_solvable_cases():
     start = time.time()
-    cfg = hl.NewtonConfig(tolerance=1e-8, domain_margin_min=1e-4, rng_seed=15)
+    cfg = hl.NewtonConfig(tolerance=1e-8, rng_seed=15)
     est = hl.landau_estimate(hl.Identity(2), BALL2, cfg, center_candidates=1,
                              direction_count=128, growth_factor=1.01,
                              center_refine_steps=0)
@@ -170,7 +170,7 @@ def test_criterion_6_harris_certification():
         bound = hl.certify_no_ball(hl.Harris(n), centers)
         assert bound.label == "certified"
         assert bound.value == pytest.approx(np.sqrt(2.0 / n), rel=1e-12)
-    cfg = hl.NewtonConfig(tolerance=1e-8, domain_margin_min=1e-4, rng_seed=16)
+    cfg = hl.NewtonConfig(tolerance=1e-8, rng_seed=16)
     est = hl.landau_estimate(hl.Harris(3), POLY2, cfg, center_candidates=3,
                              direction_count=128, growth_factor=1.02,
                              center_refine_steps=1)
@@ -209,7 +209,7 @@ def test_criterion_7_duren_rudin_certification():
 
 
 def test_criterion_8_dilation_growth():
-    cfg = hl.NewtonConfig(tolerance=1e-8, domain_margin_min=1e-4, rng_seed=18)
+    cfg = hl.NewtonConfig(tolerance=1e-8, rng_seed=18)
     series = hl.rescaled_growth(hl.Identity(2), [1, 2, 4, 8], cfg,
                                 center_candidates=1, direction_count=96,
                                 growth_factor=1.005)

@@ -116,8 +116,8 @@ class TestRun:
         # numpy integer counts must not break json encoding of the report
         original = conditioning.sup_kappa
 
-        def numpy_counts(*args):
-            rep = original(*args)
+        def numpy_counts(*args, **kwargs):
+            rep = original(*args, **kwargs)
             return replace(rep, samples_used=np.int64(rep.samples_used),
                            skipped_singular=np.intp(rep.skipped_singular))
 
@@ -196,7 +196,7 @@ class TestExitCodeContract:
         run_args(dict(EVAL_CONFIG, output=["r.json"])),
         run_args(dict(EVAL_CONFIG, params={"point": [["a", 0], [0, 0]]})),
         run_args(dict(EVAL_CONFIG, task="kappa-sup", params={"radial_shells": "x"})),
-        run_args(dict(EVAL_CONFIG, task="landau", params={"max_iterations": 0})),
+        run_args(dict(EVAL_CONFIG, task="landau", params={"tolerance": 0})),
         run_args(dict(EVAL_CONFIG, task="landau", params={"continuation_steps": 8})),
         run_args(dict(LANDAU_CONFIG, params={"center_candidates": 0})),
         run_args(dict(LANDAU_CONFIG, params={"growth_factor": 1})),
@@ -225,6 +225,19 @@ class TestExitCodeContract:
         run_args(dict(EVAL_CONFIG, params={"point": [[1e400, 0], [0, 0]]})),
         run_args(dict(EVAL_CONFIG, task="kappa-sup", params={
             "radial_shells": 1.5, "points_per_shell": 4.9, "refine_steps": 0})),
+        # at 1 every Jacobian is singular
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", params={"exclusion_tolerance": 1.5})),
+        # params that no code reads, or that are no longer settings
+        run_args(dict(EVAL_CONFIG, task="refined-sup", params={
+            "base_point": [[0.1, 0], [0, 0]], "exclusion_tolerance": 1e-10})),
+        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_scale": 1.0})),
+        run_args(dict(LANDAU_CONFIG, params={"max_iterations": 40})),
+        # counts that size an array beyond what can be allocated
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", params={"radial_shells": 10**400})),
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", params={"points_per_shell": 10**400})),
+        run_args(dict(LANDAU_CONFIG, params={"direction_count": 10**400})),
+        run_args(dict(LANDAU_CONFIG, params={"center_candidates": 10**400})),
+        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_count": 10**400})),
     ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
             "param-cast", "newton-validation", "continuation-steps", "center-candidates",
             "growth-factor", "direction-count", "r-values", "centers-count",
@@ -232,7 +245,10 @@ class TestExitCodeContract:
             "bz-c-below-1", "bz-grid-factor", "newton-tolerance-inf", "center-refine-steps",
             "domain-radius-inf", "r-values-negative", "r-values-inf", "n-values-zero",
             "n-values-float", "n-values-bool", "n-values-huge", "center-nan",
-            "centers-scale-inf", "point-inf", "int-param-float"])
+            "centers-scale-inf", "point-inf", "int-param-float", "exclusion-tolerance-1.5",
+            "refined-sup-exclusion", "centers-scale", "max-iterations",
+            "radial-shells-huge", "points-per-shell-huge", "direction-count-huge",
+            "center-candidates-huge", "centers-count-huge"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error:")

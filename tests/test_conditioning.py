@@ -155,9 +155,8 @@ class TestSupKappa:
 
     def test_zero_exclusion_reports_inf(self):
         m = parse("(z1^2, z2)")
-        cfg = SamplerConfig(radial_shells=8, points_per_shell=32, rng_seed=5,
-                            refine_steps=0, exclusion_tolerance=0.0)
-        rep = sup_kappa(m, BALL2, cfg)
+        cfg = SamplerConfig(radial_shells=8, points_per_shell=32, rng_seed=5, refine_steps=0)
+        rep = sup_kappa(m, BALL2, cfg, exclusion_tolerance=0.0)
         assert rep.sup_estimate == np.inf
         assert rep.skipped_singular == 0
 
@@ -187,12 +186,18 @@ class TestSupKappa:
 
     @pytest.mark.parametrize("kwargs", [
         {"radial_shells": 0}, {"points_per_shell": 0}, {"refine_steps": -1},
-        {"rng_seed": -1}, {"exclusion_tolerance": -1e-12},
-        {"exclusion_tolerance": np.nan}, {"exclusion_tolerance": np.inf},
+        {"rng_seed": -1}, {"radial_shells": 10**400}, {"points_per_shell": 10**400},
+        {"points_per_shell": _sampling.MAX_COUNT + 1},
     ])
     def test_sampler_config_ranges(self, kwargs):
         with pytest.raises(PreconditionFailed):
             SamplerConfig(**kwargs)
+
+    # at 1 every Jacobian is singular, since sigma_min <= sigma_max
+    @pytest.mark.parametrize("tol", [-1e-12, 1.0, 1.5, np.nan, np.inf])
+    def test_exclusion_tolerance_range(self, tol):
+        with pytest.raises(PreconditionFailed):
+            sup_kappa(Identity(2), BALL2, CFG, exclusion_tolerance=tol)
 
 
 def _in_unit_ball(z):

@@ -26,7 +26,7 @@ from holomaplab.errors import CenterNotInImage, PreconditionFailed
 
 BALL2 = DomainSpec.ball(2, 1.0)
 POLY2 = DomainSpec.polydisc(2, 1.0)
-CFG = NewtonConfig(tolerance=1e-8, domain_margin_min=1e-4, rng_seed=5)
+CFG = NewtonConfig(tolerance=1e-8, rng_seed=5)
 
 
 def random_unitary(rng):
@@ -59,11 +59,11 @@ class TestSolveMembership:
         m = parse("(z1^2, z2)")
         b = np.array([0.25, 0.1])
         starts = [np.zeros(2)] + list(
-            interior_points(BALL2, CFG.multistart_count, subseed(CFG.rng_seed, "newton-starts")))
+            interior_points(BALL2, landau.MULTISTART_COUNT, subseed(CFG.rng_seed, "newton-starts")))
         roots = []
         for start in starts:
             z, res = landau._newton_batch(m, b[None], np.array(start, complex)[None], BALL2, CFG)
-            if res[0] <= CFG.tolerance and BALL2.margin(z[0]) >= CFG.domain_margin_min:
+            if res[0] <= CFG.tolerance and BALL2.margin(z[0]) >= landau.DOMAIN_MARGIN_MIN:
                 roots.append(z[0])
         signs = [np.sign(r[0].real) for r in roots]
         assert set(signs) == {-1.0, 1.0}
@@ -99,7 +99,7 @@ class TestInscribedLowerBound:
         for cert in est.certificates:
             residual = np.linalg.norm(evaluate(m, cert.preimage) - cert.target)
             assert residual <= CFG.tolerance
-            assert BALL2.margin(cert.preimage) >= CFG.domain_margin_min
+            assert BALL2.margin(cert.preimage) >= landau.DOMAIN_MARGIN_MIN
             assert np.linalg.norm(cert.target - est.center) <= est.r_lo + 1e-12
 
     def test_certificates_are_center_plus_last_shell(self):
@@ -110,7 +110,7 @@ class TestInscribedLowerBound:
         for cert in est.certificates[1:]:
             assert np.linalg.norm(cert.target - est.center) == pytest.approx(est.r_lo, rel=1e-12)
             assert cert.residual <= CFG.tolerance
-            assert cert.domain_margin >= CFG.domain_margin_min
+            assert cert.domain_margin >= landau.DOMAIN_MARGIN_MIN
 
     def test_center_not_in_image(self):
         with pytest.raises(CenterNotInImage):
@@ -300,7 +300,7 @@ def newton_without_retiring(m, targets, warm, dom, cfg):
     z = np.array(warm, dtype=np.complex128)
     alive = np.ones(len(z), dtype=bool)
     escape = landau._DIVERGENCE_FACTOR * (dom.radius + float(np.abs(targets).max()) + 1.0)
-    for _ in range(cfg.max_iterations):
+    for _ in range(landau.MAX_ITERATIONS):
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
@@ -325,7 +325,8 @@ def newton_without_retiring(m, targets, warm, dom, cfg):
 class TestNewtonBatch:
     def test_residual_is_taken_at_the_returned_point(self, monkeypatch):
         m = parse("(z1^2, z2)")
-        cfg = NewtonConfig(tolerance=1e-8, max_iterations=6)
+        cfg = NewtonConfig(tolerance=1e-8)
+        monkeypatch.setattr(landau, "MAX_ITERATIONS", 6)
         targets = np.array([[0.25, 0.1], [0.25, 0.1], [0.25, 0.1], [-0.25, 0.1]], complex)
         # rows: converges; singular at z1 = 0; a tiny z1 jumps past the escape
         # radius; z1^2 = -0.25 from a real start stays real and never converges
@@ -338,7 +339,7 @@ class TestNewtonBatch:
         assert res[0] <= cfg.tolerance
         assert np.array_equal(z[1], warm[1]) and res[1] > cfg.tolerance
         assert np.abs(z[2]).max() > escape
-        assert len(calls) == cfg.max_iterations and len(calls[-1][0]) == 1
+        assert len(calls) == 6 and len(calls[-1][0]) == 1
         assert res[3] > cfg.tolerance and 0 < np.abs(z[3]).max() < escape
 
     def test_frozen_point_is_retired(self, monkeypatch):
@@ -418,6 +419,28 @@ class TestLandauEstimate:
         r4 = landau_estimate(m, BALL2, CFG, center_candidates=4, **kwargs).r_lo
         assert r4 >= r1
 
+    def test_center_climb_stops_at_the_step_floor(self, monkeypatch):
+        # after its last move the climb halves its step from about r_lo / 4 to
+        # the floor STEP_FLOOR * max(1, r_lo / 4) in about 45 sweeps of
+        # 4k = 8 probes, however many sweeps it may make; it used to sweep on
+        # until the step underflowed to 0, over 1,000 sweeps
+        m = Henon(0.5)
+        kwargs = dict(center_candidates=1, direction_count=8)
+        ref = landau_estimate(m, BALL2, CFG, center_refine_steps=100, **kwargs)
+        calls = []
+        original = landau.inscribed_lower_bound
+
+        def counted(*args, **kw):
+            calls.append(None)
+            if len(calls) > 8 * 60:
+                raise AssertionError("the center climb ran past its step floor")
+            return original(*args, **kw)
+
+        monkeypatch.setattr(landau, "inscribed_lower_bound", counted)
+        est = landau_estimate(m, BALL2, CFG, center_refine_steps=10**400, **kwargs)
+        assert est.r_lo == ref.r_lo
+        assert np.array_equal(est.center, ref.center)
+
 
 class TestRescaledGrowth:
     def test_identity_linear_growth(self):
@@ -465,9 +488,8 @@ class TestArgumentRanges:
     inf fail it."""
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_iterations": 0}, {"multistart_count": 0}, {"rng_seed": -1},
-        {"tolerance": 0.0}, {"tolerance": np.inf}, {"tolerance": np.nan},
-        {"domain_margin_min": np.inf}, {"domain_margin_min": np.nan},
+        {"rng_seed": -1}, {"tolerance": 0.0}, {"tolerance": np.inf}, {"tolerance": np.nan},
+        {"tolerance": -1e-8}, {"tolerance": -np.inf},
     ])
     def test_newton_config(self, kwargs):
         with pytest.raises(PreconditionFailed):
@@ -476,6 +498,8 @@ class TestArgumentRanges:
     @pytest.mark.parametrize("kwargs", [
         {"center_candidates": 0}, {"center_refine_steps": -1}, {"direction_count": 0},
         {"growth_factor": 1.0}, {"growth_factor": np.inf}, {"growth_factor": np.nan},
+        # counts that size an array beyond MAX_COUNT
+        {"center_candidates": 10**400}, {"direction_count": 10**400},
     ])
     def test_landau_estimate(self, kwargs):
         with pytest.raises(PreconditionFailed):

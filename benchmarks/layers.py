@@ -40,9 +40,6 @@ Entries:
                           domain test, 20 steps of 0.1 from a fixed start in
                           the unit ball, for henon_exp and linear (whose
                           constant kappa never moves the climb)
-  row_norms.n160          _sampling.row_norms of 160 rows of C^2, one
-                          20-sweep climb ladder; on a src without row_norms,
-                          the per-row np.linalg.norm loop it replaced
   spectral_norm.k2.n4096  spectral_norm_batch of one scoring block of 4096
                           random complex 2 x 2 matrices
 """
@@ -147,10 +144,6 @@ def sup_kappa_climb(m, dom, x0):
     return lambda: _sampling.coordinate_ascent(score, x0, best, 20, 0.1, inside)
 
 
-def per_row_norms(z):
-    return np.fromiter((np.linalg.norm(r) for r in z), float, len(z))
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("output")
@@ -207,9 +200,6 @@ def main(argv=None) -> int:
     start = [0.3 + 0.2j, -0.25 + 0.4j]
     for name in ("henon_exp", "linear"):
         cases[f"climb.kappa.{name}"] = sup_kappa_climb(dense_maps[name], ball, start)
-    row_norms = getattr(_sampling, "row_norms", per_row_norms)
-    ladder = 0.5 * (rng.random((160, 2)) + 1j * rng.random((160, 2)))
-    cases["row_norms.n160"] = lambda: row_norms(ladder)
     cases["spectral_norm.k2.n4096"] = (
         lambda mats=cstack(4096, 2): hl.algebra.spectral_norm_batch(mats))
 

@@ -8,9 +8,9 @@ function: the samples are scored in blocks of SCORE_BLOCK rows, so that
 the temporaries of one block stay in cache.  The hill climb scores ahead:
 a sweep from a point is scored in one batch together with the sweeps at
 halved steps that would follow it if none moved, a ladder of at most
-SCORE_BLOCK rows, and its domain test is one mask call (row_norms gives
-each row's own 1-D norm in one call).  Rows score independently of their
-batch, so neither the blocks nor the ladders change a value or a count.
+SCORE_BLOCK rows, and its domain test is one mask call.  Rows score
+independently of their batch, so neither the blocks nor the ladders change
+a value or a count.
 """
 
 from __future__ import annotations
@@ -69,11 +69,7 @@ def shell_points(dom, shells: int, per_shell: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 211, i]))
         g = rng.standard_normal((per_shell, 2 * k))
         v = g[:, :k] + 1j * g[:, k:]
-        if dom.shape == "ball":
-            scale = np.linalg.norm(v, axis=1)
-        else:
-            scale = np.abs(v).max(axis=1)
-        blocks.append(r * v / scale[:, None])
+        blocks.append(r * v / dom.norm(v)[:, None])
     return np.concatenate(blocks, axis=0)
 
 
@@ -142,21 +138,6 @@ def _kept(vals):
     return vals > -np.inf
 
 
-def row_norms(z) -> np.ndarray:
-    """Each row's own 1-D np.linalg.norm, in one call: (N, k) -> (N,).
-
-    numpy takes the 1-D norm of a complex vector as
-    sqrt(re.dot(re) + im.dot(im)) on the strided real and imaginary views;
-    a stacked matmul of those same views makes the same dot calls, so each
-    row keeps its bits.  norm(z, axis=1) sums in another order, and so do
-    dots of contiguous copies: both round differently on some rows.
-    """
-    re, im = z.real, z.imag
-    sq = (np.matmul(re[:, None, :], re[:, :, None])
-          + np.matmul(im[:, None, :], im[:, :, None]))
-    return np.sqrt(sq[:, 0, 0])
-
-
 def _first_gain(score, inside, cands, best):
     """Score the candidates that inside passes, as one batch, up to the
     first that beats best.  Returns (its row in cands or None, the best
@@ -185,8 +166,7 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
     ladder, cut where the steps run out, where h would fall below the
     floor, or where the ladder would pass SCORE_BLOCK rows.  inside maps
     the ladder's (M, k) candidates to a mask of those the climb may score;
-    it must give each row the answer it gives that row alone (a 1-D norm
-    can round differently from a batched one; see row_norms).  The
+    it must give each row the answer it gives that row alone.  The
     candidates that pass are scored as one batch, and the levels are
     walked in order to the first improvement.  After a move the rest of
     that sweep is rebuilt from the new point and scored as one batch, up

@@ -36,7 +36,8 @@ that does not cast or is out of range, an unreadable or malformed input
 or an unwritable output); 3 numerical failure, any unexpected exception
 from the task included (a partial report with the error is still
 written).  The CLI only casts JSON values: an int param takes only a
-JSON integer, a point only finite [re, im] pairs.  The library owns every
+JSON integer, a real param only a JSON number (not a bool or a string),
+a point only finite [re, im] pairs of numbers.  The library owns every
 range rule and raises PreconditionFailed when one fails.  The CLI adds
 only the rules of its own params, centers_count and bz-sequence's n_values.
 """
@@ -59,7 +60,7 @@ from . import __version__, algebra, conditioning, counterexamples, landau, renor
 from ._grammar import BUILTIN_SIGNATURES
 from ._sampling import MAX_COUNT, subseed
 from .errors import ConfigError, ParseError, PreconditionFailed, UnsupportedPayload
-from .mapkit import DomainSpec, evaluate, jacobian, parse, to_text
+from .mapkit import DomainSpec, MapExpr, evaluate, jacobian, parse, to_text
 
 SCHEMA_VERSION = 1
 _CENTERS_SCALE = 2.0  # counterexample: std of the seeded random centers
@@ -69,9 +70,11 @@ _SUBSEEDS = {conditioning.SamplerConfig: "sampler", landau.NewtonConfig: "newton
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; to_dict/from_dict round-trip."""
+    """Validated experiment description; to_dict/from_dict round-trip.
+    map_expr is the map parsed from map_text (a family's member at n = 1)."""
 
     map_text: str
+    map_expr: MapExpr = field(compare=False, repr=False)
     task: str
     domain: DomainSpec
     seed: int
@@ -141,7 +144,7 @@ class ExperimentConfig:
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a string")
-        return ExperimentConfig(map_text, task, domain, seed, params, output)
+        return ExperimentConfig(map_text, m, task, domain, seed, params, output)
 
 
 # --------------------------------------------------------------------------
@@ -168,13 +171,22 @@ def _enc(obj):
     return obj
 
 
+def _real(x) -> float:
+    """A JSON number as a float; anything else, a bool or a string
+    included, raises TypeError."""
+    if type(x) not in (int, float):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _cast(params, key, kind):
     """params[key] cast by kind; a value that does not cast is a ConfigError.
-    With kind int only a JSON integer casts: not a bool, float or string."""
+    With kind int only a JSON integer casts: not a bool, float or string.
+    With kind float only a JSON number casts (_real)."""
     try:
         if kind is int and type(params[key]) is not int:
             raise TypeError(f"{params[key]!r} is not an integer")
-        return kind(params[key])
+        return (_real if kind is float else kind)(params[key])
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -187,7 +199,7 @@ def _point_from(param, k) -> np.ndarray:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ConfigError("each coordinate must be an [re, im] pair")
         try:
-            out[i] = complex(float(entry[0]), float(entry[1]))
+            out[i] = complex(_real(entry[0]), _real(entry[1]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad coordinate {entry!r}: {exc}") from exc
     if not np.isfinite(out).all():
@@ -319,7 +331,7 @@ def _run_landau(m, cfg, newton, **kwargs):
 
 
 def _run_rescaled_growth(m, cfg, newton, **kwargs):
-    r_values = _cast(cfg.params, "R_values", lambda v: [float(r) for r in v])
+    r_values = _cast(cfg.params, "R_values", lambda v: [_real(r) for r in v])
     series = landau.rescaled_growth(m, r_values, newton, **kwargs)
     return {"series": [{"R": _enc(r), "r_times_rlo": _enc(v)} for r, v in series]}
 
@@ -404,11 +416,11 @@ _INVALID = (ConfigError, ParseError, PreconditionFailed)  # exit 2, no report
 
 
 def _run_task(cfg: ExperimentConfig) -> dict:
-    """Run a validated config: the task's library config is built once from
-    its params and seeded by its named sub-seed, and its func keywords are
-    cast once, each by the type of its library default."""
+    """Run a validated config on its parsed map: the task's library config
+    is built once from its params and seeded by its named sub-seed, and its
+    func keywords are cast once, each by the type of its library default."""
     task = _REGISTRY[cfg.task]
-    args = [parse(task.probe_text(cfg.map_text)), cfg]
+    args = [cfg.map_expr, cfg]
     if task.config is not None:
         values = _cast_like(cfg.params, _library_defaults(task.config))
         args.append(task.config(rng_seed=subseed(cfg.seed, _SUBSEEDS[task.config]), **values))

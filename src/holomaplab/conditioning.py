@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from ._sampling import BOUNDARY_GAP, MAX_COUNT, row_norms, sampled_sup, shell_points, subseed
+from ._sampling import BOUNDARY_GAP, MAX_COUNT, sampled_sup, shell_points, subseed
 from .errors import DimensionMismatch, PreconditionFailed, SingularMatrix
 from .mapkit import DomainSpec, MapExpr, jacobian, jacobian_batch
 
@@ -82,8 +82,6 @@ def sup_kappa(m: MapExpr, dom: DomainSpec, cfg: SamplerConfig,
     limit = dom.radius * (1.0 - 0.5 * BOUNDARY_GAP)
     best_pt, best, evals, skipped = sampled_sup(
         score, pts, cfg.refine_steps, 0.1 * dom.radius,
-        # dom.norm reduces over the last axis for one row and for a batch
-        # alike, so each row of the mask is that row's own answer
         inside=lambda z: dom.norm(z) <= limit,
     )
     return ConditionReport(best, best_pt, evals, skipped)
@@ -111,8 +109,7 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
         lambda off: algebra.spectral_norm_batch(
             algebra.times_batch(jacobian_batch(m, a + off)[1], j0_inv)),
         offsets, cfg.refine_steps, 0.1 * rad,
-        # closed ball; each row's own 1-D norm, which rounds unlike axis=1
-        inside=lambda offs: row_norms(offs) <= rad,
+        inside=lambda offs: ball.norm(offs) <= rad,  # the closed ball
     )
     return best
 

@@ -467,6 +467,10 @@ class DomainSpec:
         return DomainSpec("polydisc", float(radius), int(dim))
 
     def norm(self, z):
+        """The domain's norm of each point, reduced over the last axis: (..., k)
+        -> (...).  A row's value does not depend on the batch it comes in,
+        so a mask built on it gives each row the answer it gives that row
+        alone; the 1-D np.linalg.norm of a vector can round differently."""
         z = np.asarray(z, dtype=np.complex128)
         if self.shape == "ball":
             return np.linalg.norm(z, axis=-1)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra
-from ._sampling import blocks, row_norms, sampled_sup, score_blocks, shell_points, subseed
+from ._sampling import blocks, sampled_sup, score_blocks, shell_points, subseed
 from .conditioning import SamplerConfig
 from .errors import PreconditionFailed
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
@@ -71,14 +71,10 @@ def lambda_functional(m: MapExpr, cfg: SamplerConfig):
                        subseed(cfg.rng_seed, "lambda-shells"))
 
     def score(z):
-        norms = algebra.spectral_norm_batch(jacobian_batch(m, z)[1])
-        return (1.0 - np.linalg.norm(z, axis=1)) * norms
+        return dom.margin(z) * algebra.spectral_norm_batch(jacobian_batch(m, z)[1])
 
     best_pt, best, _, _ = sampled_sup(
-        score, pts, cfg.refine_steps, 0.1,
-        # each row's own 1-D norm, which rounds unlike axis=1
-        inside=lambda zs: row_norms(zs) < 1.0,
-    )
+        score, pts, cfg.refine_steps, 0.1, inside=lambda zs: dom.norm(zs) < 1.0)
     return best, best_pt
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; tolerances are pinned here and nowhere else.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -265,9 +266,26 @@ def test_criterion_9_differentiation_oracle():
     )
 
 
+# SHA-256 of json.dumps(payload, sort_keys=True) of each bundled config: a
+# change that moves any payload byte fails criterion 10 until this table is
+# rewritten on purpose
+GOLDEN_PAYLOADS = {
+    "bz_run_henon": "4546e935f0c8c18446d4789fdbb3a4501dc9a42e29a574872a8e3a7233469b90",
+    "bz_sequence_linear": "b67d97e23368eb9510682107ba133d650db8963557615efc979ba9e47e9279a1",
+    "counterexample_harris": "3d2d7edbe98f80c7902774208607251748fc8b7d546d76d52fd8b924a7df1367",
+    "eval_henon": "3b1233ae72195cf57d2f5d322f708689f0fca6c41078d70189f100ebb2b79ef5",
+    "jacobian_henon_exp": "dfbf1ca50c5abcc3e8384f787e69e5bc6ce9c6b4fc74d346b6a8e6b43296dd0b",
+    "kappa_sup_henon_exp": "b3ad567d944177e704173559b9b9193a7a55b8e0f397d476619782075a228ac9",
+    "landau_linear": "9c3ca5b5694272fe1b0e16dac7fab1a13b2036c7e70d775bb37c91d4e6d0f5ac",
+    "refined_sup_henon": "35572ddee61fe52b582c00993efb820fba19c1f004b653a1b0273fd2a48875de",
+    "rescaled_growth_identity": "06a4e5c78b7b931bb0616f971b90d10b5864f9e5f1e90383228a1e0652d0dabf",
+}
+
+
 def test_criterion_10_determinism_of_bundled_configs(tmp_path):
     configs = sorted(CONFIG_DIR.glob("*.json"))
     assert configs, "no bundled configs found"
+    assert sorted(c.stem for c in configs) == sorted(GOLDEN_PAYLOADS)
     mismatches = []
     for config in configs:
         payloads = []
@@ -282,10 +300,11 @@ def test_criterion_10_determinism_of_bundled_configs(tmp_path):
             payloads.append(
                 json.dumps(json.loads(out.read_text())["payload"], sort_keys=True)
             )
-        if not payloads[0] == payloads[1] == payloads[2]:
+        golden = GOLDEN_PAYLOADS[config.stem]
+        if not all(hashlib.sha256(p.encode()).hexdigest() == golden for p in payloads):
             mismatches.append(config.stem)
     check(
-        "criterion 10 (bundled configs reproduce byte-identical payloads)",
+        "criterion 10 (bundled configs reproduce their golden payloads byte for byte)",
         not mismatches,
         f"{len(configs)} configs, mismatches: {mismatches or 'none'}",
     )

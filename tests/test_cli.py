@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holomaplab import conditioning
+from holomaplab import cli, conditioning
 from holomaplab.cli import ExperimentConfig, _run_task, emit_series, main, run
 from holomaplab.errors import UnsupportedPayload
 
@@ -209,7 +209,7 @@ class TestExitCodeContract:
         # range rules the library owns and checks at entry
         run_args(dict(BZ_RUN_CONFIG, params={"C": 0.5})),
         run_args(dict(BZ_RUN_CONFIG, params={"C": 2.0, "grid_factor": 0})),
-        run_args(dict(LANDAU_CONFIG, params={"tolerance": "inf"})),
+        run_args(dict(LANDAU_CONFIG, params={"tolerance": math.inf})),
         run_args(dict(LANDAU_CONFIG, params={"center_refine_steps": -1})),
         run_args(dict(EVAL_CONFIG, task="kappa-sup", domain={"radius": 1e400}, params={})),
         run_args(dict(GROWTH_CONFIG, params={"R_values": [1, -1]})),
@@ -238,6 +238,14 @@ class TestExitCodeContract:
         run_args(dict(LANDAU_CONFIG, params={"direction_count": 10**400})),
         run_args(dict(LANDAU_CONFIG, params={"center_candidates": 10**400})),
         run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_count": 10**400})),
+        # a real param or coordinate takes only a JSON number
+        run_args(dict(BZ_RUN_CONFIG, params={"C": "12"})),
+        run_args(dict(BZ_RUN_CONFIG, params={"C": True})),
+        run_args(dict(LANDAU_CONFIG, params={"growth_factor": "1.5"})),
+        run_args(dict(LANDAU_CONFIG, params={"tolerance": "1e-8"})),
+        run_args(dict(GROWTH_CONFIG, params={"R_values": [1, "2"]})),
+        run_args(dict(EVAL_CONFIG, params={"point": [["0.2", False], [0.1, 0]]})),
+        run_args(dict(EVAL_CONFIG, domain={"radius": "1"})),
     ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
             "param-cast", "newton-validation", "continuation-steps", "center-candidates",
             "growth-factor", "direction-count", "r-values", "centers-count",
@@ -248,7 +256,9 @@ class TestExitCodeContract:
             "centers-scale-inf", "point-inf", "int-param-float", "exclusion-tolerance-1.5",
             "refined-sup-exclusion", "centers-scale", "max-iterations",
             "radial-shells-huge", "points-per-shell-huge", "direction-count-huge",
-            "center-candidates-huge", "centers-count-huge"])
+            "center-candidates-huge", "centers-count-huge", "c-string", "c-bool",
+            "growth-factor-string", "tolerance-string", "r-values-string",
+            "point-string-bool", "domain-radius-string"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -375,7 +385,25 @@ class TestSmallCommands:
         )
 
 
+def _single_map_configs():
+    return [p for p in sorted(CONFIG_DIR.glob("*.json"))
+            if not cli._REGISTRY[json.loads(p.read_text())["task"]].template]
+
+
 class TestBundledConfigsValidate:
+    @pytest.mark.parametrize("path", _single_map_configs(), ids=lambda p: p.stem)
+    def test_run_parses_the_map_once(self, path, tmp_path, monkeypatch):
+        texts = []
+        original = cli.parse
+
+        def counting(text, *args, **kwargs):
+            texts.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse", counting)
+        assert run(str(path), str(tmp_path / "r.json")) == 0
+        assert texts == [json.loads(path.read_text())["map"]]
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_config_parses(self, path):
         ExperimentConfig.from_dict(json.loads(path.read_text()))

@@ -338,34 +338,37 @@ def _row_norm_cases():
     return cases
 
 
-def _per_row_norms(z):
+def _one_dim_norms(z):
     return np.array([np.linalg.norm(r) for r in z], dtype=np.float64)
 
 
 class TestRowNorms:
+    """DomainSpec.norm is the one domain norm of the sampled functionals: a
+    batch gives each row the bits that row gives alone."""
+
     CASES = _row_norm_cases()
+    DOMAINS = (DomainSpec.ball, DomainSpec.polydisc)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_each_row_is_its_own_norm(self, k):
         z = self.CASES[k - 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _sampling.row_norms(z).tobytes() == _per_row_norms(z).tobytes()
+            for make in self.DOMAINS:
+                dom = make(k)
+                alone = np.array([dom.norm(r) for r in z], dtype=np.float64)
+                assert dom.norm(z).tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_no_rows(self, k):
-        assert _sampling.row_norms(np.zeros((0, k), complex)).shape == (0,)
+        for make in self.DOMAINS:
+            assert make(k).norm(np.zeros((0, k), complex)).shape == (0,)
 
     def test_the_cases_tell_apart_other_sums(self):
-        # norm(axis=1) and dots of contiguous copies round differently on
-        # these rows, so a row_norms built either way fails the test above
+        # the 1-D np.linalg.norm that interior_points keeps rounds unlike the
+        # ball's norm on these rows, so the two rules are not interchangeable
         with np.errstate(over="ignore", invalid="ignore"):
-            for z in self.CASES:
-                assert np.linalg.norm(z, axis=1).tobytes() != _per_row_norms(z).tobytes()
-            z = self.CASES[3]
-            re, im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-            sq = (np.matmul(re[:, None, :], re[:, :, None])
-                  + np.matmul(im[:, None, :], im[:, :, None]))
-            assert np.sqrt(sq[:, 0, 0]).tobytes() != _per_row_norms(z).tobytes()
+            for k, z in enumerate(self.CASES, start=1):
+                assert DomainSpec.ball(k).norm(z).tobytes() != _one_dim_norms(z).tobytes()
 
     def climbs(self, monkeypatch, run):
         """run() with coordinate_ascent recorded: each climb's result and
@@ -390,17 +393,17 @@ class TestRowNorms:
             assert np.array_equal(pt, ref[0]) and val == ref[1]
             assert (evals, excluded) == (ref[2] - 1, ref[3])
 
-    def test_refined_sup_climb_follows_the_1d_norm_test(self, monkeypatch):
+    def test_refined_sup_climb_follows_the_domain_norm_test(self, monkeypatch):
         m = parse("compose(henon(b=0.5), expcoord(c=0.4, k=2))")
         a = np.array([0.1, -0.05j])
         rad = 0.5 * (1.0 - float(np.linalg.norm(a)))
         recorded = self.climbs(monkeypatch, lambda: refined_sup(m, a, CFG))
-        self.same_as_sequential(recorded, lambda z: np.linalg.norm(z) <= rad)
+        self.same_as_sequential(recorded, lambda z: DomainSpec.ball(2, rad).norm(z) <= rad)
 
-    def test_lambda_functional_climb_follows_the_1d_norm_test(self, monkeypatch):
+    def test_lambda_functional_climb_follows_the_domain_norm_test(self, monkeypatch):
         m = parse("compose(henon(b=0.5), expcoord(c=0.3, k=2))")
         recorded = self.climbs(monkeypatch, lambda: lambda_functional(m, CFG))
-        self.same_as_sequential(recorded, lambda z: np.linalg.norm(z) < 1.0)
+        self.same_as_sequential(recorded, lambda z: BALL2.norm(z) < 1.0)
 
 
 class TestScoreBlocks:

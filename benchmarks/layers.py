@@ -1,7 +1,8 @@
 """Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
-search, one failing membership search, the two evaluators at three batch
-sizes, batched singular values, refined_sup's batched product and the
-scoring of one dense sample set.
+search, one Landau estimate with a climb sweep, one growth series, one
+failing membership search, the two evaluators at three batch sizes,
+batched singular values, refined_sup's batched product and the scoring of
+one dense sample set.
 
     python3 benchmarks/layers.py OUTPUT.json
 
@@ -19,6 +20,13 @@ Entries:
                           directions
   ilb.linear.n128         one whole inscribed_lower_bound around m(0) on the
                           same Linear map, 128 directions, growth factor 1.02
+  estimate.harris3.refine1
+                          landau_estimate of Harris(3) on the unit polydisc
+                          from the origin's image, 96 directions, growth
+                          factor 1.02, one climb sweep: one full run and 8
+                          probes
+  growth.expcoord.r2      rescaled_growth of expcoord(c=0.1, k=2) at R in
+                          {1, 2}, 96 directions, growth factor 1.02
   membership.fail         solve_membership of a target outside the image:
                           the origin and the multistarts, one Newton batch
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
@@ -159,6 +167,13 @@ def main(argv=None) -> int:
     cases["shell.linear.n128"] = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
     cases["shell.dilate_exp.n96"] = shell_case(dilate_exp, ball, cfg, 96, 0.06)
     cases["ilb.linear.n128"] = ilb_case(linear, ball, cfg, 128)
+    harris, polydisc = hl.Harris(3), hl.DomainSpec.polydisc(2, 1.0)
+    cases["estimate.harris3.refine1"] = lambda: hl.landau_estimate(
+        harris, polydisc, cfg, center_candidates=1, direction_count=96, growth_factor=1.02,
+        center_refine_steps=1)
+    expcoord = hl.parse("expcoord(c=0.1, k=2)")
+    cases["growth.expcoord.r2"] = lambda: hl.rescaled_growth(
+        expcoord, [1.0, 2.0], cfg, direction_count=96, growth_factor=1.02)
     outside = 1.5 * hl.evaluate(linear, [1.0, 0.0])  # the preimage has norm 1.5
 
     def membership_fail():

@@ -322,7 +322,8 @@ def _run_bz_sequence(m, cfg, sampler, **kwargs):
         raise ConfigError("n_values must be a list of integers >= 1 with finite floats")
     C = _cast(cfg.params, "C", float)
     steps = renorm.bz_sequence(
-        lambda n: parse(_family_member(cfg.map_text, n)), n_values, C, sampler, **kwargs)
+        lambda n: m if n == 1 else parse(_family_member(cfg.map_text, n)),
+        n_values, C, sampler, **kwargs)
     return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
 
 

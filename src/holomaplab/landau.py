@@ -19,12 +19,19 @@ from rung lo + 1 is heuristic - except for the Harris and Duren-Rudin
 maps on the unit polydisc, where the counterexample witnesses supply a
 certified bound.  When the ladder's last rung certifies, r_hi is inf,
 labeled "ladder_end".
+
+What every ladder shares depends only on the domain, the NewtonConfig, the
+direction count and the growth factor: the Newton starts of a membership
+search, the sphere directions of a shell and the r0 ladder of rungs.  So
+one estimate draws them once for its center candidates, full runs and
+climb probes (a probe keeps its own ladder, from its start radius), and
+one growth series once for all its dilations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,24 +110,68 @@ class LandauEstimate:
     shell_history: list
 
 
-def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
+class _Draws(NamedTuple):
+    """What the ladders of one Landau call share."""
+
+    starts: np.ndarray  # a membership search's Newton starts: the origin, then the multistarts
+    dirs: np.ndarray  # a shell's sphere directions
+    rungs: list  # the ladder r0 * g**k from r0 = tolerance * 1e3, extended by _radius
+    growth_factor: float
+
+
+def _newton_starts(dom, cfg):
+    origin = np.zeros((1, dom.dim), dtype=np.complex128)
+    multistarts = interior_points(dom, MULTISTART_COUNT, subseed(cfg.rng_seed, "newton-starts"))
+    return np.concatenate([origin, multistarts])
+
+
+def _draw(m, dom, cfg, direction_count, growth_factor) -> _Draws:
+    """Check the ladder arguments, then draw what the ladders of one call
+    share (direction_count None means 64 * k)."""
+    if dom.dim != m.dim:
+        raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
+    if direction_count is None:
+        direction_count = 64 * m.dim
+    if not (1.0 < growth_factor < np.inf):
+        raise PreconditionFailed("growth_factor must be > 1 and finite")
+    if not 1 <= direction_count <= MAX_COUNT:
+        raise PreconditionFailed(f"direction_count must lie in [1, {MAX_COUNT}]")
+    dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
+    return _Draws(_newton_starts(dom, cfg), dirs, [cfg.tolerance * 1e3], growth_factor)
+
+
+def _radius(rungs: list, k: int, growth_factor: float) -> float:
+    """Rung k of the ladder rungs[0] * growth_factor**k, formed by repeated
+    multiplication.  A missing rung extends the list to at least twice its
+    length (at most _MAX_SHELLS); np.multiply.accumulate multiplies in the
+    order of a loop, so the rungs are bit for bit the loop's."""
+    if k >= len(rungs):
+        factors = np.full(min(max(k + 1, 2 * len(rungs)), _MAX_SHELLS) - len(rungs) + 1,
+                          growth_factor)
+        factors[0] = rungs[-1]
+        with np.errstate(over="ignore"):
+            rungs.extend(np.multiply.accumulate(factors)[1:].tolist())
+    return rungs[k]
+
+
+def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig,
+                     _starts: np.ndarray | None = None):
     """Newton search for a preimage of b strictly inside the domain.
 
-    Starts: the origin, then seeded interior multistarts.  All starts run
-    as one shell of _certify_shell; the first start, in that order, that
-    certifies gives the MembershipCertificate.  Otherwise NotFound carries
-    the smallest finite final residual over the starts, or inf and the
-    origin when none is finite.
+    Starts: the origin, then seeded interior multistarts (_starts, when the
+    caller has drawn them).  All starts run as one shell of _certify_shell;
+    the first start, in that order, that certifies gives the
+    MembershipCertificate.  Otherwise NotFound carries the smallest finite
+    final residual over the starts, or inf and the origin when none is
+    finite.
     """
     b = algebra.as_vector(b)
     if b.size != m.dim or dom.dim != m.dim:
         raise DimensionMismatch(
             f"target k={b.size}, domain k={dom.dim}, map k={m.dim}"
         )
-    starts = [np.zeros(m.dim, dtype=np.complex128)]
-    starts.extend(interior_points(dom, MULTISTART_COUNT, subseed(cfg.rng_seed, "newton-starts")))
-    ok, z, res, margins = _certify_shell(
-        m, np.tile(b, (len(starts), 1)), np.array(starts), dom, cfg)
+    starts = _newton_starts(dom, cfg) if _starts is None else _starts
+    ok, z, res, margins = _certify_shell(m, np.tile(b, (len(starts), 1)), starts, dom, cfg)
     if ok.any():
         j = int(np.argmax(ok))
         return MembershipCertificate(b, z[j], float(res[j]), float(margins[j]))
@@ -135,7 +186,10 @@ def _newton_batch(m, targets, warm, dom, cfg):
     with each row's residual |m(z) - target| taken at the z returned.  Each
     iteration evaluates the rows that moved and takes Jacobians only of rows
     above tolerance; a row also retires on a singular Jacobian or when its
-    max-abs coordinate escapes.  Rows do not depend on batch partitioning."""
+    max-abs coordinate escapes.  A row's steps do not depend on the other
+    rows, but its escape bound does: 25 * (R + max|target| + 1) takes the
+    max over the whole batch, so whether and when a row retires by escape
+    depends on the other targets in its batch."""
     z = np.array(warm, dtype=np.complex128)
     res = np.empty(z.shape[0])
     escape = _DIVERGENCE_FACTOR * (dom.radius + float(np.abs(targets).max()) + 1.0)
@@ -182,6 +236,7 @@ def inscribed_lower_bound(
     direction_count: int,
     growth_factor: float = GROWTH_FACTOR,
     _r_start: float | None = None,
+    _draws: _Draws | None = None,
 ) -> LandauEstimate:
     """Sampled inscribed radius around a fixed center a (which must itself
     be certified in the image, else CenterNotInImage), found by galloping
@@ -204,26 +259,20 @@ def inscribed_lower_bound(
     the radius from above.  shell_history lists (radius, certified)
     in the order the shells were tested.  The returned certificates are
     the center's followed by those of rung lo; none when no rung
-    certified.
+    certified.  _draws, when given, holds the starts, directions and r0
+    ladder that the caller drew for all its ladders.
     """
     a = algebra.as_vector(a)
-    if not (1.0 < growth_factor < np.inf):
-        raise PreconditionFailed("growth_factor must be > 1 and finite")
-    if not 1 <= direction_count <= MAX_COUNT:
-        raise PreconditionFailed(f"direction_count must lie in [1, {MAX_COUNT}]")
-    center_sol = solve_membership(m, a, dom, cfg)
+    draws = _draw(m, dom, cfg, direction_count, growth_factor) if _draws is None else _draws
+    center_sol = solve_membership(m, a, dom, cfg, _starts=draws.starts)
     if isinstance(center_sol, NotFound):
         raise CenterNotInImage(
             f"no certificate for center {a}; best residual {center_sol.best_residual:.3e}"
         )
-    dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
+    dirs, growth_factor = draws.dirs, draws.growth_factor
+    direction_count = len(dirs)
     z_c = center_sol.preimage
-    radii = [float(_r_start) if _r_start else cfg.tolerance * 1e3]
-
-    def radius(k):
-        while len(radii) <= k:
-            radii.append(radii[-1] * growth_factor)
-        return radii[k]
+    radii = [float(_r_start)] if _r_start else draws.rungs
 
     top = _MAX_SHELLS - 1  # the ladder's last rung
     lo, best = -1, None  # highest certified rung and its (targets, z, res, margins)
@@ -241,7 +290,7 @@ def inscribed_lower_bound(
             k = hi
         else:
             k = (lo + hi) // 2
-        r = radius(k)
+        r = _radius(radii, k, growth_factor)
         targets = a + r * dirs
         if best is None:
             warm = np.tile(z_c, (direction_count, 1))
@@ -262,8 +311,8 @@ def inscribed_lower_bound(
     if best is not None:
         targets, z, res, margins = best
         shell_certs = [
-            MembershipCertificate(targets[j], np.array(z[j]), float(res[j]), float(margins[j]))
-            for j in range(direction_count)
+            MembershipCertificate(*row)
+            for row in zip(targets, np.array(z), res.tolist(), margins.tolist())
         ]
     return LandauEstimate(
         center=a,
@@ -308,19 +357,28 @@ def landau_estimate(
     STEP_FLOOR * max(1, r_lo / 4).  Probe runs during the climb start near
     the incumbent radius to fail fast; only centers whose probe improves get
     a full (from-r0) run, and the reported estimate is always a full run.
+    All these runs share one draw of Newton starts and sphere directions,
+    and the full runs one r0 ladder.
     """
-    if dom.dim != m.dim:
-        raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
+    _check_centers(center_candidates, center_refine_steps)
+    draws = _draw(m, dom, cfg, direction_count, growth_factor)
+    return _estimate(m, dom, cfg, draws, center_candidates, center_refine_steps)
+
+
+def _check_centers(center_candidates, center_refine_steps):
     if not 1 <= center_candidates <= MAX_COUNT:
         raise PreconditionFailed(f"center_candidates must lie in [1, {MAX_COUNT}]")
     if not center_refine_steps >= 0:
         raise PreconditionFailed("center_refine_steps must be >= 0")
-    if direction_count is None:
-        direction_count = 64 * m.dim
+
+
+def _estimate(m, dom, cfg, draws, center_candidates, center_refine_steps):
+    """landau_estimate on checked arguments and the ladders' draws."""
+    direction_count, growth_factor = len(draws.dirs), draws.growth_factor
 
     def full_run(center):
         return inscribed_lower_bound(
-            m, center, dom, cfg, direction_count, growth_factor
+            m, center, dom, cfg, direction_count, growth_factor, _draws=draws
         )
 
     centers = [evaluate(m, np.zeros(m.dim))]
@@ -351,7 +409,7 @@ def landau_estimate(
                 try:
                     probe = inscribed_lower_bound(
                         m, cand, dom, cfg, direction_count, growth_factor,
-                        _r_start=max(cfg.tolerance * 1e3, 0.8 * best.r_lo),
+                        _r_start=max(cfg.tolerance * 1e3, 0.8 * best.r_lo), _draws=draws,
                     )
                 except CenterNotInImage:
                     continue
@@ -385,9 +443,14 @@ def rescaled_growth(
     estimate the Landau number of z -> (1/R) m(R z) on the unit ball and
     scale it back, reporting the series (R, R * r_lo(R)) whose growth
     mirrors 'contains balls of arbitrarily large radius'.  Every dilation
-    is built, and so every R checked by dilate, before the first estimate."""
+    is built, and so every R checked by dilate, and every argument checked
+    before the first draw.  The dilations share the unit ball, the seed,
+    the directions and the growth factor, so the series draws its starts,
+    directions and r0 ladder once."""
     dom = DomainSpec.ball(m.dim, 1.0)
     dilated = [(float(R), dilate(m, R)) for R in r_values]
-    kwargs = dict(center_candidates=center_candidates, direction_count=direction_count,
-                  growth_factor=growth_factor, center_refine_steps=center_refine_steps)
-    return [(R, R * landau_estimate(m_R, dom, cfg, **kwargs).r_lo) for R, m_R in dilated]
+    _check_centers(center_candidates, center_refine_steps)
+    draws = _draw(m, dom, cfg, direction_count, growth_factor)
+    return [(R, R * _estimate(m_R, dom, cfg, draws, center_candidates,
+                              center_refine_steps).r_lo)
+            for R, m_R in dilated]

@@ -390,19 +390,32 @@ def _single_map_configs():
             if not cli._REGISTRY[json.loads(p.read_text())["task"]].template]
 
 
+def parsed_texts(monkeypatch):
+    """Record the text of every cli.parse call."""
+    texts = []
+    original = cli.parse
+
+    def counting(text, *args, **kwargs):
+        texts.append(text)
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse", counting)
+    return texts
+
+
 class TestBundledConfigsValidate:
     @pytest.mark.parametrize("path", _single_map_configs(), ids=lambda p: p.stem)
     def test_run_parses_the_map_once(self, path, tmp_path, monkeypatch):
-        texts = []
-        original = cli.parse
-
-        def counting(text, *args, **kwargs):
-            texts.append(text)
-            return original(text, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "parse", counting)
+        texts = parsed_texts(monkeypatch)
         assert run(str(path), str(tmp_path / "r.json")) == 0
         assert texts == [json.loads(path.read_text())["map"]]
+
+    def test_bz_sequence_reuses_the_parsed_first_member(self, tmp_path, monkeypatch):
+        # the config parses the member at n = 1; the run parses only n = 2..5
+        texts = parsed_texts(monkeypatch)
+        assert run(str(CONFIG_DIR / "bz_sequence_linear.json"), str(tmp_path / "r.json")) == 0
+        assert len(texts) == 5
+        assert len(set(texts)) == 5
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_config_parses(self, path):

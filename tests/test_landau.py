@@ -478,9 +478,63 @@ class TestRescaledGrowth:
         def estimate(*args, **kwargs):
             raise AssertionError("an estimate ran before every R was checked")
 
-        monkeypatch.setattr(landau, "landau_estimate", estimate)
+        monkeypatch.setattr(landau, "_estimate", estimate)
         with pytest.raises(PreconditionFailed):
             rescaled_growth(Identity(2), [1.0, R], CFG)
+
+
+def count_draws(monkeypatch):
+    """Record the seed of every sphere_directions and interior_points call
+    that landau makes, by function name."""
+    seeds = {"sphere_directions": [], "interior_points": []}
+    for name in seeds:
+        original = getattr(landau, name)
+
+        def counted(*args, original=original, name=name):
+            seeds[name].append(args[2])  # (n, k, seed) and (dom, n, seed)
+            return original(*args)
+
+        monkeypatch.setattr(landau, name, counted)
+    return seeds
+
+
+class TestSharedDraws:
+    """One call draws its sphere directions, Newton multistarts and r0
+    ladder once, for every ladder it runs."""
+
+    @pytest.mark.parametrize("growth_factor", [1.02, 1.000001])
+    def test_rungs_equal_repeated_multiplication(self, growth_factor):
+        loop = [1e-5]
+        while len(loop) < landau._MAX_SHELLS:
+            loop.append(loop[-1] * growth_factor)
+        rungs = [1e-5]
+        for k in (0, 1, 2, 5, 100, 4_000, 70_000, landau._MAX_SHELLS - 1):
+            assert landau._radius(rungs, k, growth_factor).hex() == loop[k].hex()
+        assert len(rungs) == landau._MAX_SHELLS
+        assert np.array(rungs).tobytes() == np.array(loop).tobytes()
+
+    def test_one_estimate_draws_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, landau, "inscribed_lower_bound")
+        seeds = count_draws(monkeypatch)
+        landau_estimate(Henon(0.5), BALL2, CFG, center_candidates=2, direction_count=16,
+                        growth_factor=1.05, center_refine_steps=1)
+        assert len(calls) >= 2 + 4 * 2  # two full runs and the probes of one sweep
+        assert seeds["sphere_directions"] == [subseed(CFG.rng_seed, "directions")]
+        assert sorted(seeds["interior_points"]) == sorted(
+            [subseed(CFG.rng_seed, "centers"), subseed(CFG.rng_seed, "newton-starts")])
+
+    def test_one_growth_series_draws_once(self, monkeypatch):
+        seeds = count_draws(monkeypatch)
+        rescaled_growth(Identity(2), [1.0, 2.0, 4.0], CFG, direction_count=16)
+        assert seeds["sphere_directions"] == [subseed(CFG.rng_seed, "directions")]
+        assert seeds["interior_points"] == [subseed(CFG.rng_seed, "newton-starts")]
+
+    def test_a_call_alone_draws_its_own(self, monkeypatch):
+        seeds = count_draws(monkeypatch)
+        inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG, 16, 1.05)
+        solve_membership(Identity(2), [0.3, 0.4], BALL2, CFG)
+        assert len(seeds["sphere_directions"]) == 1
+        assert seeds["interior_points"] == [subseed(CFG.rng_seed, "newton-starts")] * 2
 
 
 class TestArgumentRanges:
@@ -504,3 +558,13 @@ class TestArgumentRanges:
     def test_landau_estimate(self, kwargs):
         with pytest.raises(PreconditionFailed):
             landau_estimate(Identity(2), BALL2, CFG, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"center_candidates": 0}, {"center_refine_steps": -1}, {"direction_count": 0},
+        {"growth_factor": 1.0}, {"growth_factor": np.nan}, {"direction_count": 10**400},
+    ])
+    def test_rescaled_growth_checks_before_any_draw(self, kwargs, monkeypatch):
+        seeds = count_draws(monkeypatch)
+        with pytest.raises(PreconditionFailed):
+            rescaled_growth(Identity(2), [1.0, 2.0], CFG, **kwargs)
+        assert seeds == {"sphere_directions": [], "interior_points": []}

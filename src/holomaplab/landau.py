@@ -111,12 +111,12 @@ class LandauEstimate:
 
 
 class _Draws(NamedTuple):
-    """What the ladders of one Landau call share."""
+    """What the ladders of one Landau call share, for one direction count
+    and one growth factor."""
 
     starts: np.ndarray  # a membership search's Newton starts: the origin, then the multistarts
     dirs: np.ndarray  # a shell's sphere directions
-    rungs: list  # the ladder r0 * g**k from r0 = tolerance * 1e3, extended by _radius
-    growth_factor: float
+    rungs: list  # the ladder r0 * g**k from r0 = tolerance * 1e3, extended as searches climb it
 
 
 def _newton_starts(dom, cfg):
@@ -125,33 +125,19 @@ def _newton_starts(dom, cfg):
     return np.concatenate([origin, multistarts])
 
 
-def _draw(m, dom, cfg, direction_count, growth_factor) -> _Draws:
-    """Check the ladder arguments, then draw what the ladders of one call
-    share (direction_count None means 64 * k)."""
+def _check_ladder(m, dom, direction_count, growth_factor):
     if dom.dim != m.dim:
         raise DimensionMismatch(f"domain has k={dom.dim}, map has k={m.dim}")
-    if direction_count is None:
-        direction_count = 64 * m.dim
     if not (1.0 < growth_factor < np.inf):
         raise PreconditionFailed("growth_factor must be > 1 and finite")
     if not 1 <= direction_count <= MAX_COUNT:
         raise PreconditionFailed(f"direction_count must lie in [1, {MAX_COUNT}]")
+
+
+def _draw(m, dom, cfg, direction_count) -> _Draws:
+    """Draw what the ladders of one call share, on checked arguments."""
     dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
-    return _Draws(_newton_starts(dom, cfg), dirs, [cfg.tolerance * 1e3], growth_factor)
-
-
-def _radius(rungs: list, k: int, growth_factor: float) -> float:
-    """Rung k of the ladder rungs[0] * growth_factor**k, formed by repeated
-    multiplication.  A missing rung extends the list to at least twice its
-    length (at most _MAX_SHELLS); np.multiply.accumulate multiplies in the
-    order of a loop, so the rungs are bit for bit the loop's."""
-    if k >= len(rungs):
-        factors = np.full(min(max(k + 1, 2 * len(rungs)), _MAX_SHELLS) - len(rungs) + 1,
-                          growth_factor)
-        factors[0] = rungs[-1]
-        with np.errstate(over="ignore"):
-            rungs.extend(np.multiply.accumulate(factors)[1:].tolist())
-    return rungs[k]
+    return _Draws(_newton_starts(dom, cfg), dirs, [cfg.tolerance * 1e3])
 
 
 def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig,
@@ -260,19 +246,24 @@ def inscribed_lower_bound(
     in the order the shells were tested.  The returned certificates are
     the center's followed by those of rung lo; none when no rung
     certified.  _draws, when given, holds the starts, directions and r0
-    ladder that the caller drew for all its ladders.
+    ladder that the caller drew for this direction_count and growth_factor.
     """
     a = algebra.as_vector(a)
-    draws = _draw(m, dom, cfg, direction_count, growth_factor) if _draws is None else _draws
+    _check_ladder(m, dom, direction_count, growth_factor)
+    draws = _draw(m, dom, cfg, direction_count) if _draws is None else _draws
     center_sol = solve_membership(m, a, dom, cfg, _starts=draws.starts)
     if isinstance(center_sol, NotFound):
         raise CenterNotInImage(
             f"no certificate for center {a}; best residual {center_sol.best_residual:.3e}"
         )
-    dirs, growth_factor = draws.dirs, draws.growth_factor
-    direction_count = len(dirs)
+    dirs = draws.dirs
     z_c = center_sol.preimage
     radii = [float(_r_start)] if _r_start else draws.rungs
+
+    def radius(k):
+        while len(radii) <= k:
+            radii.append(radii[-1] * growth_factor)
+        return radii[k]
 
     top = _MAX_SHELLS - 1  # the ladder's last rung
     lo, best = -1, None  # highest certified rung and its (targets, z, res, margins)
@@ -290,7 +281,7 @@ def inscribed_lower_bound(
             k = hi
         else:
             k = (lo + hi) // 2
-        r = _radius(radii, k, growth_factor)
+        r = radius(k)
         targets = a + r * dirs
         if best is None:
             warm = np.tile(z_c, (direction_count, 1))
@@ -360,21 +351,30 @@ def landau_estimate(
     All these runs share one draw of Newton starts and sphere directions,
     and the full runs one r0 ladder.
     """
-    _check_centers(center_candidates, center_refine_steps)
-    draws = _draw(m, dom, cfg, direction_count, growth_factor)
-    return _estimate(m, dom, cfg, draws, center_candidates, center_refine_steps)
+    direction_count = _check_estimate(m, dom, center_candidates, direction_count,
+                                      growth_factor, center_refine_steps)
+    draws = _draw(m, dom, cfg, direction_count)
+    return _estimate(m, dom, cfg, draws, center_candidates, direction_count, growth_factor,
+                     center_refine_steps)
 
 
-def _check_centers(center_candidates, center_refine_steps):
+def _check_estimate(m, dom, center_candidates, direction_count, growth_factor,
+                    center_refine_steps):
+    """Check the arguments of an estimate; returns the direction count, with
+    None read as 64 * k."""
     if not 1 <= center_candidates <= MAX_COUNT:
         raise PreconditionFailed(f"center_candidates must lie in [1, {MAX_COUNT}]")
     if not center_refine_steps >= 0:
         raise PreconditionFailed("center_refine_steps must be >= 0")
+    if direction_count is None:
+        direction_count = 64 * m.dim
+    _check_ladder(m, dom, direction_count, growth_factor)
+    return direction_count
 
 
-def _estimate(m, dom, cfg, draws, center_candidates, center_refine_steps):
-    """landau_estimate on checked arguments and the ladders' draws."""
-    direction_count, growth_factor = len(draws.dirs), draws.growth_factor
+def _estimate(m, dom, cfg, draws, center_candidates, direction_count, growth_factor,
+              center_refine_steps):
+    """landau_estimate on checked arguments and the draws of its ladders."""
 
     def full_run(center):
         return inscribed_lower_bound(
@@ -449,8 +449,9 @@ def rescaled_growth(
     directions and r0 ladder once."""
     dom = DomainSpec.ball(m.dim, 1.0)
     dilated = [(float(R), dilate(m, R)) for R in r_values]
-    _check_centers(center_candidates, center_refine_steps)
-    draws = _draw(m, dom, cfg, direction_count, growth_factor)
-    return [(R, R * _estimate(m_R, dom, cfg, draws, center_candidates,
-                              center_refine_steps).r_lo)
+    direction_count = _check_estimate(m, dom, center_candidates, direction_count,
+                                      growth_factor, center_refine_steps)
+    draws = _draw(m, dom, cfg, direction_count)
+    return [(R, R * _estimate(m_R, dom, cfg, draws, center_candidates, direction_count,
+                              growth_factor, center_refine_steps).r_lo)
             for R, m_R in dilated]

@@ -502,16 +502,15 @@ class TestSharedDraws:
     """One call draws its sphere directions, Newton multistarts and r0
     ladder once, for every ladder it runs."""
 
-    @pytest.mark.parametrize("growth_factor", [1.02, 1.000001])
-    def test_rungs_equal_repeated_multiplication(self, growth_factor):
-        loop = [1e-5]
-        while len(loop) < landau._MAX_SHELLS:
-            loop.append(loop[-1] * growth_factor)
-        rungs = [1e-5]
-        for k in (0, 1, 2, 5, 100, 4_000, 70_000, landau._MAX_SHELLS - 1):
-            assert landau._radius(rungs, k, growth_factor).hex() == loop[k].hex()
-        assert len(rungs) == landau._MAX_SHELLS
-        assert np.array(rungs).tobytes() == np.array(loop).tobytes()
+    def test_an_integer_growth_factor_reads_as_its_float(self):
+        m = Linear(np.diag([2.0, 0.5]))
+        kwargs = dict(center_candidates=2, direction_count=16, center_refine_steps=1)
+        whole, real = (landau_estimate(m, BALL2, CFG, growth_factor=g, **kwargs) for g in (2, 2.0))
+        assert whole.shell_history == real.shell_history and whole.r_hi == real.r_hi
+        assert np.array_equal(whole.center, real.center)
+        alone = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 16, 2)
+        assert alone.shell_history == inscribed_lower_bound(
+            m, np.zeros(2), BALL2, CFG, 16, 2.0).shell_history
 
     def test_one_estimate_draws_once(self, monkeypatch):
         calls = count_calls(monkeypatch, landau, "inscribed_lower_bound")

@@ -1,5 +1,5 @@
 """Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
-search, one Landau estimate with a climb sweep, one growth series, one
+search, two Landau estimates with center climbs, one growth series, one
 failing membership search, the two evaluators at three batch sizes,
 batched singular values, refined_sup's batched product and the scoring of
 one dense sample set.
@@ -25,6 +25,10 @@ Entries:
                           from the origin's image, 96 directions, growth
                           factor 1.02, one climb sweep: one full run and 8
                           probes
+  estimate.henon.refine20 landau_estimate of henon(b=0.5) on the ball of
+                          radius 0.9, default candidates, directions and
+                          growth factor, 20 climb sweeps: two full runs
+                          and 160 probes, none of which beats the incumbent
   growth.expcoord.r2      rescaled_growth of expcoord(c=0.1, k=2) at R in
                           {1, 2}, 96 directions, growth factor 1.02
   membership.fail         solve_membership of a target outside the image:
@@ -171,6 +175,9 @@ def main(argv=None) -> int:
     cases["estimate.harris3.refine1"] = lambda: hl.landau_estimate(
         harris, polydisc, cfg, center_candidates=1, direction_count=96, growth_factor=1.02,
         center_refine_steps=1)
+    henon, ball09 = hl.parse("henon(b=0.5)"), hl.DomainSpec.ball(2, 0.9)
+    cases["estimate.henon.refine20"] = lambda: hl.landau_estimate(
+        henon, ball09, cfg, center_refine_steps=20)
     expcoord = hl.parse("expcoord(c=0.1, k=2)")
     cases["growth.expcoord.r2"] = lambda: hl.rescaled_growth(
         expcoord, [1.0, 2.0], cfg, direction_count=96, growth_factor=1.02)

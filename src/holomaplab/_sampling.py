@@ -32,7 +32,7 @@ SCORE_BLOCK = 4096
 # interior_points draws at radii <= INTERIOR_PULLBACK * radius
 INTERIOR_PULLBACK = 0.7
 
-STEP_FLOOR = 1e-14  # a hill climb halves its step until below STEP_FLOOR * max(1, step0)
+STEP_FLOOR = 1e-14  # a hill climb sweeps at no step below STEP_FLOOR * max(1, step0)
 
 # the largest count that may size an array (shells, points per shell, sphere
 # directions, center candidates): far above a dense sample set's 30,721 points
@@ -160,21 +160,22 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
 
     A sweep at step h tries (j, +h), (j, -h), (j, +ih), (j, -ih) for each
     coordinate j in turn and moves on every improvement; h halves after a
-    sweep without one, until it falls below STEP_FLOOR * max(1, step0).  Each
-    sweep that starts from a point scores ahead: its candidates and those
-    of the sweeps at h/2, h/4, ... that would follow if none moved form a
-    ladder, cut where the steps run out, where h would fall below the
-    floor, or where the ladder would pass SCORE_BLOCK rows.  inside maps
-    the ladder's (M, k) candidates to a mask of those the climb may score;
-    it must give each row the answer it gives that row alone.  The
-    candidates that pass are scored as one batch, and the levels are
-    walked in order to the first improvement.  After a move the rest of
-    that sweep is rebuilt from the new point and scored as one batch, up
-    to the next move; the next sweep starts a new ladder.  Rows score
-    independently of their batch, so the point and value are those of
-    scoring one candidate at a time.  Returns (point, value, evaluations,
-    excluded), counting only the candidates up to each move, as that
-    climb would score them.
+    sweep without one.  No sweep runs at an h below STEP_FLOOR * max(1,
+    step0), the first included.  Each sweep that starts from a point scores
+    ahead: its candidates and those of the sweeps at h/2, h/4, ... that
+    would follow if none moved form a ladder, cut where the steps run out,
+    where h would fall below the floor, or where the ladder would pass
+    SCORE_BLOCK rows.  inside maps the ladder's (M, k) candidates to a mask
+    of those the climb may score; it must give each row the answer it gives
+    that row alone.  The candidates that pass are scored as one batch, and
+    the levels are walked in order to the first improvement.  After a move
+    the rest of that sweep is rebuilt from the new point and scored as one
+    batch, up to the next move; the next sweep starts a new ladder.  Rows
+    score independently of their batch, so the point and value are those of
+    scoring one candidate at a time.  No row after the first that beats
+    best is read, so a scorer may stop there.  Returns (point, value,
+    evaluations, excluded), counting only the candidates up to each move,
+    as that climb would score them.
     """
     x = np.array(x0, dtype=np.complex128)
     evals = excluded = 0
@@ -187,7 +188,7 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
     flat = sweep * x.size + sweep // 4
     levels_cap = max(1, SCORE_BLOCK // n)
     left = int(steps)
-    while left > 0:
+    while left > 0 and h >= floor:
         ladder = [h]
         while len(ladder) < min(left, levels_cap) and 0.5 * ladder[-1] >= floor:
             ladder.append(0.5 * ladder[-1])
@@ -201,8 +202,6 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
         if row is None:
             left -= len(ladder)
             h = 0.5 * ladder[-1]
-            if h < floor:
-                break
             continue
         # the levels before row's did not move; row's sweep moved at p
         level, p = divmod(row, n)

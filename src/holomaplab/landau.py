@@ -24,19 +24,22 @@ What every ladder shares depends only on the domain, the NewtonConfig, the
 direction count and the growth factor: the Newton starts of a membership
 search, the sphere directions of a shell and the r0 ladder of rungs.  So
 one estimate draws them once for its center candidates, full runs and
-climb probes (a probe keeps its own ladder, from its start radius), and
-one growth series once for all its dilations.
+climb probes, and one growth series once for all its dilations.  The
+center climb is _sampling.coordinate_ascent; a probe searches the shared
+r0 ladder from a rung below the incumbent radius, so a probe and a full
+run that certify the same rung read the same radius.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import algebra
-from ._sampling import MAX_COUNT, STEP_FLOOR, interior_points, sphere_directions, subseed
+from ._sampling import MAX_COUNT, coordinate_ascent, interior_points, sphere_directions, subseed
 from .counterexamples import certify_no_ball
 from .errors import CenterNotInImage, DimensionMismatch, PreconditionFailed
 from .mapkit import (
@@ -221,7 +224,7 @@ def inscribed_lower_bound(
     cfg: NewtonConfig,
     direction_count: int,
     growth_factor: float = GROWTH_FACTOR,
-    _r_start: float | None = None,
+    _first: int = 0,
     _draws: _Draws | None = None,
 ) -> LandauEstimate:
     """Sampled inscribed radius around a fixed center a (which must itself
@@ -229,11 +232,12 @@ def inscribed_lower_bound(
     search over a geometric ladder of radii.
 
     Rung k of the ladder has radius r0 * growth_factor**k, formed by
-    repeated multiplication from r0 = _r_start or tolerance * 1e3.  A rung
-    certifies when all direction_count quasi-uniform sphere points do, in
-    one Newton batch warm-started from the preimages of lo, the highest
-    certified rung so far, scaled about the center's preimage by the
-    radius ratio (the center's own preimage while no rung has certified).
+    repeated multiplication from r0 = tolerance * 1e3; the search tests no
+    rung below rung _first.  A rung certifies when all direction_count
+    quasi-uniform sphere points do, in one Newton batch warm-started from
+    the preimages of lo, the highest certified rung so far, scaled about
+    the center's preimage by the radius ratio (the center's own preimage
+    while no rung has certified).
     From lo the search tests rungs lo+1, lo+2, lo+4, ... until one fails,
     then bisects between the last pass and the first fail.  It stops only
     when rung lo+1 failed from lo's own preimages; a lo+1 that failed from
@@ -258,7 +262,7 @@ def inscribed_lower_bound(
         )
     dirs = draws.dirs
     z_c = center_sol.preimage
-    radii = [float(_r_start)] if _r_start else draws.rungs
+    radii = draws.rungs
 
     def radius(k):
         while len(radii) <= k:
@@ -266,7 +270,7 @@ def inscribed_lower_bound(
         return radii[k]
 
     top = _MAX_SHELLS - 1  # the ladder's last rung
-    lo, best = -1, None  # highest certified rung and its (targets, z, res, margins)
+    lo, best = _first - 1, None  # highest certified rung and its (targets, z, res, margins)
     hi, hi_from = None, None  # lowest failed rung above lo, and the lo it was tested from
     step = 1
     history: list = []
@@ -307,7 +311,7 @@ def inscribed_lower_bound(
         ]
     return LandauEstimate(
         center=a,
-        r_lo=radii[lo] if lo >= 0 else 0.0,
+        r_lo=radii[lo] if best is not None else 0.0,
         r_lo_label="sampled",
         r_hi=radii[hi] if hi is not None else np.inf,
         r_hi_label="heuristic" if hi is not None else "ladder_end",
@@ -342,14 +346,14 @@ def landau_estimate(
 
     center_candidates counts all starting centers, the origin's image
     included; the random candidates are prefix-stable in the count, so the
-    estimate never shrinks when more are requested.  The climb's sweeps
-    (+-h, +-ih per coordinate from h = r_lo / 4, halving after a sweep
-    without a move) stop after center_refine_steps or once h falls below
-    STEP_FLOOR * max(1, r_lo / 4).  Probe runs during the climb start near
-    the incumbent radius to fail fast; only centers whose probe improves get
-    a full (from-r0) run, and the reported estimate is always a full run.
-    All these runs share one draw of Newton starts and sphere directions,
-    and the full runs one r0 ladder.
+    estimate never shrinks when more are requested.  The climb is
+    coordinate_ascent from the winner, center_refine_steps sweeps from step
+    r_lo / 4.  A probe of a climb center searches the r0 ladder from its
+    highest rung at or below 0.8 * r_lo (rung 0 if none is that low), so
+    it fails fast; only a center whose probe beats the incumbent gets a
+    full (from-r0) run, and the reported estimate is always a full run.
+    All these runs share one draw of Newton starts, sphere directions and
+    r0 ladder.
     """
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
@@ -396,34 +400,30 @@ def _estimate(m, dom, cfg, draws, center_candidates, direction_count, growth_fac
         raise CenterNotInImage("no candidate center could be certified in the image")
     best = max(results, key=lambda est: est.r_lo)
 
-    step = 0.25 * best.r_lo
-    floor = STEP_FLOOR * max(1.0, step)
-    for _ in range(int(center_refine_steps)):
-        if step < floor:
-            break
-        improved = False
-        for j in range(m.dim):
-            for delta in (step, -step, 1j * step, -1j * step):
-                cand = best.center.copy()
-                cand[j] += delta
-                try:
-                    probe = inscribed_lower_bound(
-                        m, cand, dom, cfg, direction_count, growth_factor,
-                        _r_start=max(cfg.tolerance * 1e3, 0.8 * best.r_lo), _draws=draws,
-                    )
-                except CenterNotInImage:
-                    continue
-                if probe.r_lo > best.r_lo * (1.0 + 1e-9):
-                    try:
-                        full = full_run(cand)
-                    except CenterNotInImage:
-                        continue
-                    if full.r_lo > best.r_lo:
-                        best = full
-                        improved = True
-        if not improved:
-            step *= 0.5
+    def score(cands):
+        """The climb's rows, in order, up to the first whose full run beats
+        best: a probe from the highest r0 rung at or below 0.8 * best.r_lo,
+        and a full run where the probe beats best; -inf off the image."""
+        nonlocal best
+        first = max(0, bisect_right(draws.rungs, 0.8 * best.r_lo) - 1)
+        vals = np.full(len(cands), -np.inf)
+        for i, cand in enumerate(cands):
+            try:
+                est = inscribed_lower_bound(m, cand, dom, cfg, direction_count, growth_factor,
+                                            _first=first, _draws=draws)
+                if est.r_lo > best.r_lo:
+                    est = full_run(cand)
+            except CenterNotInImage:
+                continue
+            vals[i] = est.r_lo
+            if est.r_lo > best.r_lo:
+                best = est
+                break
+        return vals
 
+    # centers live in the image, not in the domain: every candidate may be scored
+    coordinate_ascent(score, best.center, best.r_lo, center_refine_steps, 0.25 * best.r_lo,
+                      inside=lambda cands: np.ones(len(cands), dtype=bool))
     certified = _certified_upper_bound(m, dom, [best.center] + centers)
     if certified is not None:
         best = replace(best, r_hi=certified.value, r_hi_label=certified.label)

@@ -308,6 +308,14 @@ class TestClimbLadder:
         calls = self.climb(lambda z: -np.abs(z - self.X0).sum(axis=1), 60)
         assert calls == {"score": [44 * 8], "inside": [44 * 8]}
 
+    def test_a_first_step_below_the_floor_sweeps_nothing(self):
+        def score(z):
+            raise AssertionError("a sweep below the step floor was scored")
+
+        x, best, evals, excluded = _sampling.coordinate_ascent(
+            score, self.X0, 0.5, 20, 0.0, as_mask(_in_unit_ball))
+        assert np.array_equal(x, self.X0) and (best, evals, excluded) == (0.5, 0, 0)
+
     def test_the_ladder_is_cut_at_score_block(self, monkeypatch):
         monkeypatch.setattr(_sampling, "SCORE_BLOCK", 8)
         calls = self.climb(lambda z: -np.abs(z - self.X0).sum(axis=1), 20)

@@ -21,7 +21,7 @@ from holomaplab import (
     solve_membership,
 )
 from holomaplab import landau
-from holomaplab._sampling import interior_points, sphere_directions, subseed
+from holomaplab._sampling import STEP_FLOOR, interior_points, sphere_directions, subseed
 from holomaplab.errors import CenterNotInImage, PreconditionFailed
 
 BALL2 = DomainSpec.ball(2, 1.0)
@@ -189,12 +189,16 @@ class TestInscribedLowerBound:
                 r_lo, z_lo = r, z
         assert r_lo == est.r_lo
 
-    def test_probe_ladder_starts_at_r_start(self):
+    def test_probe_ladder_starts_at_its_first_rung(self):
         m = Linear(np.diag([2.0, 0.5]))
-        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _r_start=0.3)
-        ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 32, 1.02, _r_start=0.3)
-        assert est.shell_history[0] == (0.3, True)
-        assert est.r_lo == ladder.r_lo and est.r_hi == ladder.r_hi
+        draws = landau._draw(m, BALL2, CFG, 32)
+        full = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        j = draws.rungs.index(full.r_lo) - 10  # a rung below r_lo
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _first=j,
+                                    _draws=draws)
+        ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 32, 1.02, r_start=draws.rungs[j])
+        assert est.shell_history[0] == (draws.rungs[j], True)
+        assert est.r_lo == ladder.r_lo == full.r_lo and est.r_hi == ladder.r_hi
 
     def test_certified_last_rung_is_labeled_ladder_end(self):
         # the identity's image is the whole ball, and at ratio 1.000001 the
@@ -206,9 +210,10 @@ class TestInscribedLowerBound:
         assert est.r_lo == est.shell_history[-1][0]
 
 
-def walk_every_rung(m, a, dom, cfg, direction_count, growth_factor=1.05, _r_start=None):
+def walk_every_rung(m, a, dom, cfg, direction_count, growth_factor=1.05, r_start=None):
     """inscribed_lower_bound as it was before the galloping search: every
-    rung of the ladder in turn, each warm-started from the rung below."""
+    rung of the ladder in turn from r_start or r0, each warm-started from
+    the rung below."""
     a = landau.algebra.as_vector(a)
     if not growth_factor > 1.0:
         raise ValueError("growth_factor must be > 1")
@@ -220,7 +225,7 @@ def walk_every_rung(m, a, dom, cfg, direction_count, growth_factor=1.05, _r_star
             f"no certificate for center {a}; best residual {center_sol.best_residual:.3e}"
         )
     dirs = sphere_directions(direction_count, m.dim, subseed(cfg.rng_seed, "directions"))
-    r = float(_r_start) if _r_start else cfg.tolerance * 1e3
+    r = float(r_start) if r_start else cfg.tolerance * 1e3
     warm = np.tile(center_sol.preimage, (direction_count, 1))
     last = None  # (targets, z, res, margins) of the last certified shell
     r_lo, r_hi = 0.0, np.inf
@@ -440,6 +445,78 @@ class TestLandauEstimate:
         est = landau_estimate(m, BALL2, CFG, center_refine_steps=10**400, **kwargs)
         assert est.r_lo == ref.r_lo
         assert np.array_equal(est.center, ref.center)
+
+    @pytest.mark.parametrize("text, center, r_lo", [
+        ("expcoord(c=0.4, k=2)", [0.04076 + 0j, 0.04076 + 0j], 0.37747535228954066),
+        ("(z1 + 0.3*z1^2, z2)", [0.17795 - 0.17795j, 0j], 0.9084394430643272),
+    ], ids=["expcoord", "quadratic"])
+    def test_climb_matches_the_nested_sweeps(self, text, center, r_lo):
+        m = parse(text)
+        kwargs = dict(direction_count=16, growth_factor=1.05, center_refine_steps=3)
+        cfg = NewtonConfig(tolerance=1e-8, rng_seed=1)
+        est = landau_estimate(m, BALL2, cfg, center_candidates=1, **kwargs)
+        ref = climb_by_hand(m, BALL2, cfg, **kwargs)
+        assert np.allclose(est.center, center, atol=1e-5) and est.r_lo == r_lo
+        assert est.center.tobytes() == ref.center.tobytes()
+        assert est.r_lo == ref.r_lo and est.r_hi == ref.r_hi
+        assert est.shell_history == ref.shell_history
+        assert len(est.certificates) == len(ref.certificates)
+        for c, d in zip(est.certificates, ref.certificates):
+            assert c.target.tobytes() == d.target.tobytes()
+            assert c.preimage.tobytes() == d.preimage.tobytes()
+            assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
+
+    def test_probes_on_the_rungs_spare_the_full_runs(self, monkeypatch):
+        # a probe that certifies the incumbent's rung no longer reads as a
+        # gain: 2 full runs (the two center candidates), where 139 ran when
+        # each probe climbed its own ladder from 0.8 * r_lo
+        full_runs = []
+        original = landau.inscribed_lower_bound
+
+        def counted(*args, **kw):
+            if "_first" not in kw:
+                full_runs.append(None)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(landau, "inscribed_lower_bound", counted)
+        cfg = NewtonConfig(tolerance=1e-8, rng_seed=7)
+        landau_estimate(Harris(3), POLY2, cfg, center_refine_steps=20)
+        assert len(full_runs) == 2
+
+
+def climb_by_hand(m, dom, cfg, direction_count, growth_factor, center_refine_steps):
+    """landau_estimate of the origin's image alone with its center climb as
+    nested sweeps, the way it was written before it ran through
+    coordinate_ascent, with each probe started on the highest r0 rung at
+    or below 0.8 * r_lo."""
+    draws = landau._draw(m, dom, cfg, direction_count)
+
+    def run(center, first=0):
+        return inscribed_lower_bound(m, center, dom, cfg, direction_count, growth_factor,
+                                     _first=first, _draws=draws)
+
+    best = run(evaluate(m, np.zeros(m.dim)))
+    step = 0.25 * best.r_lo
+    floor = STEP_FLOOR * max(1.0, step)
+    for _ in range(center_refine_steps):
+        if step < floor:
+            break
+        improved = False
+        for j in range(m.dim):
+            for delta in (step, -step, 1j * step, -1j * step):
+                cand = best.center.copy()
+                cand[j] += delta
+                first = max([0] + [k for k, r in enumerate(draws.rungs) if r <= 0.8 * best.r_lo])
+                try:
+                    if run(cand, first).r_lo > best.r_lo:
+                        full = run(cand)
+                        if full.r_lo > best.r_lo:
+                            best, improved = full, True
+                except CenterNotInImage:
+                    continue
+        if not improved:
+            step *= 0.5
+    return best
 
 
 class TestRescaledGrowth:

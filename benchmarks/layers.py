@@ -54,6 +54,9 @@ Entries:
                           constant kappa never moves the climb)
   spectral_norm.k2.n4096  spectral_norm_batch of one scoring block of 4096
                           random complex 2 x 2 matrices
+  witness.<map>.c25       one certify_no_ball call on durenrudin(delta=1) or
+                          harris(n=3) at 25 seeded normal centers of scale 2,
+                          the counterexample task's default center draw
 """
 
 from __future__ import annotations
@@ -224,6 +227,11 @@ def main(argv=None) -> int:
         cases[f"climb.kappa.{name}"] = sup_kappa_climb(dense_maps[name], ball, start)
     cases["spectral_norm.k2.n4096"] = (
         lambda mats=cstack(4096, 2): hl.algebra.spectral_norm_batch(mats))
+
+    raw = 2.0 * np.random.default_rng(25).standard_normal((25, 4))
+    centers = [(complex(r[0], r[1]), complex(r[2], r[3])) for r in raw]
+    for name, m in (("durenrudin", hl.DurenRudin(1.0)), ("harris", hl.Harris(3))):
+        cases[f"witness.{name}.c25"] = lambda m=m: hl.certify_no_ball(m, centers)
 
     layers = {}
     for name, fn in cases.items():

@@ -16,16 +16,17 @@ Consequently any inscribed ball has radius at most sqrt(2/n).
 
 Duren-Rudin map f(z, w) = (z, w + (z/delta)^2) on the unit polydisc.
 Containment of the circle {(u + delta e^{i theta}, v)} in the image
-would force
+would force g(theta) < delta^2 for all theta, where
 
-    g(theta) = |(delta^2 v - u^2) - 2 u delta e^{i theta}
-                - delta^2 e^{2 i theta}| < delta^2   for all theta,
+    g(theta) = |c0 + c1 e^{i theta} + c2 e^{2 i theta}|,
+    c0 = delta^2 v - u^2,   c1 = -2 u delta,   c2 = -delta^2.
 
-but the mean of g^2 over a period equals
-|delta^2 v - u^2|^2 + 4 |u|^2 delta^2 + delta^4 >= delta^4 (the Fourier
-energy of a degree-2 trigonometric polynomial), so max g >= delta^2.  A
-theta attaining g(theta) >= delta^2 certifies that the circle, hence any
-closed ball of radius delta around (u, v), escapes the image.
+At theta0 = (arg c0 - pi)/2, a = c0 + c2 e^{2 i theta0} has modulus
+|c0| + delta^2, and with b = c1 e^{i theta0} the parallelogram law
+|a + b|^2 + |a - b|^2 = 2 |a|^2 + 2 |b|^2 makes the larger of
+g(theta0) = |a + b| and g(theta0 + pi) = |a - b| at least |a| >= delta^2.
+That angle certifies that the circle, hence any closed ball of radius
+delta around (u, v), escapes the image.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import numpy as np
 
 from .errors import PreconditionFailed, WitnessFailed
 from .mapkit import DurenRudin, Harris, MapExpr, to_text
-
-DR_GRID, DR_REFINEMENTS = 1024, 40  # duren_rudin_witness: angles, golden-section steps
 
 
 @dataclass
@@ -55,7 +54,9 @@ class HarrisWitness:
 
 @dataclass
 class DRWitness:
-    """An angle where the circle polynomial reaches its mean-square floor."""
+    """An angle theta_star where the circle polynomial g reaches at least
+    |c0| + delta^2 >= delta^2; circle_value is g(theta_star), not the maximum
+    of g, and inf where g passes the float range."""
 
     delta: float
     center: tuple
@@ -85,18 +86,18 @@ def harris_witness(n: int, delta: float, alpha0: complex, beta0: complex) -> Har
     n = int(n)
     delta = float(delta)
     alpha0, beta0 = complex(alpha0), complex(beta0)
-    if not n * delta**2 > 2.0:
-        raise PreconditionFailed(
-            f"harris witness needs n*delta^2 > 2, got {n * delta ** 2:.6g}"
-        )
-    beta_abs = abs(beta0)
-    phase = cmath.phase(beta0) if beta0 != 0 else 0.0
-    # smallest s solving n s delta (2|beta0| + s delta) = 2 along the aligned ray
-    disc = math.sqrt((n * beta_abs * delta) ** 2 + 2.0 * n * delta**2)
-    s_min = (-n * beta_abs * delta + disc) / (n * delta**2)
+    power = n * (delta * delta)
+    if not power > 2.0:
+        raise PreconditionFailed(f"harris witness needs n*delta^2 > 2, got {power:.6g}")
+    phase = math.atan2(beta0.imag, beta0.real) if beta0 != 0 else 0.0
+    # smallest s solving n s delta (2|beta0| + s delta) = 2 along the aligned
+    # ray, in a form with no cancellation and no overflowing square
+    a = n * math.hypot(beta0.real, beta0.imag) * delta
+    s_min = 2.0 / (a + math.hypot(a, math.sqrt(2.0 * power)))
     s = max(0.99, 0.5 * (1.0 + s_min))
     zeta = s * delta * cmath.exp(1j * phase)
-    violation = n * abs(zeta) * abs(2.0 * beta0 + zeta)
+    # |2 beta0 + zeta| from a quarter of it, which cannot overflow
+    violation = n * abs(zeta) * (4.0 * abs(0.5 * beta0 + 0.25 * zeta))
     if not (violation > 2.0 and abs(zeta) < delta):
         raise WitnessFailed(
             f"harris witness construction failed: violation={violation}, |zeta|={abs(zeta)}"
@@ -113,50 +114,45 @@ def circle_mean_square(delta: float, u: complex, v: complex) -> float:
 
 
 def duren_rudin_witness(delta: float, u: complex, v: complex) -> DRWitness:
-    """Maximize g over a grid of DR_GRID angles with DR_REFINEMENTS
-    golden-section steps on the best bracket; the maximum is guaranteed to
-    reach delta^2."""
+    """g at theta0 = (arg c0 - pi)/2 or theta0 + pi, whichever is larger: at
+    least |c0| + delta^2, less a relative 5e-13 off a knife edge.  Computed
+    at the scale s = 2^e of max(delta, |Re u|, |Im u|): delta/s and u/s with
+    v kept give g/s^2 at the same angles, so no square overflows;
+    circle_value is inf where g passes the float range."""
     delta = float(delta)
-    if not delta > 0:
-        raise PreconditionFailed("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise PreconditionFailed("delta must be finite and positive")
     u, v = complex(u), complex(v)
-    c0 = delta**2 * v - u**2
-    c1 = -2.0 * u * delta
-    c2 = -(delta**2)
+    e = math.frexp(max(delta, abs(u.real), abs(u.imag)))[1]
+    d = math.ldexp(delta, -e)
+    us = complex(math.ldexp(u.real, -e), math.ldexp(u.imag, -e))
+    c0 = d * d * v - us * us
+    # arg c0, from 2^1000 c0 where its terms underflow (cmath.phase raises)
+    w = c0 if max(abs(c0.real), abs(c0.imag)) >= 2.0**-900 else (
+        (d * 2.0**500) ** 2 * v - (us * 2.0**500) ** 2)
+    theta = (math.atan2(w.imag, w.real) - math.pi) / 2.0
+    eu = math.frexp(max(abs(u.real), abs(u.imag)))[1]
+    un = complex(math.ldexp(u.real, -eu), math.ldexp(u.imag, -eu))  # us may underflow
 
-    def g(theta):
-        e = np.exp(1j * np.asarray(theta))
-        return np.abs(c0 + c1 * e + c2 * e * e)
-
-    thetas = -np.pi + 2.0 * np.pi * np.arange(DR_GRID) / DR_GRID
-    values = g(thetas)
-    best = int(np.argmax(values))
-    theta_star, best_val = float(thetas[best]), float(values[best])
-
-    # golden-section ascent on the bracket around the best grid angle
-    lo = theta_star - 2.0 * np.pi / DR_GRID
-    hi = theta_star + 2.0 * np.pi / DR_GRID
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = float(g(x1)), float(g(x2))
-    for _ in range(DR_REFINEMENTS):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = float(g(x2))
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = float(g(x1))
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx > best_val:
-                theta_star, best_val = float(x), float(fx)
-    if best_val < delta**2 - 1e-9:
-        raise WitnessFailed(
-            f"circle maximum {best_val} fell below delta^2 = {delta ** 2}"
-        )
-    return DRWitness(delta, (u, v), theta_star, best_val)
+    # g(theta)^2 - g(theta + pi)^2 = 4 Re(a conj b), of the sign of
+    # q = Re(a conj bn), picks the larger value without comparing rounded
+    # moduli.  Where b is nearly perpendicular to a the rounding of theta
+    # could flip that sign: step off; any step below pi/4 keeps |a| >= d^2.
+    for theta in (theta, theta + 1e-6):
+        z = cmath.exp(1j * theta)
+        a, bn = c0 - d * d * z * z, -un * z  # c0 + c2 e^{2 i theta}; c1 e^{i theta}, scaled
+        q = (a * bn.conjugate()).real
+        if abs(q) >= 1e-10 * math.hypot(a.real, a.imag) * abs(bn):
+            break
+    b = -2.0 * us * d * z
+    if q < 0:
+        theta, b = theta + math.pi, -b
+    h = (a + b) * 0.5  # |a + b| / 2, finite though d^2 v may reach the float range
+    g = math.hypot(h.real, h.imag)
+    if not g >= 0.5 * d * d * (1.0 - 1e-12):
+        raise WitnessFailed(f"circle value {2 * g} fell below delta^2 = {d * d} at scale 2^{e}")
+    value = math.ldexp(g, 2 * e + 1) if math.frexp(g)[1] + 2 * e + 1 <= 1024 else math.inf
+    return DRWitness(delta, (u, v), theta, value)
 
 
 def certify_no_ball(map_node: MapExpr, centers) -> CertifiedBound:

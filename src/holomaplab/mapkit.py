@@ -42,6 +42,7 @@ commutative, and this keeps evaluate_batch equal to jacobian_batch's values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +225,8 @@ class Harris(MapExpr):
 
     def __init__(self, n):
         n = int(n)
-        if n < 1:
-            raise ValueError("harris parameter n must be a positive integer")
+        if not 1 <= n <= sys.float_info.max:
+            raise PreconditionFailed("harris parameter n must be an integer in [1, 1.8e308]")
         self.n = n
 
     @property
@@ -245,11 +246,11 @@ class DurenRudin(MapExpr):
     fields = (("delta", "delta", "real"),)
 
     def __init__(self, delta):
-        delta = algebra.as_scalar(delta, float)
-        if not delta > 0:
-            raise ValueError("durenrudin parameter delta must be positive")
+        delta = float(delta)
+        if not (0 < delta < np.inf and 1.0 / delta < np.inf):
+            raise PreconditionFailed("durenrudin delta and its inverse must be finite and > 0")
         self.delta = delta
-        self._inv_delta = algebra.as_scalar(1.0 / delta, float)
+        self._inv_delta = 1.0 / delta
 
     @property
     def dim(self):
@@ -291,7 +292,7 @@ class Scalar(MapExpr):
     def __init__(self, s, inner: MapExpr):
         s = algebra.as_scalar(s)
         if s == 0:
-            raise ValueError("scalar factor must be nonzero")
+            raise PreconditionFailed("scalar factor must be nonzero")
         self.s = s
         self.inner = inner
 
@@ -377,7 +378,7 @@ class PolyCoord(MapExpr):
                         f"term exponent tuple {exps} does not have length k={k}"
                     )
                 if any(e < 0 for e in exps):
-                    raise ValueError("exponents must be nonnegative")
+                    raise PreconditionFailed("exponents must be nonnegative")
                 merged[exps] = merged.get(exps, 0j) + complex(coeff)
             normalized.append(tuple(sorted(
                 (e, algebra.as_scalar(c)) for e, c in merged.items() if c != 0)))

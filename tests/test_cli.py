@@ -32,6 +32,9 @@ def run_cli(*args):
     )
 
 
+FAR_CENTERS = [[[0, 0], [0, 0]], [[0, 0], [1e200, 0]], [[1e200, 0], [0, 0]]]
+
+
 class TestRun:
     def test_identity_landau(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -64,6 +67,25 @@ class TestRun:
         assert payload["bound"] == pytest.approx(math.sqrt(2 / 3), rel=1e-12)
         assert payload["label"] == "certified"
         assert len(payload["witnesses"]) == 20
+
+    @pytest.mark.parametrize("map_text, params", [
+        ("harris(n=3)", {"centers": FAR_CENTERS}),
+        ("durenrudin(delta=1.0)", {"centers": FAR_CENTERS}),
+        ("durenrudin(delta=1e200)", {"centers_count": 25}),
+    ])
+    def test_far_centers_certify(self, tmp_path, map_text, params):
+        # squares of beta0 = 1e200 (harris), u = 1e200 and delta = 1e200
+        # (durenrudin) pass the float range; a circle value past it reads "inf"
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": map_text, "domain": {"shape": "polydisc"},
+            "task": "counterexample", "seed": 5, "params": params,
+        })
+        out = tmp_path / "r.json"
+        assert run(str(cfg), str(out)) == 0
+        payload = load_report(out)["payload"]
+        assert payload["label"] == "certified"
+        values = [w.get("circle_value") for w in payload["witnesses"]]
+        assert ("inf" in values) == map_text.startswith("durenrudin")
 
     def test_malformed_map_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

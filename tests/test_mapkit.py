@@ -327,6 +327,26 @@ class TestEquality:
         assert Affine([0, 0], np.eye(2), Henon(0.5)) != Affine([0, 0], np.eye(2), Harris(1))
 
 
+class TestConstructorRanges:
+    @pytest.mark.parametrize("build", [
+        lambda: Harris(0),
+        lambda: Harris(-3),
+        lambda: Harris(10**400),  # past the float range
+        lambda: DurenRudin(0.0),
+        lambda: DurenRudin(-1.0),
+        lambda: DurenRudin(1e-320),  # 1/delta overflows
+        lambda: DurenRudin(np.inf),
+        lambda: DurenRudin(np.nan),
+        lambda: Scalar(0, Identity(2)),
+        lambda: PolyCoord([[((-1, 0), 1.0)], [((0, 1), 1.0)]]),
+    ], ids=["harris-0", "harris-negative", "harris-huge", "durenrudin-0",
+            "durenrudin-negative", "durenrudin-tiny", "durenrudin-inf", "durenrudin-nan",
+            "scalar-0", "polycoord-negative-exponent"])
+    def test_bad_argument_raises_precondition_failed(self, build):
+        with pytest.raises(PreconditionFailed):
+            build()
+
+
 class TestDomainSpec:
     def test_ball_membership(self):
         dom = DomainSpec.ball(2, 1.0)

@@ -9,8 +9,9 @@ one dense sample set.
 Imports holomaplab from the ``src`` of the checkout this file sits in, so the
 same script times any commit.  Each entry is the median over REPEATS
 repeats of the mean time per call, every repeat running the call for at
-least MIN_REPEAT_S seconds.  Times are raw seconds on the machine it runs on,
-which the output records.  Needs numpy only.
+least MIN_REPEAT_S seconds, with glibc's malloc thresholds fixed.  Times
+are raw seconds on the machine it runs on, which the output records.  Needs
+numpy only.
 
 Entries:
   shell.linear.n128       _certify_shell on a complex Linear map, 128
@@ -73,6 +74,17 @@ from pathlib import Path
 # One BLAS thread: a spinning BLAS worker on a small machine slows the next
 # milliseconds of the timed process.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Fixed malloc thresholds.  glibc moves its mmap and trim thresholds as the
+# process frees large blocks, so jacobian_batch.linear.n10000 read about
+# 0.5 ms in one process and about 1.5 ms in another, by what ran before it.
+# With the thresholds fixed, every temporary comes from the heap and the
+# heap's top stays mapped.  glibc reads these variables only at start, so
+# the script re-executes itself; a MALLOC_MMAP_THRESHOLD_ already set is kept.
+if __name__ == "__main__" and "MALLOC_MMAP_THRESHOLD_" not in os.environ:
+    os.environ["MALLOC_MMAP_THRESHOLD_"] = str(32 << 20)  # glibc's largest
+    os.environ.setdefault("MALLOC_TRIM_THRESHOLD_", str(64 << 20))
+    os.execv(sys.executable, [sys.executable, *sys.argv])
 
 import numpy as np  # noqa: E402
 
@@ -246,6 +258,8 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
             "processor": platform.processor() or platform.machine(),
             "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+            "MALLOC_MMAP_THRESHOLD_": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
+            "MALLOC_TRIM_THRESHOLD_": os.environ.get("MALLOC_TRIM_THRESHOLD_"),
         },
         "layers": layers,
     }

@@ -25,7 +25,9 @@ _REGISTRY: its runner, the library config class it builds, the library
 function it calls, its own params, its required params and, for the series
 tasks, the csv rows that `emit --format rows` renders.  A task's params are
 the config's fields, the function's keyword params and its own, and every
-library default is the library's.  Complex numbers in configs and reports
+library default is the library's.  A payload is the library's record
+encoded by _enc, whose fields keep their names except those that
+_PAYLOAD_NAMES renames or drops.  Complex numbers in configs and reports
 are [re, im] pairs.  All randomness flows from the single config seed
 through named sub-seeds (sampler, newton, centers), and a run is
 single-threaded, so re-running a config reproduces the payload byte for
@@ -49,9 +51,10 @@ import functools
 import inspect
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -148,7 +151,18 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# JSON encoding: complex -> [re, im], arrays -> lists, +inf -> "inf"
+# JSON encoding: complex -> [re, im], arrays -> lists, +inf -> "inf", a map
+# -> its text, a library record (a dataclass) -> its fields, under the names
+# of _PAYLOAD_NAMES where a payload name differs (None drops the field)
+
+_PAYLOAD_NAMES = {
+    landau.LandauEstimate: {"shell_history": "shells"},
+    renorm.RenormStep: {"lambda_": "lambda"},
+    conditioning.ConditionReport: {"norm_name": "norm"},
+    counterexamples.CertifiedBound: {"value": "bound", "map_text": "map"},
+    counterexamples.HarrisWitness: {"n": None, "delta": None},
+    counterexamples.DRWitness: {"delta": None},
+}
 
 
 def _enc(obj):
@@ -168,6 +182,12 @@ def _enc(obj):
         return [_enc(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _enc(v) for k, v in obj.items()}
+    if isinstance(obj, MapExpr):
+        return to_text(obj)
+    if is_dataclass(obj):
+        names = _PAYLOAD_NAMES.get(type(obj), {})
+        return {name: _enc(getattr(obj, f.name))
+                for f in fields(obj) if (name := names.get(f.name, f.name))}
     return obj
 
 
@@ -224,58 +244,6 @@ def _cast_like(params, defaults) -> dict:
             for key, default in defaults.items()}
 
 
-def _cert_payload(cert: landau.MembershipCertificate) -> dict:
-    return {
-        "target": _enc(cert.target),
-        "preimage": _enc(cert.preimage),
-        "residual": _enc(cert.residual),
-        "domain_margin": _enc(cert.domain_margin),
-    }
-
-
-def _estimate_payload(est: landau.LandauEstimate) -> dict:
-    return {
-        "center": _enc(est.center),
-        "r_lo": _enc(est.r_lo),
-        "r_lo_label": est.r_lo_label,
-        "r_hi": _enc(est.r_hi),
-        "r_hi_label": est.r_hi_label,
-        "directions_tested": est.directions_tested,
-        "certificates": [_cert_payload(c) for c in est.certificates],
-        "shells": [[_enc(r), bool(ok)] for r, ok in est.shell_history],
-    }
-
-
-def _step_payload(step: renorm.RenormStep) -> dict:
-    check = step.bound_check
-    return {
-        "lambda": _enc(step.lambda_),
-        "base_point": _enc(step.base_point),
-        "b_matrix": _enc(step.b_matrix),
-        "psi": to_text(step.psi),
-        "validity_radius": _enc(step.validity_radius),
-        "bound_check": {
-            "max_jacobian_norm": _enc(check.max_jacobian_norm),
-            "bound": _enc(check.bound),
-            "passed": bool(check.passed),
-            "worst_point": _enc(check.worst_point),
-            "shift_max": _enc(check.shift_max),
-            "shift_limit": _enc(check.shift_limit),
-            "shift_ok": bool(check.shift_ok),
-        },
-    }
-
-
-def _witness_payload(w) -> dict:
-    if isinstance(w, counterexamples.HarrisWitness):
-        return {"center": _enc(w.center), "zeta": _enc(w.zeta), "violation": _enc(w.violation)}
-    return {
-        "center": _enc(w.center),
-        "theta_star": _enc(w.theta_star),
-        "circle_value": _enc(w.circle_value),
-    }
-
-
 def _family_member(template: str, n: int) -> str:
     """A bz-sequence map text is a family over {n} / {1/n} placeholders (a
     placeholder-free text is a constant family); its member at n."""
@@ -289,19 +257,11 @@ def _run_eval(m, cfg):
 
 def _run_jacobian(m, cfg):
     z = _point_from(cfg.params["point"], m.dim)
-    jet = jacobian(m, z)
-    return {"point": _enc(z), "value": _enc(jet.value), "jacobian": _enc(jet.jacobian)}
+    return {"point": _enc(z), **_enc(jacobian(m, z))}
 
 
 def _run_kappa_sup(m, cfg, sampler, **kwargs):
-    report = conditioning.sup_kappa(m, cfg.domain, sampler, **kwargs)
-    return {
-        "sup_estimate": _enc(report.sup_estimate),
-        "argmax_point": _enc(report.argmax_point),
-        "samples_used": int(report.samples_used),
-        "skipped_singular": int(report.skipped_singular),
-        "norm": report.norm_name,
-    }
+    return _enc(conditioning.sup_kappa(m, cfg.domain, sampler, **kwargs))
 
 
 def _run_refined_sup(m, cfg, sampler):
@@ -312,7 +272,7 @@ def _run_refined_sup(m, cfg, sampler):
 
 def _run_bz_run(m, cfg, sampler, **kwargs):
     C = _cast(cfg.params, "C", float)
-    return _step_payload(renorm.bz_step(m, C, sampler, **kwargs))
+    return _enc(renorm.bz_step(m, C, sampler, **kwargs))
 
 
 def _run_bz_sequence(m, cfg, sampler, **kwargs):
@@ -324,11 +284,11 @@ def _run_bz_sequence(m, cfg, sampler, **kwargs):
     steps = renorm.bz_sequence(
         lambda n: m if n == 1 else parse(_family_member(cfg.map_text, n)),
         n_values, C, sampler, **kwargs)
-    return {"series": [dict(_step_payload(step), n=n) for n, step in zip(n_values, steps)]}
+    return {"series": [dict(_enc(step), n=n) for n, step in zip(n_values, steps)]}
 
 
 def _run_landau(m, cfg, newton, **kwargs):
-    return _estimate_payload(landau.landau_estimate(m, cfg.domain, newton, **kwargs))
+    return _enc(landau.landau_estimate(m, cfg.domain, newton, **kwargs))
 
 
 def _run_rescaled_growth(m, cfg, newton, **kwargs):
@@ -350,14 +310,7 @@ def _run_counterexample(m, cfg):
         )
         raw = _CENTERS_SCALE * rng.standard_normal((count, 4))
         centers = [(complex(r[0], r[1]), complex(r[2], r[3])) for r in raw]
-    bound = counterexamples.certify_no_ball(m, centers)
-    return {
-        "bound": _enc(bound.value),
-        "label": bound.label,
-        "witness_count": bound.witness_count,
-        "map": bound.map_text,
-        "witnesses": [_witness_payload(w) for w in bound.witnesses],
-    }
+    return _enc(counterexamples.certify_no_ball(m, centers))
 
 
 @dataclass(frozen=True)
@@ -442,7 +395,7 @@ def run(config_path: str, output: str | None = None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out_path = output or cfg.output or (str(config_path).rsplit(".", 1)[0] + ".report.json")
+    out_path = output or cfg.output or (os.path.splitext(config_path)[0] + ".report.json")
     report = {
         "schema": SCHEMA_VERSION,
         "artifact": {"name": "holomaplab", "version": __version__},

@@ -145,6 +145,17 @@ class MapExpr:
         return to_text(self)
 
 
+def _constant(convert, value):
+    """A node constant through algebra's as_scalar, as_vector or as_matrix.
+    Their plain ValueError (an entry that is not finite, which they also
+    reject in computed Jacobians, or a value that does not convert) is a
+    bad argument here."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise PreconditionFailed(f"bad map constant: {exc}") from exc
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -173,7 +184,7 @@ class Linear(MapExpr):
     fields = (("matrix", "a", "matrix"),)
 
     def __init__(self, matrix):
-        self.matrix = _frozen(algebra.as_matrix(matrix))
+        self.matrix = _frozen(_constant(algebra.as_matrix, matrix))
 
     @property
     def dim(self):
@@ -188,7 +199,7 @@ class Translation(MapExpr):
     fields = (("offset", "t", "vector"),)
 
     def __init__(self, offset):
-        self.offset = _frozen(algebra.as_vector(offset))
+        self.offset = _frozen(_constant(algebra.as_vector, offset))
 
     @property
     def dim(self):
@@ -205,7 +216,7 @@ class Henon(MapExpr):
     fields = (("b", "b", "complex"),)
 
     def __init__(self, b):
-        self.b = algebra.as_scalar(b)
+        self.b = _constant(algebra.as_scalar, b)
 
     @property
     def dim(self):
@@ -272,7 +283,7 @@ class ExpCoord(MapExpr):
         k = int(k)
         if k < 1:
             raise DimensionMismatch("expcoord needs dimension k >= 1")
-        self.c = algebra.as_scalar(c)
+        self.c = _constant(algebra.as_scalar, c)
         self.k = k
 
     @property
@@ -290,7 +301,7 @@ class Scalar(MapExpr):
     fields = (("s", "s", "complex"), ("inner", None, "map"))
 
     def __init__(self, s, inner: MapExpr):
-        s = algebra.as_scalar(s)
+        s = _constant(algebra.as_scalar, s)
         if s == 0:
             raise PreconditionFailed("scalar factor must be nonzero")
         self.s = s
@@ -333,8 +344,8 @@ class Affine(MapExpr):
     fields = (("shift", None, "vector"), ("matrix", None, "matrix"), ("inner", None, "map"))
 
     def __init__(self, shift, matrix, inner: MapExpr):
-        self.shift = _frozen(algebra.as_vector(shift))
-        self.matrix = _frozen(algebra.as_matrix(matrix))
+        self.shift = _frozen(_constant(algebra.as_vector, shift))
+        self.matrix = _frozen(_constant(algebra.as_matrix, matrix))
         if self.shift.size != self.matrix.shape[0] or self.shift.size != inner.dim:
             raise DimensionMismatch(
                 f"affine: shift k={self.shift.size}, matrix {self.matrix.shape}, "
@@ -381,7 +392,7 @@ class PolyCoord(MapExpr):
                     raise PreconditionFailed("exponents must be nonnegative")
                 merged[exps] = merged.get(exps, 0j) + complex(coeff)
             normalized.append(tuple(sorted(
-                (e, algebra.as_scalar(c)) for e, c in merged.items() if c != 0)))
+                (e, _constant(algebra.as_scalar, c)) for e, c in merged.items() if c != 0)))
         self.polys = tuple(normalized)
         self.k = k
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -102,6 +103,13 @@ class TestRun:
         })
         assert run(str(cfg)) == 2
 
+    def test_default_report_path_keeps_a_dotted_directory(self, tmp_path):
+        (tmp_path / "run.v2").mkdir()
+        cfg = write_config(tmp_path / "run.v2", "evalcfg", EVAL_CONFIG)
+        assert run(str(cfg)) == 0
+        assert (tmp_path / "run.v2" / "evalcfg.report.json").is_file()
+        assert not (tmp_path / "run.report.json").exists()
+
     def test_numerical_failure_exits_3_with_partial_report(self, tmp_path):
         # refined-sup at a singular base point
         cfg = write_config(tmp_path, "c.json", {
@@ -133,6 +141,17 @@ class TestRun:
         report = load_report(out)
         assert report["payload"] is None
         assert report["error"] is not None
+
+    def test_overflowing_jacobian_stays_a_plain_value_error(self, tmp_path):
+        # algebra.as_matrix rejects the computed non-finite Jacobian with a
+        # plain ValueError: a numerical failure, not a bad argument
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": "expcoord(c=1000, k=2)", "task": "refined-sup",
+            "seed": 3, "params": {"base_point": [[0.9, 0], [0, 0]]},
+        })
+        out = tmp_path / "r.json"
+        assert run(str(cfg), str(out)) == 3
+        assert load_report(out)["error"]["type"] == "ValueError"
 
     def test_kappa_sup_counts_are_builtin_ints(self, tmp_path, monkeypatch):
         # numpy integer counts must not break json encoding of the report
@@ -177,6 +196,49 @@ class TestRun:
         value = load_report(out)["payload"]["value"]
         assert value[0] == pytest.approx([0.09, 0.0], abs=1e-15)
         assert value[1] == pytest.approx([0.2, 0.0], abs=0)
+
+
+# payload shapes that no bundled config reaches: each raw config, a check of
+# the shape it pins, and the SHA-256 of json.dumps(payload, sort_keys=True)
+PAYLOAD_PINS = {
+    "counterexample_durenrudin": (
+        {"map": "durenrudin(delta=0.75)", "domain": {"shape": "polydisc"},
+         "task": "counterexample", "seed": 11, "params": {"centers_count": 6}},
+        lambda p: sorted(p["witnesses"][0]) == ["center", "circle_value", "theta_star"],
+        "a81fd27cfe875be9816ec1173224dade5bfc64a6a89ed5d38035edd4e80410e7",
+    ),
+    "landau_harris_certified": (
+        {"map": "harris(n=3)", "domain": {"shape": "polydisc", "radius": 1.0},
+         "task": "landau", "seed": 7,
+         "params": {"direction_count": 16, "center_candidates": 1, "center_refine_steps": 0}},
+        lambda p: p["r_hi_label"] == "certified",
+        "8422ade03b684b620a913dda2d0f478f9e7b60655557cee77e19151a3efd5e8c",
+    ),
+    "landau_ladder_end": (
+        {"map": "identity(k=2)", "task": "landau", "seed": 3,
+         "params": {"direction_count": 8, "growth_factor": 1.000001,
+                    "center_candidates": 1, "center_refine_steps": 0}},
+        lambda p: (p["r_hi"], p["r_hi_label"]) == ("inf", "ladder_end"),
+        "2156221004bf964890dd3c017d0aa3d9bd347e4fd3b0a7e47c127c39e7cab241",
+    ),
+    "kappa_sup_skipped_singular": (
+        {"map": "(z1^2, z2)", "task": "kappa-sup", "seed": 4,
+         "params": {"radial_shells": 4, "points_per_shell": 16, "refine_steps": 3}},
+        lambda p: p["skipped_singular"] > 0,
+        "78cfeff64d419bafe9e6b8521faa5814a731df0e7b9799a52350a05ec2e5ad37",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_PINS))
+def test_payload_pins(name, tmp_path):
+    raw, shape, digest = PAYLOAD_PINS[name]
+    out = tmp_path / "r.json"
+    assert run(str(write_config(tmp_path, "c.json", {"schema": 1, **raw})), str(out)) == 0
+    payload = load_report(out)["payload"]
+    assert shape(payload)
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 EVAL_CONFIG = {"schema": 1, "map": "identity(k=2)", "task": "eval", "seed": 1,

@@ -339,9 +339,17 @@ class TestConstructorRanges:
         lambda: DurenRudin(np.nan),
         lambda: Scalar(0, Identity(2)),
         lambda: PolyCoord([[((-1, 0), 1.0)], [((0, 1), 1.0)]]),
+        lambda: Henon(np.inf),
+        lambda: ExpCoord(np.nan, 2),
+        lambda: Scalar(np.inf, Identity(2)),
+        lambda: Linear([[np.inf, 0], [0, 1]]),
+        lambda: Translation([np.nan, 0]),
+        lambda: Affine([0, 0], [[np.inf, 0], [0, 1]], Identity(2)),
+        lambda: PolyCoord([[((1, 0), np.inf)], [((0, 1), 1.0)]]),
     ], ids=["harris-0", "harris-negative", "harris-huge", "durenrudin-0",
             "durenrudin-negative", "durenrudin-tiny", "durenrudin-inf", "durenrudin-nan",
-            "scalar-0", "polycoord-negative-exponent"])
+            "scalar-0", "polycoord-negative-exponent", "henon-inf", "expcoord-nan",
+            "scalar-inf", "linear-inf", "translation-nan", "affine-inf", "polycoord-inf"])
     def test_bad_argument_raises_precondition_failed(self, build):
         with pytest.raises(PreconditionFailed):
             build()

@@ -1,8 +1,8 @@
 """Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
 search, two Landau estimates with center climbs, one growth series, one
 failing membership search, the two evaluators at three batch sizes,
-batched singular values, refined_sup's batched product and the scoring of
-one dense sample set.
+batched singular values, refined_sup's batched product, the scoring of
+one dense sample set and one Brody-Zalcman sequence.
 
     python3 benchmarks/layers.py OUTPUT.json
 
@@ -58,6 +58,10 @@ Entries:
   witness.<map>.c25       one certify_no_ball call on durenrudin(delta=1) or
                           harris(n=3) at 25 seeded normal centers of scale 2,
                           the counterexample task's default center draw
+  bz_sequence.linear.n5   bz_sequence of configs/bz_sequence_linear.json's
+                          family linear(a=[[n, 0], [0, n]]), n = 1..5 (maps
+                          parsed beforehand), C = 1, 6 shells x 32 points,
+                          6 climb steps, seed 7
 """
 
 from __future__ import annotations
@@ -244,6 +248,13 @@ def main(argv=None) -> int:
     centers = [(complex(r[0], r[1]), complex(r[2], r[3])) for r in raw]
     for name, m in (("durenrudin", hl.DurenRudin(1.0)), ("harris", hl.Harris(3))):
         cases[f"witness.{name}.c25"] = lambda m=m: hl.certify_no_ball(m, centers)
+
+    bz_members = {n: hl.parse(f"linear(a=[[{float(n)!r}, 0], [0, {float(n)!r}]])")
+                  for n in range(1, 6)}
+    bz_sampler = hl.SamplerConfig(radial_shells=6, points_per_shell=32, rng_seed=7,
+                                  refine_steps=6)
+    cases["bz_sequence.linear.n5"] = lambda: hl.bz_sequence(
+        bz_members.__getitem__, list(bz_members), 1.0, bz_sampler)
 
     layers = {}
     for name, fn in cases.items():

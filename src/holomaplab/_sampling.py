@@ -3,9 +3,15 @@
 Everything here is a pure function of explicit integer seeds.  The point
 families are prefix-stable: asking for more points extends a sample set
 without changing the points already generated, so sweeps over sample
-sizes behave monotonically.  Sampled suprema are scored by one batch
-function: the samples are scored in blocks of SCORE_BLOCK rows, so that
-the temporaries of one block stay in cache.  The hill climb scores ahead:
+sizes behave monotonically.  A shell sample is drawn, then scaled: the
+draw (draw_shells) holds each shell's complex normals v and their domain
+norms n and reads no radius, and the scale (scale_shells) forms the points
+r * v / n of each shell radius r.  shell_points is one draw and one scale,
+so a caller that samples one shape at many radii draws once and scales the
+draw to each radius, with the bits of shell_points at that radius.
+Sampled suprema are scored by one batch function: the samples are scored
+in blocks of SCORE_BLOCK rows, so that the temporaries of one block stay
+in cache.  The hill climb scores ahead:
 a sweep from a point is scored in one batch together with the sweeps at
 halved steps that would follow it if none moved, a ladder of at most
 SCORE_BLOCK rows, and its domain test is one mask call.  Rows score
@@ -16,6 +22,7 @@ a value or a count.
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,21 +63,49 @@ def shell_radii(radius: float, shells: int) -> np.ndarray:
     return radius * (1.0 - gaps)
 
 
-def shell_points(dom, shells: int, per_shell: int, seed: int) -> np.ndarray:
-    """Stratified sample of a ball/polydisc domain: per_shell points on each
-    sphere of shell_radii.  Prefix-stable in per_shell (per-shell child
-    streams, row-major draws)."""
+class ShellDraw(NamedTuple):
+    """The radius-free part of a shell sample of one domain shape."""
+
+    dim: int
+    shells: int
+    normals: list  # per shell after the center: (v, n), v the (per_shell, k)
+    # complex normals and n their (per_shell, 1) domain norms
+
+
+def draw_shells(dom, shells: int, per_shell: int, seed: int) -> ShellDraw:
+    """Draw shell_points' normals for dom's shape and dimension; its radius
+    is not read.  Shell 0 is the center at every radius, so it draws none."""
     k = dom.dim
-    blocks = []
-    for i, r in enumerate(shell_radii(dom.radius, shells)):
-        if r == 0.0:
-            blocks.append(np.zeros((1, k), dtype=np.complex128))
-            continue
+    normals = []
+    for i in range(1, shells):
         rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 211, i]))
         g = rng.standard_normal((per_shell, 2 * k))
         v = g[:, :k] + 1j * g[:, k:]
-        blocks.append(r * v / dom.norm(v)[:, None])
-    return np.concatenate(blocks, axis=0)
+        normals.append((v, dom.norm(v)[:, None]))
+    return ShellDraw(k, shells, normals)
+
+
+def scale_shells(draw: ShellDraw, radius: float) -> np.ndarray:
+    """The shell sample of a draw at radius: the center, then each shell's
+    points r * v / n, or one center row where r rounds to 0.  Each shell is
+    computed in its rows of the result, with no temporaries to concatenate."""
+    radii = shell_radii(radius, draw.shells)[1:]
+    sizes = [len(v) if r != 0.0 else 1 for r, (v, _) in zip(radii, draw.normals)]
+    pts = np.zeros((1 + sum(sizes), draw.dim), dtype=np.complex128)
+    stop = 1
+    for r, (v, n), size in zip(radii, draw.normals, sizes):
+        start, stop = stop, stop + size
+        if r != 0.0:
+            rows = pts[start:stop]
+            np.divide(np.multiply(r, v, out=rows), n, out=rows)
+    return pts
+
+
+def shell_points(dom, shells: int, per_shell: int, seed: int) -> np.ndarray:
+    """Stratified sample of a ball/polydisc domain: per_shell points on each
+    sphere of shell_radii.  Prefix-stable in per_shell (per-shell child
+    streams, row-major draws).  The draw, then the scale to dom's radius."""
+    return scale_shells(draw_shells(dom, shells, per_shell, seed), dom.radius)
 
 
 def _phi(d: int) -> float:

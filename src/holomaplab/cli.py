@@ -47,6 +47,7 @@ only the rules of its own params, centers_count and bz-sequence's n_values.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import inspect
 import json
@@ -151,9 +152,10 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# JSON encoding: complex -> [re, im], arrays -> lists, +inf -> "inf", a map
-# -> its text, a library record (a dataclass) -> its fields, under the names
-# of _PAYLOAD_NAMES where a payload name differs (None drops the field)
+# JSON encoding: complex -> [re, im], arrays -> lists, a float that is not
+# finite -> "inf", "-inf" or "nan" (so a payload is strict JSON), a map ->
+# its text, a library record (a dataclass) -> its fields, under the names of
+# _PAYLOAD_NAMES where a payload name differs (None drops the field)
 
 _PAYLOAD_NAMES = {
     landau.LandauEstimate: {"shell_history": "shells"},
@@ -170,10 +172,10 @@ def _enc(obj):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
-        return [c.real, c.imag]
+        return [c.real, c.imag] if cmath.isfinite(c) else [_enc(c.real), _enc(c.imag)]
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return "inf" if math.isinf(x) else x
+        return x if math.isfinite(x) else str(x)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):

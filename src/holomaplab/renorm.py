@@ -22,12 +22,13 @@ For a sequence of maps the lambda series separates the normal regime
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import algebra
-from ._sampling import blocks, sampled_sup, score_blocks, shell_points, subseed
+from ._sampling import (ShellDraw, blocks, draw_shells, sampled_sup, scale_shells, score_blocks,
+                        shell_points, subseed)
 from .conditioning import SamplerConfig
 from .errors import PreconditionFailed
 from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
@@ -63,12 +64,30 @@ class RenormStep:
     bound_check: BoundCheck
 
 
-def lambda_functional(m: MapExpr, cfg: SamplerConfig):
+class _Draws(NamedTuple):
+    """What the steps of one sequence share, for one map dimension."""
+
+    lambda_pts: np.ndarray  # lambda_functional's samples of the unit ball
+    grid: ShellDraw  # the check grid's normals, scaled by each step to its radius
+
+
+def _draw(dim: int, cfg: SamplerConfig) -> _Draws:
+    ball = DomainSpec.ball(dim, 1.0)
+    return _Draws(
+        shell_points(ball, cfg.radial_shells, cfg.points_per_shell,
+                     subseed(cfg.rng_seed, "lambda-shells")),
+        draw_shells(ball, cfg.radial_shells, cfg.points_per_shell,
+                    subseed(cfg.rng_seed, "bz-grid")))
+
+
+def lambda_functional(m: MapExpr, cfg: SamplerConfig, _pts: np.ndarray | None = None):
     """Sampled-and-refined lower estimate of sup (1-|z|)|J(z)| on the unit
-    ball, together with the near-maximizer that attained it."""
+    ball, together with the near-maximizer that attained it.  _pts, when
+    given, are the samples that cfg draws for m's dimension."""
     dom = DomainSpec.ball(m.dim, 1.0)
-    pts = shell_points(dom, cfg.radial_shells, cfg.points_per_shell,
-                       subseed(cfg.rng_seed, "lambda-shells"))
+    pts = (shell_points(dom, cfg.radial_shells, cfg.points_per_shell,
+                        subseed(cfg.rng_seed, "lambda-shells"))
+           if _pts is None else _pts)
 
     def score(z):
         return dom.margin(z) * algebra.spectral_norm_batch(jacobian_batch(m, z)[1])
@@ -83,6 +102,7 @@ def bz_step(
     c_bound: float,
     cfg: SamplerConfig,
     grid_factor: float = GRID_FACTOR,
+    _draws: _Draws | None = None,
 ) -> RenormStep:
     """Build one rescaling step and check its derivative bounds.
 
@@ -91,19 +111,23 @@ def bz_step(
     validity radius is lambda/(2 c_bound); the check grid conservatively
     stays within grid_factor of it.  c_bound must be finite and >= 1 and
     grid_factor finite and > 0; both are checked before lambda is estimated.
+    _draws, when given, holds the lambda samples and the grid draw that cfg
+    draws for m's dimension.
     """
     if not (1.0 <= c_bound < np.inf):
         raise PreconditionFailed("c_bound must be finite and >= 1 (kappa is never below 1)")
     if not (0.0 < grid_factor < np.inf):
         raise PreconditionFailed("grid_factor must be finite and > 0")
-    lam, a = lambda_functional(m, cfg)
+    lambda_pts, grid_draw = (None, None) if _draws is None else _draws
+    lam, a = lambda_functional(m, cfg, _pts=lambda_pts)
     b_matrix = algebra.invert(jacobian(m, a).jacobian)
     psi = reparametrize(m, a, b_matrix)
     validity = lam / (2.0 * c_bound)
 
     grid_dom = DomainSpec.ball(m.dim, grid_factor * validity)
-    grid = shell_points(grid_dom, cfg.radial_shells, cfg.points_per_shell,
-                        subseed(cfg.rng_seed, "bz-grid"))
+    grid = (shell_points(grid_dom, cfg.radial_shells, cfg.points_per_shell,
+                         subseed(cfg.rng_seed, "bz-grid"))
+            if grid_draw is None else scale_shells(grid_draw, grid_dom.radius))
     norms = score_blocks(
         lambda block: algebra.spectral_norm_batch(jacobian_batch(psi, block)[1]), grid)
     imax = int(np.argmax(norms))
@@ -132,8 +156,22 @@ def bz_sequence(
     grid_factor: float = GRID_FACTOR,
 ) -> list[RenormStep]:
     """One rescaling step per family member; the lambda series of the result
-    shows whether the family escapes (lambda unbounded) or stays normal."""
-    return [bz_step(family(n), c_bound, cfg, grid_factor=grid_factor) for n in n_values]
+    shows whether the family escapes (lambda unbounded) or stays normal.
+
+    The members share their sample draws.  The lambda samples of the unit
+    ball are drawn once per map dimension, and so is the check grid's draw
+    (its normals and their norms, no radius); each member scales the grid
+    draw to its own radius grid_factor * lambda / (2 c_bound).  Each step is
+    bit for bit the bz_step of its member alone.
+    """
+    draws = {}
+    steps = []
+    for n in n_values:
+        m = family(n)
+        if m.dim not in draws:
+            draws[m.dim] = _draw(m.dim, cfg)
+        steps.append(bz_step(m, c_bound, cfg, grid_factor=grid_factor, _draws=draws[m.dim]))
+    return steps
 
 
 def convergence_diagnostic(

@@ -241,6 +241,31 @@ def test_payload_pins(name, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("x, encoded", [
+    (INF, "inf"),
+    (-INF, "-inf"),
+    (NAN, "nan"),
+    (np.float64(-INF), "-inf"),
+    (np.float32(NAN), "nan"),
+    (complex(INF, 1.0), ["inf", 1.0]),
+    (complex(0.5, -INF), [0.5, "-inf"]),
+    (complex(NAN, NAN), ["nan", "nan"]),
+    (np.complex128(complex(-INF, NAN)), ["-inf", "nan"]),
+    (np.array([1.0, -INF, NAN, INF]), [1.0, "-inf", "nan", "inf"]),
+    (np.array([[complex(NAN, INF)]]), [[["nan", "inf"]]]),
+    ({"r": (-INF, [NAN])}, {"r": ["-inf", ["nan"]]}),
+    (conditioning.ConditionReport(-INF, np.array([NAN]), 3, 1),
+     {"sup_estimate": "-inf", "argmax_point": ["nan"], "samples_used": 3,
+      "skipped_singular": 1, "norm": "spectral"}),
+])
+def test_enc_writes_non_finite_floats_as_strict_json(x, encoded):
+    assert cli._enc(x) == encoded
+    json.dumps(cli._enc(x), allow_nan=False)
+
+
 EVAL_CONFIG = {"schema": 1, "map": "identity(k=2)", "task": "eval", "seed": 1,
                "params": {"point": [[0.1, 0], [0.2, 0]]}}
 

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from holomaplab import (
     parse,
     sup_kappa,
 )
-from holomaplab import _sampling, algebra, renorm
+from holomaplab import MapExpr, _sampling, algebra, renorm
 from holomaplab.errors import (
     PreconditionFailed,
     SingularMatrix,
@@ -165,6 +168,113 @@ class TestBzSequence:
         for lam, n in zip(lams, (1, 2, 4, 8)):
             assert lam == pytest.approx(LAMBDA_DILATED[n], rel=5e-3)
         assert lams[0] > lams[1] > lams[2]  # shrinking derivative scale
+
+
+def bits(x):
+    """Every field of a step, recursively, as (dtype, raw bytes)."""
+    if is_dataclass(x):
+        return {f.name: bits(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, MapExpr):
+        return type(x).__name__, [bits(getattr(x, attr)) for attr, _, _ in x.fields]
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+LAMBDA_SEED = _sampling.subseed(CFG.rng_seed, "lambda-shells")
+GRID_SEED = _sampling.subseed(CFG.rng_seed, "bz-grid")
+
+
+def count_draws(monkeypatch):
+    """Record (dimension, seed) of every shell draw, through both bindings."""
+    seen = []
+    draw = _sampling.draw_shells
+
+    def counted(dom, shells, per_shell, seed):
+        seen.append((dom.dim, seed))
+        return draw(dom, shells, per_shell, seed)
+
+    monkeypatch.setattr(_sampling, "draw_shells", counted)
+    monkeypatch.setattr(renorm, "draw_shells", counted)
+    return seen
+
+
+class TestSharedDraws:
+    FAMILIES = {
+        "linear": (lambda n: Linear(n * np.eye(2)), range(1, 6), 1.0),
+        "henon": (lambda n: parse(f"compose(henon(b={0.5 * n}), expcoord(c=2.0, k=2))"),
+                  range(1, 6), 12.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_each_step_is_its_standalone_bz_step(self, name, monkeypatch):
+        family, n_values, c = self.FAMILIES[name]
+        seen = count_draws(monkeypatch)
+        steps = bz_sequence(family, n_values, c, CFG, grid_factor=0.8)
+        assert Counter(seen) == {(2, LAMBDA_SEED): 1, (2, GRID_SEED): 1}
+        radii = {s.validity_radius for s in steps}
+        assert len(radii) == len(steps)  # each member scales the grid anew
+        for n, step in zip(n_values, steps):
+            alone = bz_step(family(n), c, CFG, grid_factor=0.8)
+            assert bits(step) == bits(alone)
+        # a standalone step draws both sets itself
+        assert len(seen) == 2 + 2 * len(steps)
+
+    def test_mixed_dimensions_draw_once_per_dimension(self, monkeypatch):
+        def family(n):
+            return Identity(2) if n % 2 else Linear(n * np.eye(3))
+
+        seen = count_draws(monkeypatch)
+        steps = bz_sequence(family, [1, 2, 3, 4, 5], 1.0, CFG)
+        assert Counter(seen) == {(2, LAMBDA_SEED): 1, (2, GRID_SEED): 1,
+                                 (3, LAMBDA_SEED): 1, (3, GRID_SEED): 1}
+        assert [s.psi.dim for s in steps] == [2, 3, 2, 3, 2]
+        for n, step in zip([1, 2, 3, 4, 5], steps):
+            assert bits(step) == bits(bz_step(family(n), 1.0, CFG))
+
+    def test_empty_sequence_draws_nothing(self, monkeypatch):
+        seen = count_draws(monkeypatch)
+        assert bz_sequence(lambda n: Identity(2), [], 1.0, CFG) == []
+        assert seen == []
+
+
+def reference_shell_points(dom, shells, per_shell, seed):
+    """shell_points written as one loop that draws and scales each shell in
+    turn: the oracle of the draw-then-scale split."""
+    k = dom.dim
+    out = []
+    for i, r in enumerate(_sampling.shell_radii(dom.radius, shells)):
+        if r == 0.0:
+            out.append(np.zeros((1, k), dtype=np.complex128))
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 211, i]))
+        g = rng.standard_normal((per_shell, 2 * k))
+        v = g[:, :k] + 1j * g[:, k:]
+        out.append(r * v / dom.norm(v)[:, None])
+    return np.concatenate(out, axis=0)
+
+
+@pytest.mark.parametrize("shape", ["ball", "polydisc"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shells", [1, 2, 16])
+@pytest.mark.parametrize("per_shell", [1, 48])
+def test_draw_then_scale_keeps_the_bits(shape, k, shells, per_shell):
+    draw = _sampling.draw_shells(DomainSpec(shape, 1.0, k), shells, per_shell, 5)
+    for radius in (1e-200, 0.37, 1.0, 1e200):
+        dom = DomainSpec(shape, radius, k)
+        want = reference_shell_points(dom, shells, per_shell, 5)
+        assert want.shape == (1 + (shells - 1) * per_shell, k)
+        assert _sampling.scale_shells(draw, radius).tobytes() == want.tobytes()
+        assert _sampling.shell_points(dom, shells, per_shell, 5).tobytes() == want.tobytes()
+
+
+def test_a_shell_whose_radius_rounds_to_zero_is_one_center_row():
+    # at the smallest subnormal radius the inner shells' radii round to 0
+    dom = DomainSpec.ball(2, 5e-324)
+    want = reference_shell_points(dom, 16, 48, 5)
+    assert 1 < len(want) < 1 + 15 * 48
+    draw = _sampling.draw_shells(DomainSpec.ball(2, 1.0), 16, 48, 5)
+    assert _sampling.scale_shells(draw, dom.radius).tobytes() == want.tobytes()
+    assert _sampling.shell_points(dom, 16, 48, 5).tobytes() == want.tobytes()
 
 
 class TestConvergenceDiagnostic:

@@ -11,15 +11,12 @@ from .algebra import (
     NORM_NAME,
     as_matrix,
     as_vector,
-    eigen_moduli,
     invert,
     kappa,
-    spectral_norm,
 )
 from .conditioning import (
     ConditionReport,
     SamplerConfig,
-    comparability_ratio,
     kappa_at,
     refined_sup,
     sup_kappa,
@@ -29,7 +26,6 @@ from .counterexamples import (
     DRWitness,
     HarrisWitness,
     certify_no_ball,
-    circle_mean_square,
     duren_rudin_witness,
     harris_witness,
 )
@@ -76,7 +72,6 @@ from .mapkit import (
     jacobian,
     jacobian_batch,
     parse,
-    reparametrize,
     to_text,
 )
 from .renorm import (
@@ -84,6 +79,5 @@ from .renorm import (
     RenormStep,
     bz_sequence,
     bz_step,
-    convergence_diagnostic,
     lambda_functional,
 )

@@ -25,7 +25,7 @@ from . import mapkit
 
 # Resource caps, checked while parsing and expanding; beyond them, ParseError.
 MAX_EXPONENT = 64  # written, or reached by expanding a coordinate
-MAX_BUILTIN_DIM = 32  # k of identity and expcoord
+MAX_DIM = 32  # k of every parsed map
 MAX_TERMS = 4096  # per expanded coordinate, cancelled terms included
 MAX_PRODUCT_PAIRS = 4 * MAX_TERMS  # term pairs one product of two polynomials walks
 
@@ -94,6 +94,11 @@ def _tokenize(text: str):
 
 class _TooLarge(Exception):
     """An expansion outgrew a resource cap; parse() reports a ParseError."""
+
+
+def _check_dim(k: int, pos: int):
+    if k > MAX_DIM:
+        raise ParseError(f"map dimension exceeds {MAX_DIM}", pos)
 
 
 def _check_terms(count: int):
@@ -259,13 +264,15 @@ class _Parser:
         missing += [f"<{kind}>" for kind in positional[len(args):]]
         if missing:
             raise ParseError(f"{name} is missing parameter(s) {', '.join(missing)}", end.pos)
-        if named.get("k", 0) > MAX_BUILTIN_DIM:
-            raise ParseError(f"{name} k exceeds {MAX_BUILTIN_DIM}", tok.pos)
         rest = iter(args)
         try:
-            return build(*[named[kw] if kw else next(rest) for _, kw, _ in fields])
+            m = build(*[named[kw] if kw else next(rest) for _, kw, _ in fields])
         except (ValueError, DimensionMismatch) as exc:
             raise ParseError(str(exc), tok.pos) from exc
+        # every constructor costs O(its input), so the cap can follow it; an
+        # inner map is checked when it is parsed, before an outer one is built
+        _check_dim(m.dim, tok.pos)
+        return m
 
     # -- scalar / literal parsing -------------------------------------------
 
@@ -322,6 +329,7 @@ class _Parser:
             polys.append(self.parse_poly_expr(allow_vars=True))
         tok = self.expect(")")
         k = len(polys)
+        _check_dim(k, start.pos)  # before to_terms, whose work grows as k^2
         max_var = max(p.max_var() for p in polys)
         if max_var >= k:
             raise ParseError(

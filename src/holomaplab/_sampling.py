@@ -155,17 +155,14 @@ def interior_points(dom, n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def blocks(pts):
-    """Consecutive blocks of SCORE_BLOCK rows of pts (the last may be shorter)."""
-    return [pts[i:i + SCORE_BLOCK] for i in range(0, len(pts), SCORE_BLOCK)]
-
-
 def score_blocks(score, pts):
-    """score(pts) computed block by block and concatenated; score maps
-    (N, k) points to (N,) values, row by row."""
+    """score(pts) computed on consecutive blocks of SCORE_BLOCK rows (the
+    last may be shorter) and concatenated; score maps (N, k) points to (N,)
+    values, row by row."""
     if len(pts) <= SCORE_BLOCK:
         return score(pts)
-    return np.concatenate([score(block) for block in blocks(pts)])
+    return np.concatenate([score(pts[i:i + SCORE_BLOCK])
+                           for i in range(0, len(pts), SCORE_BLOCK)])
 
 
 def _kept(vals):

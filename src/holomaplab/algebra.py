@@ -79,11 +79,6 @@ def singular_values(a) -> np.ndarray:
     return singular_values_batch(as_matrix(a)[None])[0]
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value; 0.0 for the zero matrix."""
-    return float(singular_values(a)[0])
-
-
 def invert(a) -> np.ndarray:
     """Matrix inverse; raises SingularMatrix where kappa is +inf."""
     a = as_matrix(a)
@@ -98,11 +93,6 @@ def invert(a) -> np.ndarray:
 def kappa(a) -> float:
     """Spectral condition number sigma_max / sigma_min in [1, +inf]."""
     return float(kappa_from_singular_values(singular_values(a)))
-
-
-def eigen_moduli(a) -> np.ndarray:
-    """Moduli of the eigenvalues, sorted ascending."""
-    return np.sort(np.abs(np.linalg.eigvals(as_matrix(a))))
 
 
 # squared Frobenius norms outside this range go to LAPACK
@@ -176,11 +166,6 @@ def spectral_norm_batch(mats) -> np.ndarray:
     if mats.shape[-2:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)[..., 0]
     return _spectral_norm_2x2(mats.reshape(-1, 2, 2)).reshape(mats.shape[:-2])
-
-
-def kappa_batch(mats) -> np.ndarray:
-    """Vectorized kappa; +inf where singular."""
-    return kappa_from_singular_values(singular_values_batch(mats))
 
 
 def kappa_from_singular_values(s, rtol: float = SINGULAR_RTOL) -> np.ndarray:

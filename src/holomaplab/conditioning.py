@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra
 from ._sampling import BOUNDARY_GAP, MAX_COUNT, sampled_sup, shell_points, subseed
-from .errors import DimensionMismatch, PreconditionFailed, SingularMatrix
+from .errors import DimensionMismatch, PreconditionFailed
 from .mapkit import DomainSpec, MapExpr, jacobian, jacobian_batch
 
 
@@ -112,16 +112,3 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
         inside=lambda offs: ball.norm(offs) <= rad,  # the closed ball
     )
     return best
-
-
-def comparability_ratio(m: MapExpr, z) -> float:
-    """|lambda_max| / |lambda_min| over the Jacobian's eigenvalues.
-
-    Always bounded by kappa_at(m, z), since every eigenvalue modulus lies
-    between sigma_min and sigma_max.
-    """
-    jac = jacobian(m, z).jacobian
-    if algebra.kappa(jac) == np.inf:
-        raise SingularMatrix(f"Jacobian singular at {z}")
-    mods = algebra.eigen_moduli(jac)
-    return float(mods[-1] / mods[0])

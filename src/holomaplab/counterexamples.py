@@ -105,14 +105,6 @@ def harris_witness(n: int, delta: float, alpha0: complex, beta0: complex) -> Har
     return HarrisWitness(n, delta, (alpha0, beta0), zeta, float(violation))
 
 
-def circle_mean_square(delta: float, u: complex, v: complex) -> float:
-    """Exact theta-mean of g(theta)^2: Fourier energy of the circle polynomial."""
-    delta = float(delta)
-    u, v = complex(u), complex(v)
-    c0 = delta**2 * v - u**2
-    return abs(c0) ** 2 + 4.0 * abs(u) ** 2 * delta**2 + delta**4
-
-
 def duren_rudin_witness(delta: float, u: complex, v: complex) -> DRWitness:
     """g at theta0 = (arg c0 - pi)/2 or theta0 + pi, whichever is larger: at
     least |c0| + delta^2, less a relative 5e-13 off a knife edge.  Computed

@@ -175,13 +175,12 @@ def _newton_batch(m, targets, warm, dom, cfg):
     with each row's residual |m(z) - target| taken at the z returned.  Each
     iteration evaluates the rows that moved and takes Jacobians only of rows
     above tolerance; a row also retires on a singular Jacobian or when its
-    max-abs coordinate escapes.  A row's steps do not depend on the other
-    rows, but its escape bound does: 25 * (R + max|target| + 1) takes the
-    max over the whole batch, so whether and when a row retires by escape
-    depends on the other targets in its batch."""
+    max-abs coordinate is not within its escape bound, 25 * (R + max_j
+    |target_j| + 1) for its own target (so a NaN row retires too).  A row's
+    run does not depend on the other rows in its batch."""
     z = np.array(warm, dtype=np.complex128)
     res = np.empty(z.shape[0])
-    escape = _DIVERGENCE_FACTOR * (dom.radius + float(np.abs(targets).max()) + 1.0)
+    escape = _DIVERGENCE_FACTOR * (dom.radius + np.abs(targets).max(axis=1) + 1.0)
     moved = np.arange(z.shape[0])  # rows whose residual at z is not known yet
     live = np.ones(z.shape[0], dtype=bool)  # rows that may still take a step
     for it in range(MAX_ITERATIONS + 1):
@@ -204,16 +203,18 @@ def _newton_batch(m, targets, warm, dom, cfg):
         keep = live[rem]
         moved = rem[keep]
         z[moved] = z[moved] - step[keep]
-        live[moved[np.abs(z[moved]).max(axis=1) > escape]] = False
+        live[moved[~(np.abs(z[moved]).max(axis=1) <= escape[moved])]] = False
     return z, res
 
 
 def _certify_shell(m, targets, warm, dom, cfg):
     """Certify a whole shell of targets as one Newton batch from the warm
-    starts; returns (ok, z, residual, margin) per target."""
-    z, res = _newton_batch(m, targets, warm, dom, cfg)
-    margins = np.asarray(dom.margin(z), dtype=float)
-    ok = (res <= cfg.tolerance) & (margins >= DOMAIN_MARGIN_MIN)
+    starts; returns (ok, z, residual, margin) per target.  An escaped row's
+    overflow to inf or NaN fails it quietly, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, res = _newton_batch(m, targets, warm, dom, cfg)
+        margins = np.asarray(dom.margin(z), dtype=float)
+        ok = (res <= cfg.tolerance) & (margins >= DOMAIN_MARGIN_MIN)
     return ok, z, res, margins
 
 

@@ -492,9 +492,6 @@ class DomainSpec:
         """Distance to the boundary in the domain's norm (negative outside)."""
         return self.radius - self.norm(z)
 
-    def contains(self, z, margin: float = 0.0) -> bool:
-        return bool(np.all(self.margin(z) > margin))
-
 
 # --------------------------------------------------------------------------
 # evaluation and differentiation
@@ -566,12 +563,6 @@ def jacobian_batch(m: MapExpr, pts):
 
 # --------------------------------------------------------------------------
 # structural combinators
-
-
-def reparametrize(m: MapExpr, a, B) -> MapExpr:
-    """Structural z -> m(a + B z); no numeric folding, so the returned map
-    evaluates exactly the composed arithmetic."""
-    return Affine(a, B, m)
 
 
 def dilate(m: MapExpr, R: float) -> MapExpr:

@@ -27,11 +27,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import algebra
-from ._sampling import (ShellDraw, blocks, draw_shells, sampled_sup, scale_shells, score_blocks,
+from ._sampling import (ShellDraw, draw_shells, sampled_sup, scale_shells, score_blocks,
                         shell_points, subseed)
 from .conditioning import SamplerConfig
 from .errors import PreconditionFailed
-from .mapkit import DomainSpec, MapExpr, evaluate_batch, jacobian, jacobian_batch, reparametrize
+from .mapkit import Affine, DomainSpec, MapExpr, jacobian, jacobian_batch
 
 # relative slack of the sampled derivative-bound check
 BOUND_RTOL = 1e-6
@@ -121,7 +121,7 @@ def bz_step(
     lambda_pts, grid_draw = (None, None) if _draws is None else _draws
     lam, a = lambda_functional(m, cfg, _pts=lambda_pts)
     b_matrix = algebra.invert(jacobian(m, a).jacobian)
-    psi = reparametrize(m, a, b_matrix)
+    psi = Affine(a, b_matrix, m)  # structural, so psi evaluates exactly m(a + B z)
     validity = lam / (2.0 * c_bound)
 
     grid_dom = DomainSpec.ball(m.dim, grid_factor * validity)
@@ -172,51 +172,3 @@ def bz_sequence(
             draws[m.dim] = _draw(m.dim, cfg)
         steps.append(bz_step(m, c_bound, cfg, grid_factor=grid_factor, _draws=draws[m.dim]))
     return steps
-
-
-def convergence_diagnostic(
-    steps: Sequence[RenormStep], radius: float, grid_per_axis: int
-) -> list[float]:
-    """Successive sup-differences d_i = max |psi_{i+1} - psi_i| on a shared
-    grid of the ball |z| <= radius.
-
-    The grid is the Cartesian product of grid_per_axis equispaced values
-    per real axis, restricted to the ball; with an odd grid_per_axis it
-    contains the points of norm exactly `radius` on each axis.  Decreasing
-    d_i is evidence of convergence of the rescaled sequence; the limit map
-    itself is not computed.  The grid is built and evaluated in blocks of
-    SCORE_BLOCK grid points, and each d_i is the max over blocks of the
-    block's max, so neither the grid nor any step's values are held whole.
-    Raises PreconditionFailed on a bad argument or an empty grid.
-    """
-    if len(steps) < 2:
-        return []
-    k = steps[0].psi.dim
-    if any(s.psi.dim != k for s in steps):
-        raise PreconditionFailed("steps have mismatched dimensions")
-    vmin = min(s.validity_radius for s in steps)
-    if radius > vmin * (1.0 + 1e-12):
-        raise PreconditionFailed(
-            f"radius {radius} exceeds the smallest validity radius {vmin}"
-        )
-    if grid_per_axis < 2:
-        raise PreconditionFailed("grid_per_axis must be >= 2")
-    if grid_per_axis ** (2 * k) > 2_000_000:
-        raise PreconditionFailed("comparison grid too large; reduce grid_per_axis")
-    axes = np.linspace(-radius, radius, grid_per_axis)
-    shape = (grid_per_axis,) * (2 * k)
-
-    def block_maxima(indices):
-        # the grid points of these row-major indices that lie in the ball
-        flat = axes[np.stack(np.unravel_index(indices, shape), axis=1)]
-        pts = flat[:, :k] + 1j * flat[:, k:]
-        pts = pts[np.linalg.norm(pts, axis=1) <= radius * (1.0 + 1e-12)]
-        values = [evaluate_batch(s.psi, pts) for s in steps]
-        return len(pts), [np.max(np.linalg.norm(values[i + 1] - values[i], axis=1),
-                                 initial=-np.inf) for i in range(len(values) - 1)]
-
-    counts, maxima = zip(*(block_maxima(ix) for ix in blocks(range(grid_per_axis ** (2 * k)))))
-    if not sum(counts):
-        raise PreconditionFailed("no comparison grid point lies in the ball; "
-                         "use an odd grid_per_axis")
-    return [float(d) for d in np.max(maxima, axis=0)]

@@ -142,6 +142,15 @@ class TestRun:
         assert report["payload"] is None
         assert report["error"] is not None
 
+    @pytest.mark.filterwarnings("error")
+    def test_landau_on_an_overflowing_map_prints_no_warning(self, tmp_path):
+        # a warning turned error would end the run with exit 3
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": "expcoord(c=1000, k=2)", "task": "landau",
+            "seed": 3, "params": {},
+        })
+        assert run(str(cfg), str(tmp_path / "r.json")) == 0
+
     def test_overflowing_jacobian_stays_a_plain_value_error(self, tmp_path):
         # algebra.as_matrix rejects the computed non-finite Jacobian with a
         # plain ValueError: a numerical failure, not a bad argument

@@ -9,7 +9,6 @@ from holomaplab import (
     Harris,
     Henon,
     certify_no_ball,
-    circle_mean_square,
     duren_rudin_witness,
     harris_witness,
 )
@@ -193,7 +192,8 @@ class TestDurenRudinWitness:
             u = rng.standard_normal() + 1j * rng.standard_normal()
             v = rng.standard_normal() + 1j * rng.standard_normal()
             grid_mean = np.mean(circle_values(delta, u, v, n=1024) ** 2)
-            exact = circle_mean_square(delta, u, v)
+            # Parseval: |c0|^2 + |c1|^2 + |c2|^2
+            exact = abs(delta**2 * v - u**2) ** 2 + 4 * abs(u) ** 2 * delta**2 + delta**4
             assert grid_mean == pytest.approx(exact, rel=1e-8)
 
 

@@ -370,6 +370,40 @@ class TestNewtonBatch:
         assert all(not (b == warm[5]).all(axis=1).any() for b in batches[1:])
         assert np.array_equal(z, expected)
 
+    @pytest.mark.parametrize("text", [
+        "henon(b=0.5)", "compose(henon(b=0.5), expcoord(c=0.1, k=2))", "harris(n=3)"])
+    def test_a_row_runs_as_it_runs_alone(self, text):
+        # each row has its own escape bound, so a far target (1000, 0) in the
+        # batch changes no other row's run
+        m = parse(text)
+        rng = np.random.default_rng(41)
+        targets = rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2))
+        warm = 5.0 * (rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2)))
+        # on the composition this row fails alone, but it would certify beside
+        # (1000, 0) if its escape bound were taken from that target
+        targets[0] = [2.242 - 3.193j, 2.786 - 1.511j]
+        warm[0] = [-0.508 + 0.184j, -0.227 - 0.893j]
+        targets = np.vstack([targets, [[1000, 0]]])
+        warm = np.vstack([warm, [[0, 0]]])
+        batch = landau._certify_shell(m, targets, warm, BALL2, CFG)
+        for i in range(len(targets)):
+            alone = landau._certify_shell(m, targets[i:i + 1], warm[i:i + 1], BALL2, CFG)
+            for got, want in zip(batch, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes(), (i, got[i], want)
+
+    def test_a_nan_row_retires(self, monkeypatch):
+        # the far row's exp overflows, and its second step makes it NaN, which
+        # no "> bound" test catches; it retires there, and the near row takes
+        # the third Jacobian alone
+        m = parse("expcoord(c=30, k=2)")
+        targets = np.array([[0.5, 0.5], [1e300, 0]], complex)
+        warm = np.array([[0.01, 0.01], [0.1, 0]], complex)
+        calls = count_calls(monkeypatch, landau, "jacobian_batch")
+        with np.errstate(all="ignore"):
+            z, res = landau._newton_batch(m, targets, warm, BALL2, CFG)
+        assert res[0] <= CFG.tolerance and np.isnan(z[1]).all()
+        assert [len(values) for values, _ in calls] == [2, 2, 1]
+
 
 class TestLandauEstimate:
     def test_identity(self):
@@ -482,6 +516,17 @@ class TestLandauEstimate:
         cfg = NewtonConfig(tolerance=1e-8, rng_seed=7)
         landau_estimate(Harris(3), POLY2, cfg, center_refine_steps=20)
         assert len(full_runs) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        "expcoord(c=1000, k=2)", "expcoord(c=30, k=2)",
+        "compose(henon(b=0.5), expcoord(c=3, k=2))"])
+    def test_overflowing_rows_fail_without_a_numpy_warning(self, text):
+        # Newton rows that escape overflow to inf or NaN; they fail their
+        # shell quietly
+        est = landau_estimate(parse(text), BALL2, CFG, center_candidates=2,
+                              direction_count=32, center_refine_steps=1)
+        assert est.r_lo > 0
 
 
 def climb_by_hand(m, dom, cfg, direction_count, growth_factor, center_refine_steps):

@@ -22,7 +22,6 @@ from holomaplab import (
     jacobian,
     jacobian_batch,
     parse,
-    reparametrize,
     to_text,
 )
 from holomaplab import _grammar
@@ -118,20 +117,22 @@ class TestJacobian:
 
 
 class TestReparametrize:
+    """Affine(a, B, m) is the structural z -> m(a + B z) that bz_step builds."""
+
     def test_identity_shift(self):
         a = np.array([0.1, 0.2j])
-        r = reparametrize(Identity(2), a, np.eye(2))
+        r = Affine(a, np.eye(2), Identity(2))
         z = np.array([0.05, -0.03])
         assert np.allclose(evaluate(r, z), a + z, atol=0)
 
     def test_linear_inverse_gives_identity_jacobian(self):
         A = np.array([[2.0, 1.0], [0.5j, 1.0]])
-        r = reparametrize(Linear(A), np.zeros(2), np.linalg.inv(A))
+        r = Affine(np.zeros(2), np.linalg.inv(A), Linear(A))
         assert np.abs(jacobian(r, [0.1, 0.2]).jacobian - np.eye(2)).max() <= 1e-14
 
     def test_henon_hand_example(self):
         # m(a + B z) at z = (0.1, 0) with B = [[0,2],[1,0]] hits m(0, 0.1) = (0.05, 0)
-        r = reparametrize(Henon(0.5), [0, 0], [[0, 2], [1, 0]])
+        r = Affine([0, 0], [[0, 2], [1, 0]], Henon(0.5))
         assert np.allclose(evaluate(r, [0.1, 0]), [0.05, 0], atol=1e-16)
 
     def test_exact_on_grid(self):
@@ -141,7 +142,7 @@ class TestReparametrize:
         for m in [Henon(0.5), Harris(2), Compose(Henon(0.5), ExpCoord(0.2, 2))]:
             a = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            r = reparametrize(m, a, B)
+            r = Affine(a, B, m)
             lhs = evaluate_batch(r, grid)
             rhs = np.array([evaluate(m, a + B @ z) for z in grid])
             scale = np.abs(rhs).max() + 1.0
@@ -271,6 +272,8 @@ class TestParse:
             "((1 + z1)^63 * (1 + z2)^63 + z3, z2, z3)",  # 4097 terms, from the sum
             "identity(k=33)",
             "expcoord(c=0.1, k=33)",
+            # capped before dilate builds a k x k matrix for its inner map
+            "dilate(2, identity(k=1000000000000))",
             "identity(k=1e400)",
             "(z1^1e400, z2)",
         ):
@@ -283,6 +286,30 @@ class TestParse:
         assert len(parse("((1 + z1)^63 * (1 + z2)^63, z2)").polys[0]) == 4096
         assert parse("identity(k=32)").dim == 32
         assert parse("expcoord(c=0.1, k=32)").dim == 32
+
+    @pytest.mark.parametrize("form", [
+        "tuple", "linear", "translation", "affine", "identity", "expcoord"])
+    def test_every_map_form_has_the_dimension_cap(self, form):
+        def text(k):
+            eye = "[" + ", ".join(
+                "[" + ", ".join("1" if i == j else "0" for j in range(k)) + "]"
+                for i in range(k)) + "]"
+            zeros = "[" + ", ".join(["0"] * k) + "]"
+            return {
+                "tuple": "(" + ", ".join(f"z{j + 1}" for j in range(k)) + ")",
+                "linear": f"linear(a={eye})",
+                "translation": f"translation(t={zeros})",
+                # an affine map has its inner map's dimension, so the inner
+                # one fails first
+                "affine": f"affine({zeros}, {eye}, identity(k={k}))",
+                "identity": f"identity(k={k})",
+                "expcoord": f"expcoord(c=0.1, k={k})",
+            }[form]
+
+        assert parse(text(32)).dim == _grammar.MAX_DIM == 32
+        with pytest.raises(ParseError, match="map dimension exceeds 32") as err:
+            parse(text(33))
+        assert err.value.position == (text(33).index("identity") if form == "affine" else 0)
 
     @pytest.mark.parametrize("text, position", [("é", 0), ("henon(b=²)", 8), ("(z1, z²)", 6)])
     def test_non_ascii_characters(self, text, position):
@@ -358,14 +385,14 @@ class TestConstructorRanges:
 class TestDomainSpec:
     def test_ball_membership(self):
         dom = DomainSpec.ball(2, 1.0)
-        assert dom.contains([0.5, 0.5])
-        assert not dom.contains([0.8, 0.7])  # norm > 1
+        assert dom.margin([0.5, 0.5]) > 0
+        assert dom.margin([0.8, 0.7]) < 0  # norm > 1
         assert dom.margin([0.6, 0.0]) == pytest.approx(0.4)
 
     def test_polydisc_membership(self):
         dom = DomainSpec.polydisc(2, 1.0)
-        assert dom.contains([0.9, 0.9])
-        assert not dom.contains([1.1, 0.0])
+        assert dom.margin([0.9, 0.9]) > 0
+        assert dom.margin([1.1, 0.0]) < 0
         assert dom.margin([0.9, 0.3]) == pytest.approx(0.1)
 
     def test_invalid(self):

@@ -25,11 +25,14 @@ Entries:
                           landau_estimate of Harris(3) on the unit polydisc
                           from the origin's image, 96 directions, growth
                           factor 1.02, one climb sweep: one full run and 8
-                          probes
+                          probes, which run in lockstep rounds (one Newton
+                          batch per round)
   estimate.henon.refine20 landau_estimate of henon(b=0.5) on the ball of
                           radius 0.9, default candidates, directions and
                           growth factor, 20 climb sweeps: two full runs
-                          and 160 probes, none of which beats the incumbent
+                          and 160 probes, none of which beats the
+                          incumbent; the full runs share lockstep rounds,
+                          and so do the 8 probes of each sweep
   growth.expcoord.r2      rescaled_growth of expcoord(c=0.1, k=2) at R in
                           {1, 2}, 96 directions, growth factor 1.02
   membership.fail         solve_membership of a target outside the image:

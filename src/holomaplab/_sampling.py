@@ -264,15 +264,16 @@ def sampled_sup(score, pts, steps: int, step0: float, inside):
     where the counts cover the samples and the climb; the climb's start
     counts once more, as its first evaluation.
     """
-    vals = score_blocks(score, pts)
-    kept = _kept(vals)
-    excluded = len(pts) - int(np.count_nonzero(kept))
-    if excluded == len(pts):
-        raise EmptySample(f"all {len(pts)} sampled points were excluded")
-    idx = int(np.argmax(np.where(kept, vals, -np.inf)))
-    best_pt, best = np.array(pts[idx]), float(vals[idx])
-    if steps <= 0 or best == np.inf:
-        return best_pt, best, len(pts), excluded
-    best_pt, best, evals, climb_excluded = coordinate_ascent(
-        score, best_pt, best, steps, step0, inside)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows score quietly
+        vals = score_blocks(score, pts)
+        kept = _kept(vals)
+        excluded = len(pts) - int(np.count_nonzero(kept))
+        if excluded == len(pts):
+            raise EmptySample(f"all {len(pts)} sampled points were excluded")
+        idx = int(np.argmax(np.where(kept, vals, -np.inf)))
+        best_pt, best = np.array(pts[idx]), float(vals[idx])
+        if steps <= 0 or best == np.inf:
+            return best_pt, best, len(pts), excluded
+        best_pt, best, evals, climb_excluded = coordinate_ascent(
+            score, best_pt, best, steps, step0, inside)
     return best_pt, best, len(pts) + 1 + evals, excluded + climb_excluded

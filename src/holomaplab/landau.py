@@ -27,7 +27,10 @@ one estimate draws them once for its center candidates, full runs and
 climb probes, and one growth series once for all its dilations.  The
 center climb is _sampling.coordinate_ascent; a probe searches the shared
 r0 ladder from a rung below the incumbent radius, so a probe and a full
-run that certify the same rung read the same radius.
+run that certify the same rung read the same radius.  The ladders of the
+center candidates, and those of each climb sweep's probes, run in lockstep:
+each round certifies the next shell of every running ladder as one Newton
+batch, and no ladder's result depends on the batch it shares.
 """
 
 from __future__ import annotations
@@ -172,38 +175,41 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig,
 
 def _newton_batch(m, targets, warm, dom, cfg):
     """Vectorized Newton across a batch of targets; returns (z, residual)
-    with each row's residual |m(z) - target| taken at the z returned.  Each
-    iteration evaluates the rows that moved and takes Jacobians only of rows
-    above tolerance; a row also retires on a singular Jacobian or when its
-    max-abs coordinate is not within its escape bound, 25 * (R + max_j
-    |target_j| + 1) for its own target (so a NaN row retires too).  A row's
-    run does not depend on the other rows in its batch."""
+    with each row's residual |m(z) - target| taken at the z returned.  The
+    running rows are kept compact (ids, z, targets, escape bounds), gathered
+    only when one drops out; each iteration evaluates them, scatters z and
+    residual back by id, and takes Jacobians only of rows above tolerance.
+    A row retires on a singular Jacobian or when its max-abs coordinate is
+    not within its escape bound, 25 * (R + max_j |target_j| + 1) for its own
+    target (so a NaN row retires too).  A row's run does not depend on the
+    other rows in its batch, so the shells of many ladders may share one."""
     z = np.array(warm, dtype=np.complex128)
     res = np.empty(z.shape[0])
+    ids, zc, tc = np.arange(z.shape[0]), z, targets  # the running rows, compact
     escape = _DIVERGENCE_FACTOR * (dom.radius + np.abs(targets).max(axis=1) + 1.0)
-    moved = np.arange(z.shape[0])  # rows whose residual at z is not known yet
-    live = np.ones(z.shape[0], dtype=bool)  # rows that may still take a step
+    live = True  # per running row: within its escape bound, so it may step
     for it in range(MAX_ITERATIONS + 1):
-        f = evaluate_batch(m, z[moved]) - targets[moved]
-        res[moved] = np.linalg.norm(f, axis=1)
-        step_rows = live[moved] & ~(res[moved] <= cfg.tolerance)
-        rem, f_rem = moved[step_rows], f[step_rows]
-        if it == MAX_ITERATIONS or rem.size == 0:
+        f = evaluate_batch(m, zc) - tc
+        r = np.linalg.norm(f, axis=1)
+        z[ids], res[ids] = zc, r
+        go = np.flatnonzero(live & ~(r <= cfg.tolerance))  # the rows that step
+        if it == MAX_ITERATIONS or go.size == 0:
             break
-        j_rem = jacobian_batch(m, z[rem])[1]
+        if go.size < ids.size:
+            ids, zc, tc, escape, f = ids[go], zc[go], tc[go], escape[go], f[go]
+        jac = jacobian_batch(m, zc)[1]
         try:
-            step = np.linalg.solve(j_rem, f_rem[..., None])[..., 0]
+            step = np.linalg.solve(jac, f[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.zeros_like(f_rem)
-            for t in range(rem.size):
+            step, solved = np.zeros_like(f), np.ones(len(f), dtype=bool)
+            for t in range(len(f)):
                 try:
-                    step[t] = np.linalg.solve(j_rem[t], f_rem[t])
+                    step[t] = np.linalg.solve(jac[t], f[t])
                 except np.linalg.LinAlgError:
-                    live[rem[t]] = False  # z cannot move
-        keep = live[rem]
-        moved = rem[keep]
-        z[moved] = z[moved] - step[keep]
-        live[moved[~(np.abs(z[moved]).max(axis=1) <= escape[moved])]] = False
+                    solved[t] = False  # z cannot move
+            ids, zc, tc, escape, step = (x[solved] for x in (ids, zc, tc, escape, step))
+        zc = zc - step
+        live = np.abs(zc).max(axis=1) <= escape
     return z, res
 
 
@@ -252,18 +258,53 @@ def inscribed_lower_bound(
     the center's followed by those of rung lo; none when no rung
     certified.  _draws, when given, holds the starts, directions and r0
     ladder that the caller drew for this direction_count and growth_factor.
+    This is _ladders on one center.  An estimate runs the ladders of its
+    center candidates, and of each climb sweep's probes, in lockstep: one
+    Newton batch per round, which no ladder's result depends on.
     """
     a = algebra.as_vector(a)
     _check_ladder(m, dom, direction_count, growth_factor)
     draws = _draw(m, dom, cfg, direction_count) if _draws is None else _draws
-    center_sol = solve_membership(m, a, dom, cfg, _starts=draws.starts)
-    if isinstance(center_sol, NotFound):
-        raise CenterNotInImage(
-            f"no certificate for center {a}; best residual {center_sol.best_residual:.3e}"
-        )
-    dirs = draws.dirs
+    est = _ladders(m, [a], dom, cfg, growth_factor, draws, _first)[0]
+    if isinstance(est, NotFound):
+        raise CenterNotInImage(f"no certificate for center {a}; best residual "
+                               f"{est.best_residual:.3e}")
+    return est
+
+
+def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0):
+    """inscribed_lower_bound around each of centers (complex vectors) from
+    rung first, in lockstep: one membership search per center, then rounds
+    in which the next shell of every running search joins one _certify_shell
+    batch and each search reads back its own rows.  No row's Newton run
+    depends on its batch, so each search is the one its center runs alone.
+    Returns, per center, its LandauEstimate or its center's NotFound."""
+    out = [solve_membership(m, a, dom, cfg, _starts=draws.starts) for a in centers]
+    running = {i: _ladder(a, sol, draws, growth_factor, first) for i, (a, sol)
+               in enumerate(zip(centers, out)) if isinstance(sol, MembershipCertificate)}
+    sent = dict.fromkeys(running)  # each search's last shell; None starts it
+    while running:
+        shells = {}  # the (targets, warm) of each running search's next shell
+        for i in list(running):
+            try:
+                shells[i] = running[i].send(sent[i])
+            except StopIteration as stop:
+                out[i] = stop.value
+                del running[i]
+        if shells:
+            targets, warm = (np.concatenate(x) for x in zip(*shells.values()))
+            batch = _certify_shell(m, targets, warm, dom, cfg)
+            n = len(draws.dirs)  # rows per shell
+            sent = {i: tuple(x[j * n:(j + 1) * n] for x in batch) for j, i in enumerate(shells)}
+    return out
+
+
+def _ladder(a, center_sol, draws, growth_factor, first):
+    """inscribed_lower_bound's galloping search around a, from its center
+    certificate center_sol, as a generator: it yields each shell's (targets,
+    warm), is sent back its (ok, z, residual, margin), returns the estimate."""
+    dirs, radii = draws.dirs, draws.rungs
     z_c = center_sol.preimage
-    radii = draws.rungs
 
     def radius(k):
         while len(radii) <= k:
@@ -271,7 +312,7 @@ def inscribed_lower_bound(
         return radii[k]
 
     top = _MAX_SHELLS - 1  # the ladder's last rung
-    lo, best = _first - 1, None  # highest certified rung and its (targets, z, res, margins)
+    lo, best = first - 1, None  # highest certified rung and its (targets, z, res, margins)
     hi, hi_from = None, None  # lowest failed rung above lo, and the lo it was tested from
     step = 1
     history: list = []
@@ -289,10 +330,10 @@ def inscribed_lower_bound(
         r = radius(k)
         targets = a + r * dirs
         if best is None:
-            warm = np.tile(z_c, (direction_count, 1))
+            warm = np.tile(z_c, (len(dirs), 1))
         else:
             warm = z_c + (r / radii[lo]) * (best[1] - z_c)  # lo's preimages, scaled
-        ok, z, res, margins = _certify_shell(m, targets, warm, dom, cfg)
+        ok, z, res, margins = yield targets, warm
         certified = bool(ok.all())
         history.append((r, certified))
         if certified:
@@ -303,13 +344,9 @@ def inscribed_lower_bound(
             lo, best = k, (targets, z, res, margins)
         else:
             hi, hi_from = k, lo
-    shell_certs = []
-    if best is not None:
-        targets, z, res, margins = best
-        shell_certs = [
-            MembershipCertificate(*row)
-            for row in zip(targets, np.array(z), res.tolist(), margins.tolist())
-        ]
+    shell_certs = [] if best is None else [
+        MembershipCertificate(*row)
+        for row in zip(best[0], np.array(best[1]), best[2].tolist(), best[3].tolist())]
     return LandauEstimate(
         center=a,
         r_lo=radii[lo] if best is not None else 0.0,
@@ -317,7 +354,7 @@ def inscribed_lower_bound(
         r_hi=radii[hi] if hi is not None else np.inf,
         r_hi_label="heuristic" if hi is not None else "ladder_end",
         certificates=[center_sol] + shell_certs,
-        directions_tested=int(direction_count),
+        directions_tested=len(dirs),
         shell_history=history,
     )
 
@@ -359,8 +396,7 @@ def landau_estimate(
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
     draws = _draw(m, dom, cfg, direction_count)
-    return _estimate(m, dom, cfg, draws, center_candidates, direction_count, growth_factor,
-                     center_refine_steps)
+    return _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refine_steps)
 
 
 def _check_estimate(m, dom, center_candidates, direction_count, growth_factor,
@@ -377,49 +413,42 @@ def _check_estimate(m, dom, center_candidates, direction_count, growth_factor,
     return direction_count
 
 
-def _estimate(m, dom, cfg, draws, center_candidates, direction_count, growth_factor,
-              center_refine_steps):
+def _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refine_steps):
     """landau_estimate on checked arguments and the draws of its ladders."""
 
-    def full_run(center):
-        return inscribed_lower_bound(
-            m, center, dom, cfg, direction_count, growth_factor, _draws=draws
-        )
+    def ladders(cands, first=0):
+        return _ladders(m, cands, dom, cfg, growth_factor, draws, first)
 
     centers = [evaluate(m, np.zeros(m.dim))]
     if center_candidates > 1:
         pre = interior_points(dom, center_candidates - 1, subseed(cfg.rng_seed, "centers"))
         centers.extend(evaluate_batch(m, pre))
 
-    results = []
-    for center in centers:
-        try:
-            results.append(full_run(center))
-        except CenterNotInImage:
-            continue
+    results = [est for est in ladders(centers) if isinstance(est, LandauEstimate)]
     if not results:
         raise CenterNotInImage("no candidate center could be certified in the image")
     best = max(results, key=lambda est: est.r_lo)
 
     def score(cands):
         """The climb's rows, in order, up to the first whose full run beats
-        best: a probe from the highest r0 rung at or below 0.8 * best.r_lo,
-        and a full run where the probe beats best; -inf off the image."""
+        best: the probes of each sweep, from the highest r0 rung at or below
+        0.8 * best.r_lo, run in one lockstep call, and a full run follows
+        where a probe beats best; -inf off the image."""
         nonlocal best
         first = max(0, bisect_right(draws.rungs, 0.8 * best.r_lo) - 1)
         vals = np.full(len(cands), -np.inf)
-        for i, cand in enumerate(cands):
-            try:
-                est = inscribed_lower_bound(m, cand, dom, cfg, direction_count, growth_factor,
-                                            _first=first, _draws=draws)
+        for start in range(0, len(cands), 4 * m.dim):  # one sweep's probes at a time
+            sweep = cands[start:start + 4 * m.dim]
+            for i, (cand, est) in enumerate(zip(sweep, ladders(sweep, first)), start):
+                if isinstance(est, NotFound):
+                    continue
+                if est.r_lo > best.r_lo:  # a full run
+                    est = inscribed_lower_bound(m, cand, dom, cfg, len(draws.dirs),
+                                                growth_factor, _draws=draws)
+                vals[i] = est.r_lo
                 if est.r_lo > best.r_lo:
-                    est = full_run(cand)
-            except CenterNotInImage:
-                continue
-            vals[i] = est.r_lo
-            if est.r_lo > best.r_lo:
-                best = est
-                break
+                    best = est
+                    return vals
         return vals
 
     # centers live in the image, not in the domain: every candidate may be scored
@@ -453,6 +482,6 @@ def rescaled_growth(
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
     draws = _draw(m, dom, cfg, direction_count)
-    return [(R, R * _estimate(m_R, dom, cfg, draws, center_candidates, direction_count,
-                              growth_factor, center_refine_steps).r_lo)
+    return [(R, R * _estimate(m_R, dom, cfg, draws, center_candidates, growth_factor,
+                              center_refine_steps).r_lo)
             for R, m_R in dilated]

@@ -33,6 +33,11 @@ def run_cli(*args):
     )
 
 
+# sampled tasks on expcoord(c=1000, k=2), whose Jacobians overflow
+OVERFLOWING_SAMPLER_TASKS = [
+    ("kappa-sup", {"radial_shells": 8, "points_per_shell": 48, "refine_steps": 10}),
+    ("bz-run", {"C": 12.0, "radial_shells": 8, "points_per_shell": 48, "refine_steps": 12}),
+]
 FAR_CENTERS = [[[0, 0], [0, 0]], [[0, 0], [1e200, 0]], [[1e200, 0], [0, 0]]]
 
 
@@ -125,11 +130,7 @@ class TestRun:
         assert report["payload"] is None
         assert report["error"]["type"] == "SingularMatrix"
 
-    @pytest.mark.parametrize("task, params", [
-        ("kappa-sup", {"radial_shells": 8, "points_per_shell": 48, "refine_steps": 10}),
-        ("bz-run", {"C": 12.0, "radial_shells": 8, "points_per_shell": 48,
-                    "refine_steps": 12}),
-    ])
+    @pytest.mark.parametrize("task, params", OVERFLOWING_SAMPLER_TASKS)
     def test_overflowing_map_exits_3_with_partial_report(self, tmp_path, task, params):
         # the Jacobians overflow and the SVD raises numpy's LinAlgError
         cfg = write_config(tmp_path, "c.json", {
@@ -141,6 +142,19 @@ class TestRun:
         report = load_report(out)
         assert report["payload"] is None
         assert report["error"] is not None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("task, params", OVERFLOWING_SAMPLER_TASKS)
+    def test_overflowing_sampler_prints_no_warning(self, tmp_path, task, params):
+        # the sampled scorers overflow quietly, so the run still ends on the
+        # SVD's LinAlgError, not on a numpy RuntimeWarning turned error
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": "expcoord(c=1000, k=2)", "task": task,
+            "seed": 3, "params": params,
+        })
+        out = tmp_path / "r.json"
+        assert run(str(cfg), str(out)) == 3
+        assert load_report(out)["error"]["type"] == "LinAlgError"
 
     @pytest.mark.filterwarnings("error")
     def test_landau_on_an_overflowing_map_prints_no_warning(self, tmp_path):

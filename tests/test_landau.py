@@ -391,6 +391,27 @@ class TestNewtonBatch:
             for got, want in zip(batch, alone):
                 assert got[i:i + 1].tobytes() == want.tobytes(), (i, got[i], want)
 
+    def test_retiring_rows_run_as_they_run_alone(self):
+        # every way a row leaves the compact running set, in one batch: one
+        # converges at its first evaluation, one has a singular Jacobian at
+        # z1 = 0 (so the batch solve falls back to row solves), one jumps past
+        # its escape bound, one turns NaN; the last converges in five steps
+        m = parse("compose(expcoord(c=30, k=2), (z1^2, z2))")
+        exact = np.array([0.1, 0.02], complex)
+        near = evaluate(m, exact)
+        targets = np.array([near, near, [0.5, 0.5], [1e300, 0], [0.5, 0.5]], complex)
+        warm = np.array([exact, [0, 0.02], [1e-6, 0.02], [0.1, 0], [0.2, 0.02]], complex)
+        batch = landau._certify_shell(m, targets, warm, BALL2, CFG)
+        ok, z, res, _ = batch
+        assert ok[0] and res[0] == 0 and ok[4] and not ok[1:4].any()
+        assert np.array_equal(z[1], warm[1])
+        assert np.abs(z[2]).max() > landau._DIVERGENCE_FACTOR * (BALL2.radius + 0.5 + 1.0)
+        assert np.isfinite(z[2]).all() and np.isnan(z[3]).all()
+        for i in range(len(targets)):
+            alone = landau._certify_shell(m, targets[i:i + 1], warm[i:i + 1], BALL2, CFG)
+            for got, want in zip(batch, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes(), (i, got[i], want)
+
     def test_a_nan_row_retires(self, monkeypatch):
         # the far row's exp overflows, and its second step makes it NaN, which
         # no "> bound" test catches; it retires there, and the near row takes
@@ -403,6 +424,70 @@ class TestNewtonBatch:
             z, res = landau._newton_batch(m, targets, warm, BALL2, CFG)
         assert res[0] <= CFG.tolerance and np.isnan(z[1]).all()
         assert [len(values) for values, _ in calls] == [2, 2, 1]
+
+
+def count_ladders(monkeypatch):
+    """Record (first rung, results) of every lockstep call of landau._ladders."""
+    calls = []
+    original = landau._ladders
+
+    def counted(m, centers, dom, cfg, growth_factor, draws, first=0):
+        out = original(m, centers, dom, cfg, growth_factor, draws, first)
+        calls.append((first, out))
+        return out
+
+    monkeypatch.setattr(landau, "_ladders", counted)
+    return calls
+
+
+class TestLockstepLadders:
+    @pytest.mark.parametrize("m, dom", [
+        (Harris(3), POLY2), (Henon(0.5), DomainSpec.ball(2, 0.9))], ids=["harris3", "henon"])
+    @pytest.mark.parametrize("first", [0, 150])
+    def test_each_ladder_is_its_search_alone(self, m, dom, first):
+        cfg = NewtonConfig(tolerance=1e-8, rng_seed=3)
+        draws = landau._draw(m, dom, cfg, 32)
+        # eight centers whose searches end after different rounds, and one
+        # far outside the bounded image
+        centers = list(evaluate_batch(m, interior_points(dom, 8, 11)))
+        centers.insert(4, np.array([50.0, 50.0], complex))
+        out = landau._ladders(m, centers, dom, cfg, 1.05, draws, first)
+        assert isinstance(out[4], NotFound)
+        with pytest.raises(CenterNotInImage):
+            inscribed_lower_bound(m, centers[4], dom, cfg, 32, 1.05)
+        rounds = {len(est.shell_history) for est in out if not isinstance(est, NotFound)}
+        assert len(rounds) > 1
+        for center, est in zip(centers, out):
+            if isinstance(est, NotFound):
+                continue
+            alone = inscribed_lower_bound(m, center, dom, cfg, 32, 1.05, _first=first)
+            assert est.shell_history == alone.shell_history
+            assert (est.r_lo, est.r_hi, est.r_hi_label) == (alone.r_lo, alone.r_hi,
+                                                           alone.r_hi_label)
+            assert est.center.tobytes() == alone.center.tobytes()
+            assert len(est.certificates) == len(alone.certificates) > 1
+            for c, d in zip(est.certificates, alone.certificates):
+                assert c.target.tobytes() == d.target.tobytes()
+                assert c.preimage.tobytes() == d.preimage.tobytes()
+                assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
+
+    def test_a_sweep_certifies_one_batch_per_round(self, monkeypatch):
+        # one climb sweep of harris(n=3): its 8 probes share one
+        # _certify_shell call per round, not one per probe shell
+        shells = count_calls(monkeypatch, landau, "_certify_shell")
+        ladders = count_ladders(monkeypatch)
+        landau_estimate(Harris(3), POLY2, NewtonConfig(tolerance=1e-8, rng_seed=7),
+                        center_candidates=1, direction_count=32, growth_factor=1.02,
+                        center_refine_steps=1)
+        assert [len(out) for _, out in ladders[:2]] == [1, 8]
+        expected = []  # the rows of each call: center searches, then rounds
+        for _, out in ladders:
+            expected += [1 + landau.MULTISTART_COUNT] * len(out)
+            lengths = [len(est.shell_history) for est in out]
+            expected += [32 * sum(n > t for n in lengths) for t in range(max(lengths))]
+        assert [len(ok) for ok, _, _, _ in shells] == expected
+        probes = [len(est.shell_history) for est in ladders[1][1]]
+        assert max(probes) < sum(probes)
 
 
 class TestLandauEstimate:
@@ -467,15 +552,15 @@ class TestLandauEstimate:
         kwargs = dict(center_candidates=1, direction_count=8)
         ref = landau_estimate(m, BALL2, CFG, center_refine_steps=100, **kwargs)
         calls = []
-        original = landau.inscribed_lower_bound
+        original = landau._ladders
 
-        def counted(*args, **kw):
-            calls.append(None)
+        def counted(m, centers, *args):
+            calls.extend([None] * len(centers))  # one per ladder run
             if len(calls) > 8 * 60:
                 raise AssertionError("the center climb ran past its step floor")
-            return original(*args, **kw)
+            return original(m, centers, *args)
 
-        monkeypatch.setattr(landau, "inscribed_lower_bound", counted)
+        monkeypatch.setattr(landau, "_ladders", counted)
         est = landau_estimate(m, BALL2, CFG, center_refine_steps=10**400, **kwargs)
         assert est.r_lo == ref.r_lo
         assert np.array_equal(est.center, ref.center)
@@ -504,18 +589,11 @@ class TestLandauEstimate:
         # a probe that certifies the incumbent's rung no longer reads as a
         # gain: 2 full runs (the two center candidates), where 139 ran when
         # each probe climbed its own ladder from 0.8 * r_lo
-        full_runs = []
-        original = landau.inscribed_lower_bound
-
-        def counted(*args, **kw):
-            if "_first" not in kw:
-                full_runs.append(None)
-            return original(*args, **kw)
-
-        monkeypatch.setattr(landau, "inscribed_lower_bound", counted)
+        ladders = count_ladders(monkeypatch)
         cfg = NewtonConfig(tolerance=1e-8, rng_seed=7)
         landau_estimate(Harris(3), POLY2, cfg, center_refine_steps=20)
-        assert len(full_runs) == 2
+        full_runs = sum(len(out) for first, out in ladders if first == 0)
+        assert full_runs == 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", [
@@ -635,11 +713,12 @@ class TestSharedDraws:
             m, np.zeros(2), BALL2, CFG, 16, 2.0).shell_history
 
     def test_one_estimate_draws_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, landau, "inscribed_lower_bound")
+        ladders = count_ladders(monkeypatch)
         seeds = count_draws(monkeypatch)
         landau_estimate(Henon(0.5), BALL2, CFG, center_candidates=2, direction_count=16,
                         growth_factor=1.05, center_refine_steps=1)
-        assert len(calls) >= 2 + 4 * 2  # two full runs and the probes of one sweep
+        # two full runs, then the probes of one sweep, each set in one call
+        assert [len(out) for _, out in ladders[:2]] == [2, 4 * 2]
         assert seeds["sphere_directions"] == [subseed(CFG.rng_seed, "directions")]
         assert sorted(seeds["interior_points"]) == sorted(
             [subseed(CFG.rng_seed, "centers"), subseed(CFG.rng_seed, "newton-starts")])

@@ -35,6 +35,8 @@ Entries:
                           and so do the 8 probes of each sweep
   growth.expcoord.r2      rescaled_growth of expcoord(c=0.1, k=2) at R in
                           {1, 2}, 96 directions, growth factor 1.02
+  growth.expcoord.r1248   the same at R in {1, 2, 4, 8}: the ladders of the
+                          four dilations run in lockstep rounds
   membership.fail         solve_membership of a target outside the image:
                           the origin and the multistarts, one Newton batch
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
@@ -203,6 +205,8 @@ def main(argv=None) -> int:
     expcoord = hl.parse("expcoord(c=0.1, k=2)")
     cases["growth.expcoord.r2"] = lambda: hl.rescaled_growth(
         expcoord, [1.0, 2.0], cfg, direction_count=96, growth_factor=1.02)
+    cases["growth.expcoord.r1248"] = lambda: hl.rescaled_growth(
+        expcoord, [1.0, 2.0, 4.0, 8.0], cfg, direction_count=96, growth_factor=1.02)
     outside = 1.5 * hl.evaluate(linear, [1.0, 0.0])  # the preimage has norm 1.5
 
     def membership_fail():

@@ -99,7 +99,9 @@ def refined_sup(m: MapExpr, a, cfg: SamplerConfig) -> float:
     na = float(np.linalg.norm(a))
     if na >= 1.0:
         raise PreconditionFailed(f"base point must lie in the open unit ball, |a|={na:.3f}")
-    j0_inv = algebra.invert(jacobian(m, a).jacobian)
+    with np.errstate(over="ignore", invalid="ignore"):  # invert rejects a non-finite J(a)
+        jac0 = jacobian(m, a).jacobian
+    j0_inv = algebra.invert(jac0)
 
     rad = 0.5 * (1.0 - na)
     ball = DomainSpec.ball(m.dim, rad)

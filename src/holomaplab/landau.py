@@ -29,8 +29,11 @@ center climb is _sampling.coordinate_ascent; a probe searches the shared
 r0 ladder from a rung below the incumbent radius, so a probe and a full
 run that certify the same rung read the same radius.  The ladders of the
 center candidates, and those of each climb sweep's probes, run in lockstep:
-each round certifies the next shell of every running ladder as one Newton
-batch, and no ladder's result depends on the batch it shares.
+their center searches form one Newton batch, each round then certifies the
+next shell of every running ladder as one, and no ladder's result depends
+on the batch it shares.  A growth series runs the center candidates of
+all its dilations so too, on the base map: each row of a batch goes
+through its own z -> (1/R) m(R z), in the float operations of dilate.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .mapkit import (
     DurenRudin,
     Harris,
     MapExpr,
+    _affine_apply,
     dilate,
     evaluate,
     evaluate_batch,
@@ -146,24 +150,29 @@ def _draw(m, dom, cfg, direction_count) -> _Draws:
     return _Draws(_newton_starts(dom, cfg), dirs, [cfg.tolerance * 1e3])
 
 
-def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig,
-                     _starts: np.ndarray | None = None):
+def _target(m, b, dom):
+    """b as a complex vector of the map's and the domain's dimension."""
+    b = algebra.as_vector(b)
+    if b.size != m.dim or dom.dim != m.dim:
+        raise DimensionMismatch(f"target k={b.size}, domain k={dom.dim}, map k={m.dim}")
+    return b
+
+
+def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig, _shell=None):
     """Newton search for a preimage of b strictly inside the domain.
 
-    Starts: the origin, then seeded interior multistarts (_starts, when the
-    caller has drawn them).  All starts run as one shell of _certify_shell;
-    the first start, in that order, that certifies gives the
+    Starts: the origin, then seeded interior multistarts.  All starts run as
+    one shell of _certify_shell (_shell, its rows, when a caller's batch has
+    run them); the first start, in that order, that certifies gives the
     MembershipCertificate.  Otherwise NotFound carries the smallest finite
     final residual over the starts, or inf and the origin when none is
     finite.
     """
-    b = algebra.as_vector(b)
-    if b.size != m.dim or dom.dim != m.dim:
-        raise DimensionMismatch(
-            f"target k={b.size}, domain k={dom.dim}, map k={m.dim}"
-        )
-    starts = _newton_starts(dom, cfg) if _starts is None else _starts
-    ok, z, res, margins = _certify_shell(m, np.tile(b, (len(starts), 1)), starts, dom, cfg)
+    b = _target(m, b, dom)
+    if _shell is None:
+        starts = _newton_starts(dom, cfg)
+        _shell = _certify_shell(m, np.tile(b, (len(starts), 1)), starts, dom, cfg)
+    ok, z, res, margins = _shell
     if ok.any():
         j = int(np.argmax(ok))
         return MembershipCertificate(b, z[j], float(res[j]), float(margins[j]))
@@ -171,6 +180,25 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig,
     j = int(np.argmin(finite))
     best_z = z[j] if finite[j] < np.inf else np.zeros(m.dim, dtype=np.complex128)
     return NotFound(float(finite[j]), best_z)
+
+
+class _Dilations(MapExpr):
+    """z -> (1/R) m(R z) with one R per batch row: on each row the float
+    operations of dilate(m, R).  take(rows) keeps the given rows."""
+
+    dim = property(lambda self: self.m.dim)
+
+    def __init__(self, m, R):
+        self.m, self.R = m, R
+        self._matrix = np.eye(m.dim, dtype=complex)[:, :, None] * R  # R * I per row
+        self._inverse = (1.0 / R).astype(complex)
+
+    def apply(self, coords):
+        inner = _affine_apply(np.zeros(self.m.dim), self._matrix, coords)
+        return tuple(y * self._inverse for y in self.m.apply(inner))
+
+    def take(self, rows):
+        return _Dilations(self.m, self.R[rows])
 
 
 def _newton_batch(m, targets, warm, dom, cfg):
@@ -182,14 +210,17 @@ def _newton_batch(m, targets, warm, dom, cfg):
     A row retires on a singular Jacobian or when its max-abs coordinate is
     not within its escape bound, 25 * (R + max_j |target_j| + 1) for its own
     target (so a NaN row retires too).  A row's run does not depend on the
-    other rows in its batch, so the shells of many ladders may share one."""
+    other rows in its batch, so the shells of many ladders may share one; a
+    per-row dilation keeps the rows of the running ones."""
+    take = m.take if isinstance(m, _Dilations) else lambda ids: m
+    mc = m  # the map of the running rows
     z = np.array(warm, dtype=np.complex128)
     res = np.empty(z.shape[0])
     ids, zc, tc = np.arange(z.shape[0]), z, targets  # the running rows, compact
     escape = _DIVERGENCE_FACTOR * (dom.radius + np.abs(targets).max(axis=1) + 1.0)
     live = True  # per running row: within its escape bound, so it may step
     for it in range(MAX_ITERATIONS + 1):
-        f = evaluate_batch(m, zc) - tc
+        f = evaluate_batch(mc, zc) - tc
         r = np.linalg.norm(f, axis=1)
         z[ids], res[ids] = zc, r
         go = np.flatnonzero(live & ~(r <= cfg.tolerance))  # the rows that step
@@ -197,7 +228,8 @@ def _newton_batch(m, targets, warm, dom, cfg):
             break
         if go.size < ids.size:
             ids, zc, tc, escape, f = ids[go], zc[go], tc[go], escape[go], f[go]
-        jac = jacobian_batch(m, zc)[1]
+            mc = take(ids)
+        jac = jacobian_batch(mc, zc)[1]
         try:
             step = np.linalg.solve(jac, f[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -208,6 +240,7 @@ def _newton_batch(m, targets, warm, dom, cfg):
                 except np.linalg.LinAlgError:
                     solved[t] = False  # z cannot move
             ids, zc, tc, escape, step = (x[solved] for x in (ids, zc, tc, escape, step))
+            mc = take(ids)
         zc = zc - step
         live = np.abs(zc).max(axis=1) <= escape
     return z, res
@@ -258,9 +291,7 @@ def inscribed_lower_bound(
     the center's followed by those of rung lo; none when no rung
     certified.  _draws, when given, holds the starts, directions and r0
     ladder that the caller drew for this direction_count and growth_factor.
-    This is _ladders on one center.  An estimate runs the ladders of its
-    center candidates, and of each climb sweep's probes, in lockstep: one
-    Newton batch per round, which no ladder's result depends on.
+    This is _ladders on one center.
     """
     a = algebra.as_vector(a)
     _check_ladder(m, dom, direction_count, growth_factor)
@@ -272,16 +303,19 @@ def inscribed_lower_bound(
     return est
 
 
-def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0):
+def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
     """inscribed_lower_bound around each of centers (complex vectors) from
-    rung first, in lockstep: one membership search per center, then rounds
-    in which the next shell of every running search joins one _certify_shell
-    batch and each search reads back its own rows.  No row's Newton run
-    depends on its batch, so each search is the one its center runs alone.
-    Returns, per center, its LandauEstimate or its center's NotFound."""
-    out = [solve_membership(m, a, dom, cfg, _starts=draws.starts) for a in centers]
-    running = {i: _ladder(a, sol, draws, growth_factor, first) for i, (a, sol)
-               in enumerate(zip(centers, out)) if isinstance(sol, MembershipCertificate)}
+    rung first, in lockstep: in each round the next shell of every running
+    search, its membership search first, joins one _certify_shell batch,
+    and each search reads back its own rows.  With scales, center i's search
+    runs on z -> (1/R) m(R z), R = scales[i], through a per-row dilation of
+    m.  No row's Newton run depends on its batch, so each search is the one
+    its center runs alone.  Returns, per center, its LandauEstimate or its
+    center's NotFound."""
+    centers = [_target(m, a, dom) for a in centers]
+    out = [None] * len(centers)
+    running = {i: _ladder(m, a, dom, cfg, draws, growth_factor, first)
+               for i, a in enumerate(centers)}
     sent = dict.fromkeys(running)  # each search's last shell; None starts it
     while running:
         shells = {}  # the (targets, warm) of each running search's next shell
@@ -291,19 +325,31 @@ def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0):
             except StopIteration as stop:
                 out[i] = stop.value
                 del running[i]
-        if shells:
+        if not shells:
+            break
+        # rows per shell, the same for every search of a round: the Newton
+        # starts in the first, the directions after it
+        n = len(next(iter(shells.values()))[0])
+        mm = m if scales is None else _Dilations(m, np.repeat([scales[i] for i in shells], n))
+        if len(shells) == 1:  # one shell: no concatenation and no split
+            sent = {i: _certify_shell(mm, *shell, dom, cfg) for i, shell in shells.items()}
+        else:
             targets, warm = (np.concatenate(x) for x in zip(*shells.values()))
-            batch = _certify_shell(m, targets, warm, dom, cfg)
-            n = len(draws.dirs)  # rows per shell
+            batch = _certify_shell(mm, targets, warm, dom, cfg)
             sent = {i: tuple(x[j * n:(j + 1) * n] for x in batch) for j, i in enumerate(shells)}
     return out
 
 
-def _ladder(a, center_sol, draws, growth_factor, first):
-    """inscribed_lower_bound's galloping search around a, from its center
-    certificate center_sol, as a generator: it yields each shell's (targets,
-    warm), is sent back its (ok, z, residual, margin), returns the estimate."""
+def _ladder(m, a, dom, cfg, draws, growth_factor, first):
+    """inscribed_lower_bound's membership search for a and galloping search
+    around it, as a generator: it yields each shell's (targets, warm), is
+    sent back its (ok, z, residual, margin), and returns the estimate, or
+    the search's NotFound."""
     dirs, radii = draws.dirs, draws.rungs
+    search = yield np.tile(a, (len(draws.starts), 1)), draws.starts
+    center_sol = solve_membership(m, a, dom, cfg, _shell=search)
+    if isinstance(center_sol, NotFound):
+        return center_sol
     z_c = center_sol.preimage
 
     def radius(k):
@@ -359,15 +405,6 @@ def _ladder(a, center_sol, draws, growth_factor, first):
     )
 
 
-def _certified_upper_bound(m: MapExpr, dom: DomainSpec, centers):
-    """Certified inscribed-ball bound where one exists (shear maps on the
-    unit polydisc); None otherwise."""
-    if dom.shape == "polydisc" and dom.radius == 1.0 and isinstance(m, (Harris, DurenRudin)):
-        pairs = [(c[0], c[1]) for c in centers]
-        return certify_no_ball(m, pairs)
-    return None
-
-
 def landau_estimate(
     m: MapExpr,
     dom: DomainSpec,
@@ -396,7 +433,8 @@ def landau_estimate(
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
     draws = _draw(m, dom, cfg, direction_count)
-    return _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refine_steps)
+    return _estimate(m, dom, cfg, draws, center_candidates, growth_factor,
+                     center_refine_steps)[0]
 
 
 def _check_estimate(m, dom, center_candidates, direction_count, growth_factor,
@@ -413,21 +451,34 @@ def _check_estimate(m, dom, center_candidates, direction_count, growth_factor,
     return direction_count
 
 
-def _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refine_steps):
-    """landau_estimate on checked arguments and the draws of its ladders."""
-
-    def ladders(cands, first=0):
-        return _ladders(m, cands, dom, cfg, growth_factor, draws, first)
-
-    centers = [evaluate(m, np.zeros(m.dim))]
+def _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refine_steps,
+              dilations=None):
+    """landau_estimate on checked arguments and the draws of its ladders, as
+    a one-item list; with dilations, pairs (R, dilate(m, R)), the estimate
+    of each dilated map.  The center candidates of every map run in one
+    lockstep call on m; each map then climbs from its best on its own."""
+    maps = [(None, m)] if dilations is None else dilations
+    groups = [[evaluate(m_R, np.zeros(m.dim))] for _, m_R in maps]  # each map's candidates
     if center_candidates > 1:
         pre = interior_points(dom, center_candidates - 1, subseed(cfg.rng_seed, "centers"))
-        centers.extend(evaluate_batch(m, pre))
+        for (_, m_R), g in zip(maps, groups):
+            g.extend(evaluate_batch(m_R, pre))
+    scales = None if dilations is None else [R for (R, _), g in zip(maps, groups) for _ in g]
+    runs = _ladders(m, sum(groups, []), dom, cfg, growth_factor, draws, 0, scales)
+    out = []
+    for (_, m_R), g in zip(maps, groups):
+        results = [est for est in runs[:len(g)] if isinstance(est, LandauEstimate)]
+        runs = runs[len(g):]
+        if not results:
+            raise CenterNotInImage("no candidate center could be certified in the image")
+        best = max(results, key=lambda est: est.r_lo)
+        out.append(_climb(m_R, dom, cfg, draws, growth_factor, center_refine_steps, best, g))
+    return out
 
-    results = [est for est in ladders(centers) if isinstance(est, LandauEstimate)]
-    if not results:
-        raise CenterNotInImage("no candidate center could be certified in the image")
-    best = max(results, key=lambda est: est.r_lo)
+
+def _climb(m, dom, cfg, draws, growth_factor, center_refine_steps, best, centers):
+    """The estimate's center climb from best, the best run of its candidate
+    centers, and the certified upper bound where the map has one."""
 
     def score(cands):
         """The climb's rows, in order, up to the first whose full run beats
@@ -439,7 +490,8 @@ def _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refin
         vals = np.full(len(cands), -np.inf)
         for start in range(0, len(cands), 4 * m.dim):  # one sweep's probes at a time
             sweep = cands[start:start + 4 * m.dim]
-            for i, (cand, est) in enumerate(zip(sweep, ladders(sweep, first)), start):
+            ests = _ladders(m, sweep, dom, cfg, growth_factor, draws, first)
+            for i, (cand, est) in enumerate(zip(sweep, ests), start):
                 if isinstance(est, NotFound):
                     continue
                 if est.r_lo > best.r_lo:  # a full run
@@ -454,8 +506,9 @@ def _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refin
     # centers live in the image, not in the domain: every candidate may be scored
     coordinate_ascent(score, best.center, best.r_lo, center_refine_steps, 0.25 * best.r_lo,
                       inside=lambda cands: np.ones(len(cands), dtype=bool))
-    certified = _certified_upper_bound(m, dom, [best.center] + centers)
-    if certified is not None:
+    if dom.shape == "polydisc" and dom.radius == 1.0 and isinstance(m, (Harris, DurenRudin)):
+        # a shear map on the unit polydisc: its witnesses certify r_hi
+        certified = certify_no_ball(m, [(c[0], c[1]) for c in [best.center] + centers])
         best = replace(best, r_hi=certified.value, r_hi_label=certified.label)
     return best
 
@@ -476,12 +529,14 @@ def rescaled_growth(
     is built, and so every R checked by dilate, and every argument checked
     before the first draw.  The dilations share the unit ball, the seed,
     the directions and the growth factor, so the series draws its starts,
-    directions and r0 ladder once."""
+    directions and r0 ladder once.  The ladders of every dilation's center
+    candidates run in lockstep on m, each row of a Newton batch through its
+    own dilation; the center climbs run per dilation."""
     dom = DomainSpec.ball(m.dim, 1.0)
     dilated = [(float(R), dilate(m, R)) for R in r_values]
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
     draws = _draw(m, dom, cfg, direction_count)
-    return [(R, R * _estimate(m_R, dom, cfg, draws, center_candidates, growth_factor,
-                              center_refine_steps).r_lo)
-            for R, m_R in dilated]
+    ests = _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refine_steps,
+                     dilated)
+    return [(R, R * est.r_lo) for (R, _), est in zip(dilated, ests)]

@@ -176,6 +176,18 @@ class TestRun:
         assert run(str(cfg), str(out)) == 3
         assert load_report(out)["error"]["type"] == "ValueError"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_jacobian_prints_no_warning(self, tmp_path):
+        # the base point's Jacobian overflows quietly, so the run still ends
+        # on invert's ValueError, not on a numpy RuntimeWarning turned error
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": "expcoord(c=1000, k=2)", "task": "refined-sup",
+            "seed": 3, "params": {"base_point": [[0.9, 0], [0, 0]]},
+        })
+        out = tmp_path / "r.json"
+        assert run(str(cfg), str(out)) == 3
+        assert load_report(out)["error"]["type"] == "ValueError"
+
     def test_kappa_sup_counts_are_builtin_ints(self, tmp_path, monkeypatch):
         # numpy integer counts must not break json encoding of the report
         original = conditioning.sup_kappa

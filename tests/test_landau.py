@@ -15,6 +15,7 @@ from holomaplab import (
     evaluate,
     evaluate_batch,
     inscribed_lower_bound,
+    jacobian_batch,
     landau_estimate,
     parse,
     rescaled_growth,
@@ -426,13 +427,65 @@ class TestNewtonBatch:
         assert [len(values) for values, _ in calls] == [2, 2, 1]
 
 
+class TestPerRowDilation:
+    """The private node that gives each row of a Newton batch its own
+    dilation z -> (1/R) m(R z)."""
+
+    @staticmethod
+    def assert_rows_are_dilate(node, m, R, z):
+        values = evaluate_batch(node, z)
+        jvalues, jacs = jacobian_batch(node, z)
+        for i in range(len(z)):
+            ref = dilate(m, R[i])
+            assert values[i].tobytes() == evaluate_batch(ref, z[i:i + 1])[0].tobytes()
+            ref_values, ref_jacs = jacobian_batch(ref, z[i:i + 1])
+            assert jvalues[i].tobytes() == ref_values[0].tobytes()
+            assert jacs[i].tobytes() == ref_jacs[0].tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "compose(henon(b=0.5), expcoord(c=3, k=2))", "expcoord(c=1000, k=2)",
+        "(z1 + (0.3-0.1i)*z1^2, z2 + 0.2*z1*z2)", "harris(n=3)"])
+    def test_each_row_is_dilate_of_its_r(self, text):
+        # rows of several R, among them rows that overflow to inf or NaN and
+        # a NaN row, checked before and after a gather of rows
+        m = parse(text)
+        R = np.array([1.0, 2.0, 0.5, 300.0, 2.0, 1e-3, 7.0, 1e150])
+        z = np.array([[0.3 + 0.1j, -0.2j], [0.5, 0.5], [-0.7 + 0.2j, 0.1],
+                      [1e3, 1e3j], [np.nan, 0.1], [2.0, -1.0j], [0.1j, 0.9], [1e200, 0.1]])
+        node = landau._Dilations(m, R)
+        with np.errstate(all="ignore"):
+            self.assert_rows_are_dilate(node, m, R, z)
+            rows = np.array([6, 0, 3, 4])
+            self.assert_rows_are_dilate(node.take(rows), m, R[rows], z[rows])
+
+    def test_a_batch_of_dilations_runs_as_each_dilation_alone(self):
+        # a Newton batch whose rows drop out at both gathers: at the rows
+        # that step, and at the row solves after a singular Jacobian (z1 = 0)
+        m = parse("compose(expcoord(c=30, k=2), (z1^2, z2))")
+        R = np.array([1.0, 2.0, 0.5, 1.0, 1.5, 3.0])
+        exact = np.array([0.1, 0.02], complex)
+        targets = np.array([evaluate(dilate(m, r), exact) for r in R])
+        targets[2:4] = [[0.5, 0.5], [1e300, 0]]
+        warm = np.array([exact, [0, 0.02], [1e-6, 0.02], [0.1, 0], [0.2, 0.02], [0.09, 0.03]],
+                        complex)
+        batch = landau._certify_shell(landau._Dilations(m, R), targets, warm, BALL2, CFG)
+        ok, z, _, _ = batch
+        assert ok[0] and ok[4] and ok[5] and not ok[1:4].any()
+        assert np.array_equal(z[1], warm[1])  # the singular row cannot move
+        for i in range(len(targets)):
+            alone = landau._certify_shell(dilate(m, R[i]), targets[i:i + 1], warm[i:i + 1],
+                                          BALL2, CFG)
+            for got, want in zip(batch, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes(), (i, got[i], want)
+
+
 def count_ladders(monkeypatch):
     """Record (first rung, results) of every lockstep call of landau._ladders."""
     calls = []
     original = landau._ladders
 
-    def counted(m, centers, dom, cfg, growth_factor, draws, first=0):
-        out = original(m, centers, dom, cfg, growth_factor, draws, first)
+    def counted(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
+        out = original(m, centers, dom, cfg, growth_factor, draws, first, scales)
         calls.append((first, out))
         return out
 
@@ -480,9 +533,9 @@ class TestLockstepLadders:
                         center_candidates=1, direction_count=32, growth_factor=1.02,
                         center_refine_steps=1)
         assert [len(out) for _, out in ladders[:2]] == [1, 8]
-        expected = []  # the rows of each call: center searches, then rounds
+        expected = []  # the rows of each call: one batch of center searches, then rounds
         for _, out in ladders:
-            expected += [1 + landau.MULTISTART_COUNT] * len(out)
+            expected.append((1 + landau.MULTISTART_COUNT) * len(out))
             lengths = [len(est.shell_history) for est in out]
             expected += [32 * sum(n > t for n in lengths) for t in range(max(lengths))]
         assert [len(ok) for ok, _, _, _ in shells] == expected
@@ -672,6 +725,49 @@ class TestRescaledGrowth:
                               direction_count=32, growth_factor=1.05,
                               center_refine_steps=1)
         assert series[0][1] == pytest.approx(2.0 * est.r_lo, rel=1e-12)
+
+    @pytest.mark.parametrize("text, center_candidates, center_refine_steps", [
+        ("expcoord(c=0.4, k=2)", 3, 1), ("(z1 + 0.3*z1^2 + 0.1, z2)", 2, 2),
+        ("henon(b=0.5)", 3, 0), ("identity(k=2)", 1, 1)],
+        ids=["expcoord", "quadratic", "henon", "identity"])
+    def test_each_entry_is_its_dilation_alone(self, text, center_candidates,
+                                              center_refine_steps):
+        # the dilations' ladders run in lockstep; each entry is the estimate
+        # of its dilate(m, R) run alone, bit for bit
+        m = parse(text)
+        r_values = [1.0, 2.0, 0.5, 4.0]
+        kwargs = dict(center_candidates=center_candidates, direction_count=16,
+                      growth_factor=1.05, center_refine_steps=center_refine_steps)
+        series = rescaled_growth(m, r_values, CFG, **kwargs)
+        assert [R for R, _ in series] == r_values
+        for R, value in series:
+            alone = landau_estimate(dilate(m, R), BALL2, CFG, **kwargs)
+            assert value.hex() == (R * alone.r_lo).hex()
+
+    def test_a_second_r_without_a_center_raises(self, monkeypatch):
+        # no start of the center search of R = 2 certifies: the series ends
+        # on the estimate's CenterNotInImage, as the estimate of R = 2 alone
+        m = parse("(z1 + 0.3*z1^2 + 0.1, z2)")  # its dilations' centers m_R(0) differ
+        center = evaluate(dilate(m, 2.0), np.zeros(2))
+        original = landau._certify_shell
+
+        def failing(m, targets, warm, dom, cfg):
+            ok, z, res, margins = original(m, targets, warm, dom, cfg)
+            return ok & ~(targets == center).all(axis=1), z, res, margins
+
+        monkeypatch.setattr(landau, "_certify_shell", failing)
+        kwargs = dict(direction_count=16, growth_factor=1.05)
+        assert landau_estimate(dilate(m, 1.0), BALL2, CFG, center_candidates=1,
+                               center_refine_steps=0, **kwargs).r_lo > 0
+        with pytest.raises(CenterNotInImage) as alone:
+            landau_estimate(dilate(m, 2.0), BALL2, CFG, center_candidates=1,
+                            center_refine_steps=0, **kwargs)
+        with pytest.raises(CenterNotInImage) as series:
+            rescaled_growth(m, [1.0, 2.0, 4.0], CFG, **kwargs)
+        assert str(series.value) == str(alone.value)
+
+    def test_an_empty_series_is_empty(self):
+        assert rescaled_growth(Identity(2), [], CFG) == []
 
     @pytest.mark.parametrize("R", [-1.0, 0.0, np.inf, np.nan, 1e-320])
     def test_every_r_is_checked_before_the_first_estimate(self, R, monkeypatch):

@@ -19,6 +19,8 @@ Entries:
                           below it: one Newton batch
   shell.dilate_exp.n96    the same on dilate(expcoord(c=0.1, k=2), 2), 96
                           directions
+  shell.henon.n1024       the same on henon(b=0.5) on the ball of radius 0.9,
+                          1024 directions at radius 0.35 (r_lo is about 0.437)
   ilb.linear.n128         one whole inscribed_lower_bound around m(0) on the
                           same Linear map, 128 directions, growth factor 1.02
   estimate.harris3.refine1
@@ -194,12 +196,13 @@ def main(argv=None) -> int:
     cases = {}
     cases["shell.linear.n128"] = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
     cases["shell.dilate_exp.n96"] = shell_case(dilate_exp, ball, cfg, 96, 0.06)
+    henon, ball09 = hl.parse("henon(b=0.5)"), hl.DomainSpec.ball(2, 0.9)
+    cases["shell.henon.n1024"] = shell_case(henon, ball09, cfg, 1024, 0.35)
     cases["ilb.linear.n128"] = ilb_case(linear, ball, cfg, 128)
     harris, polydisc = hl.Harris(3), hl.DomainSpec.polydisc(2, 1.0)
     cases["estimate.harris3.refine1"] = lambda: hl.landau_estimate(
         harris, polydisc, cfg, center_candidates=1, direction_count=96, growth_factor=1.02,
         center_refine_steps=1)
-    henon, ball09 = hl.parse("henon(b=0.5)"), hl.DomainSpec.ball(2, 0.9)
     cases["estimate.henon.refine20"] = lambda: hl.landau_estimate(
         henon, ball09, cfg, center_refine_steps=20)
     expcoord = hl.parse("expcoord(c=0.1, k=2)")

@@ -32,6 +32,20 @@ the first column of singular_values_batch.  Stacks of any other k go to
 np.linalg.svd unchanged.  The single-matrix functions call the batch
 kernel on a stack of one, so a pointwise value equals the row a batched
 scorer computes for the same matrix, bit for bit.
+
+solve_batch solves a stack of 2 x 2 systems by Cramer's rule in complex
+arithmetic: with det = ad - bc, x = (d f1 - b f2, a f2 - c f1) / det
+(Ortega & Rheinboldt 1970 for the Newton step it serves).  A row keeps the
+closed form only where |det| lies in [2^-480, 2^480] (False for NaN) and
+x1 + x2 is finite, which a non-finite right-hand side never gives.
+Every other row, and every row of any other k, goes to np.linalg.solve as
+one subset, row by row if that subset holds an exactly singular matrix.  A
+row that LAPACK finds exactly singular comes back unsolved, with x = 0.  So
+NaN, infinite, zero-determinant and extreme-scale rows keep LAPACK's bits.
+The closed form never divides by a determinant outside the range, so it
+raises no numpy warning, and which path a row takes depends on that row
+alone: there is no batch-size threshold, and a row's solution does not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -95,8 +109,8 @@ def kappa(a) -> float:
     return float(kappa_from_singular_values(singular_values(a)))
 
 
-# squared Frobenius norms outside this range go to LAPACK
-_FRO2_MIN, _FRO2_MAX = 2.0 ** -480, 2.0 ** 480
+# squared Frobenius norms and determinants outside this range go to LAPACK
+_SAFE_MIN, _SAFE_MAX = 2.0 ** -480, 2.0 ** 480
 
 
 def singular_values_batch(mats) -> np.ndarray:
@@ -124,7 +138,7 @@ def _sigma_max_2x2(ar, ai, br, bi, cr, ci, dr, di, out=None):
     qi = ai * cr - ar * ci + bi * dr - br * di
     f, g = p + r, p - r
     smax = np.sqrt(0.5 * (f + np.sqrt(g * g + 4.0 * (qr * qr + qi * qi))), out=out)
-    return smax, ~((f >= _FRO2_MIN) & (f <= _FRO2_MAX))
+    return smax, ~((f >= _SAFE_MIN) & (f <= _SAFE_MAX))
 
 
 def _singular_values_2x2(m) -> np.ndarray:
@@ -166,6 +180,47 @@ def spectral_norm_batch(mats) -> np.ndarray:
     if mats.shape[-2:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)[..., 0]
     return _spectral_norm_2x2(mats.reshape(-1, 2, 2)).reshape(mats.shape[:-2])
+
+
+def solve_batch(mats, rhs):
+    """Solve mats @ x = rhs for a stack (n, k, k) and right-hand sides (n, k)
+    -> (x, solved), x (n, k) and solved (n,) bool.  k = 2 rows take the
+    closed form of the module docstring where it is safe; the others go to
+    LAPACK.  An exactly singular row has solved False and x = 0."""
+    m = np.asarray(mats, dtype=np.complex128)
+    f = np.asarray(rhs, dtype=np.complex128)
+    if m.shape[-1] != 2:
+        return _lapack_solve(m, f)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    f1, f2 = f[:, 0], f[:, 1]
+    x = np.empty_like(f)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
+        det = a * d - b * c
+        size = np.abs(det)
+        solved = (size >= _SAFE_MIN) & (size <= _SAFE_MAX)  # so far, by the closed form
+        det = np.where(solved, det, 1.0)  # never divide by a determinant out of range
+        np.divide(d * f1 - b * f2, det, out=x[:, 0])
+        np.divide(a * f2 - c * f1, det, out=x[:, 1])
+        solved &= np.isfinite(x[:, 0] + x[:, 1])  # x not finite, or near overflow
+    if not solved.all():
+        rest = ~solved
+        x[rest], solved[rest] = _lapack_solve(m[rest], f[rest])
+    return x, solved
+
+
+def _lapack_solve(m, f):
+    """np.linalg.solve on a stack, and row by row where it holds an exactly
+    singular matrix; such a row gets x = 0 and solved False."""
+    try:
+        return np.linalg.solve(m, f[..., None])[..., 0], np.ones(len(f), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, solved = np.zeros_like(f), np.ones(len(f), dtype=bool)
+        for t in range(len(f)):
+            try:
+                x[t] = np.linalg.solve(m[t], f[t])
+            except np.linalg.LinAlgError:
+                solved[t] = False
+        return x, solved
 
 
 def kappa_from_singular_values(s, rtol: float = SINGULAR_RTOL) -> np.ndarray:

@@ -13,12 +13,14 @@ finite set of directions at the rungs the search tested, so r_lo is not
 proven.  Its certificates, with the center's, are the ones returned.
 A shell is one Newton batch, warm-started from the preimages of the
 highest certified rung scaled to the new radius, whose final residuals
-the certificates report; a direction it misses fails the shell.  A
-Newton failure is never proof of non-membership, so the upper bound
-from rung lo + 1 is heuristic - except for the Harris and Duren-Rudin
-maps on the unit polydisc, where the counterexample witnesses supply a
-certified bound.  When the ladder's last rung certifies, r_hi is inf,
-labeled "ladder_end".
+the certificates report; a direction it misses fails the shell.  Each
+Newton step solves its rows' systems with algebra.solve_batch (Cramer's
+rule for k = 2, LAPACK for the rows and sizes it leaves), and a row whose
+Jacobian is exactly singular retires unmoved.  A Newton failure is never
+proof of non-membership, so the upper bound from rung lo + 1 is
+heuristic - except for the Harris and Duren-Rudin maps on the unit
+polydisc, where the counterexample witnesses supply a certified bound.
+When the ladder's last rung certifies, r_hi is inf, labeled "ladder_end".
 
 What every ladder shares depends only on the domain, the NewtonConfig, the
 direction count and the growth factor: the Newton starts of a membership
@@ -207,11 +209,12 @@ def _newton_batch(m, targets, warm, dom, cfg):
     running rows are kept compact (ids, z, targets, escape bounds), gathered
     only when one drops out; each iteration evaluates them, scatters z and
     residual back by id, and takes Jacobians only of rows above tolerance.
-    A row retires on a singular Jacobian or when its max-abs coordinate is
-    not within its escape bound, 25 * (R + max_j |target_j| + 1) for its own
-    target (so a NaN row retires too).  A row's run does not depend on the
-    other rows in its batch, so the shells of many ladders may share one; a
-    per-row dilation keeps the rows of the running ones."""
+    A row retires where its Jacobian is exactly singular (solve_batch leaves
+    it unsolved) or when its max-abs coordinate is not within its escape
+    bound, 25 * (R + max_j |target_j| + 1) for its own target (so a NaN row
+    retires too).  A row's run does not depend on the other rows in its
+    batch, so the shells of many ladders may share one; a per-row dilation
+    keeps the rows of the running ones."""
     take = m.take if isinstance(m, _Dilations) else lambda ids: m
     mc = m  # the map of the running rows
     z = np.array(warm, dtype=np.complex128)
@@ -229,16 +232,8 @@ def _newton_batch(m, targets, warm, dom, cfg):
         if go.size < ids.size:
             ids, zc, tc, escape, f = ids[go], zc[go], tc[go], escape[go], f[go]
             mc = take(ids)
-        jac = jacobian_batch(mc, zc)[1]
-        try:
-            step = np.linalg.solve(jac, f[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step, solved = np.zeros_like(f), np.ones(len(f), dtype=bool)
-            for t in range(len(f)):
-                try:
-                    step[t] = np.linalg.solve(jac[t], f[t])
-                except np.linalg.LinAlgError:
-                    solved[t] = False  # z cannot move
+        step, solved = algebra.solve_batch(jacobian_batch(mc, zc)[1], f)
+        if not solved.all():  # an exactly singular Jacobian: z cannot move
             ids, zc, tc, escape, step = (x[solved] for x in (ids, zc, tc, escape, step))
             mc = take(ids)
         zc = zc - step

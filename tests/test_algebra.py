@@ -148,6 +148,10 @@ def _families(rng):
 
 FAMILIES = _families(np.random.default_rng(8))
 
+# row scales that send a 2 x 2 matrix down each path of singular_values_batch
+# and solve_batch: the closed form, or LAPACK for zero and extreme-scale rows
+ROW_SCALES = (1.0, 0.0, 1e-200, 1e200, 2.0 ** -241, 2.0 ** 239, 1e-3)
+
 
 class TestSingularValuesBatch:
     @pytest.mark.parametrize("family", list(FAMILIES))
@@ -257,3 +261,114 @@ class TestSpectralNormBatch:
         ours = algebra.spectral_norm_batch(mats)
         assert ours.shape == (3, 4)
         assert ours.tobytes() == algebra.singular_values_batch(mats)[..., 0].tobytes()
+
+
+def _lapack_rows(mats, rhs):
+    """np.linalg.solve row by row -> (x, solved); x = 0 where it raises."""
+    x, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+    for t in range(len(rhs)):
+        try:
+            x[t] = np.linalg.solve(mats[t], rhs[t])
+        except np.linalg.LinAlgError:
+            solved[t] = False
+    return x, solved
+
+
+def _closed_form_rows(mats, rhs):
+    """The rows solve_batch solves by Cramer's rule, where no solution
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0])
+    return (size >= 2.0 ** -480) & (size <= 2.0 ** 480) & np.isfinite(rhs).all(axis=1)
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("scale", ROW_SCALES)
+    @pytest.mark.parametrize("family", ["random", "diagonal", "antidiagonal", "rank1",
+                                        "nearly_singular"])
+    def test_closed_form_error_bounds(self, family, scale):
+        # Cramer's rule is forward stable for k = 2 (Higham 2002, 1.10.1): on
+        # a closed-form row the normwise backward error
+        # |f - A x| / (|A| |x| + |f|) is at most 4 eps kappa(A), and x lies
+        # within 8 eps kappa(A) |x_lapack| of LAPACK's solution.  Every other
+        # row has LAPACK's bits.
+        mats = scale * FAMILIES[family]
+        rhs = _cstack(np.random.default_rng(20), len(mats))[:, 0]
+        x, solved = algebra.solve_batch(mats, rhs)
+        ref, ref_solved = _lapack_rows(mats, rhs)
+        fast = _closed_form_rows(mats, rhs)
+        if scale == 1.0 and family == "random":
+            assert fast.all()
+        assert x[~fast].tobytes() == ref[~fast].tobytes()
+        assert np.array_equal(solved[~fast], ref_solved[~fast])
+        assert solved[fast].all()
+        # a rank-1 row whose rounded determinant is not 0 takes the closed
+        # form, though LAPACK may meet an exact zero pivot on it
+        both = fast & ref_solved
+        a, x, ref, f = mats[both], x[both], ref[both], rhs[both]
+        eps = np.finfo(float).eps
+        kappa = np.linalg.cond(a)
+        norm_a = np.linalg.norm(a, 2, axis=(1, 2))
+        residual = np.linalg.norm(f - np.einsum("nij,nj->ni", a, x), axis=1)
+        scale_x = norm_a * np.linalg.norm(x, axis=1) + np.linalg.norm(f, axis=1)
+        assert (residual <= 4 * eps * kappa * scale_x).all()
+        gap = np.linalg.norm(x - ref, axis=1)
+        assert (gap <= 8 * eps * kappa * np.linalg.norm(ref, axis=1)).all()
+
+    def test_exactly_singular_rows_come_back_unsolved(self):
+        rng = np.random.default_rng(21)
+        mats = np.concatenate([
+            np.array([[[0, 0], [0, 0]], [[1, 0], [2, 0]], [[1, 2], [2, 4]]], complex),
+            _cstack(rng, 2)])
+        rhs = _cstack(rng, 5)[:, 0]
+        x, solved = algebra.solve_batch(mats, rhs)
+        assert solved.tolist() == [False, False, False, True, True]
+        assert not x[:3].any()
+        ref = algebra.solve_batch(mats[3:], rhs[3:])[0]
+        assert x[3:].tobytes() == ref.tobytes()
+
+    def test_non_finite_and_out_of_range_rows_have_lapack_bits(self):
+        rng = np.random.default_rng(22)
+        base = _cstack(rng, 12)
+        base /= np.sqrt(np.abs(base[:, 0, 0] * base[:, 1, 1] - base[:, 0, 1] * base[:, 1, 0])
+                        )[:, None, None]  # |det| = 1, up to rounding
+        # |det| = 2^(+-479.8) inside the range, 2^(+-480.2) and 2^(+-482) beyond
+        mats = base * 2.0 ** np.array([0, -241, 241, -239.9, 239.9, 0, 0, 0, 0, 0, -240.1,
+                                       240.1])[:, None, None]
+        mats[5, 0, 1] = complex(np.nan, 0.0)
+        mats[6, 1, 1] = np.inf
+        mats[7, 1, 0] = complex(0.0, -np.inf)
+        rhs = _cstack(rng, 12)[:, 0]
+        rhs[8, 0] = np.nan
+        rhs[9, 1] = complex(np.inf, 1.0)
+        x, solved = algebra.solve_batch(mats, rhs)
+        ref, ref_solved = _lapack_rows(mats, rhs)
+        lapack = ~_closed_form_rows(mats, rhs)
+        assert lapack.tolist() == [False, True, True, False, False] + [True] * 7
+        assert x[lapack].tobytes() == ref[lapack].tobytes()
+        assert np.array_equal(solved, ref_solved)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_sizes_are_lapack_bit_for_bit(self, k):
+        rng = np.random.default_rng(23)
+        mats, rhs = _cstack(rng, 17, k), _cstack(rng, 17, k)[:, 0]
+        mats[4] = 0.0  # an exactly singular row: the stack goes row by row
+        mats[9, 0, 0] = np.nan
+        x, solved = algebra.solve_batch(mats, rhs)
+        ref, ref_solved = _lapack_rows(mats, rhs)
+        assert x.tobytes() == ref.tobytes()
+        assert np.array_equal(solved, ref_solved) and solved.sum() == 16
+        x, _ = algebra.solve_batch(np.delete(mats, 4, axis=0), np.delete(rhs, 4, axis=0))
+        assert x.tobytes() == np.delete(ref, 4, axis=0).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning(self):
+        rng = np.random.default_rng(24)
+        mats = np.concatenate([s * _cstack(rng, 3) for s in ROW_SCALES + (1e300,)])
+        mats[0, 0, 0] = np.nan
+        mats[1, 1, 0] = np.inf
+        mats[2] = [[1, 2], [2, 4]]
+        rhs = 1e300 * _cstack(rng, len(mats))[:, 0]
+        rhs[18, 1] = np.inf
+        solved = algebra.solve_batch(mats, rhs)[1]
+        assert solved.tolist() == [True, True, False] + [False] * 3 + [True] * 18  # 0 * rows 3-5

@@ -300,6 +300,49 @@ class TestCertifyShell:
         assert len(batches) == 1 and np.array_equal(batches[0], warm[1::2])
 
 
+    def test_a_2x2_shell_calls_no_lapack_solve(self, monkeypatch):
+        # every Jacobian of a Henon shell has its determinant in the range of
+        # algebra.solve_batch's closed form, so no Newton step calls LAPACK
+        m = parse("henon(b=0.5)")
+        center = evaluate(m, [0, 0])
+        targets = center + 0.05 * sphere_directions(64, 2, 3)
+        calls = count_calls(monkeypatch, np.linalg, "solve")
+        jacobians = count_calls(monkeypatch, landau, "jacobian_batch")
+        ok = landau._certify_shell(m, targets, np.zeros((64, 2), complex), BALL2, CFG)[0]
+        assert ok.all() and len(jacobians) > 1 and calls == []
+
+    def test_a_three_dimensional_shell(self, monkeypatch):
+        # k = 3 Jacobians go to LAPACK: a start on the critical plane z1 = 0 of
+        # (z1^2, z2, z3) has an exactly singular Jacobian, so it retires
+        # unmoved after its first; the other rows certify, each row with the
+        # bits of its standalone run
+        m = parse("(z1^2, z2, z3)")
+        ball3 = DomainSpec.ball(3, 1.0)
+        c = np.array([0.5, 0, 0], complex)
+        targets = evaluate(m, c) + 0.01 * sphere_directions(16, 3, 1)
+        warm = np.tile(c, (16, 1))
+        warm[5, 0] = 0.0
+        batches = []
+        original = landau.jacobian_batch
+
+        def recorded(m, pts):
+            batches.append(np.array(pts))
+            return original(m, pts)
+
+        monkeypatch.setattr(landau, "jacobian_batch", recorded)
+        batch = landau._certify_shell(m, targets, warm, ball3, CFG)
+        monkeypatch.undo()
+        ok, z, res, _ = batch
+        assert np.delete(ok, 5).all() and not ok[5]
+        assert np.array_equal(z[5], warm[5]) and res[5] > CFG.tolerance
+        assert len(batches) > 1 and len(batches[0]) == 16
+        assert all(not (b == warm[5]).all(axis=1).any() for b in batches[1:])
+        for i in range(len(targets)):
+            alone = landau._certify_shell(m, targets[i:i + 1], warm[i:i + 1], ball3, CFG)
+            for got, want in zip(batch, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes(), (i, got[i], want)
+
+
 def newton_without_retiring(m, targets, warm, dom, cfg):
     """_newton_batch as it was when a point with a singular Jacobian stayed
     alive with a zero step."""

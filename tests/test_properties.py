@@ -35,8 +35,9 @@ from holomaplab import (  # noqa: E402
 )
 from holomaplab import mapkit  # noqa: E402
 from holomaplab._sampling import coordinate_ascent  # noqa: E402
-from holomaplab.algebra import singular_values_batch, times_batch  # noqa: E402
+from holomaplab.algebra import singular_values_batch, solve_batch, times_batch  # noqa: E402
 from holomaplab.mapkit import MapExpr  # noqa: E402
+from test_algebra import ROW_SCALES  # noqa: E402
 from test_conditioning import as_mask, sequential_climb  # noqa: E402
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -76,11 +77,6 @@ def points_and_splits(draw):
     return np.array(rows), [c for c in cuts if c < n]
 
 
-# row scales that send a 2 x 2 matrix down each path of singular_values_batch:
-# the closed form, or LAPACK for zero and extreme-scale rows
-ROW_SCALES = (1.0, 0.0, 1e-200, 1e200, 2.0 ** -241, 2.0 ** 239, 1e-3)
-
-
 @st.composite
 def mixed_stacks(draw, n):
     mats = draw(st.lists(mat2, min_size=n, max_size=n))
@@ -105,10 +101,11 @@ def _singular_values(stack):
 
 
 def _rows(m, pts, mixed, j0_inv):
-    values, jacs = jacobian_batch(m, pts)
-    product = times_batch(jacs, j0_inv)  # refined_sup's J(a + off) J(a)^-1
-    return (values, jacs, _singular_values(jacs), product,
-            _singular_values(product), _singular_values(mixed))
+    with np.errstate(over="ignore", invalid="ignore"):  # _OVERFLOW overflows on purpose
+        values, jacs = jacobian_batch(m, pts)
+        product = times_batch(jacs, j0_inv)  # refined_sup's J(a + off) J(a)^-1
+        return (values, jacs, _singular_values(jacs), product,
+                _singular_values(product), _singular_values(mixed))
 
 
 def _same_bits(a, b):
@@ -139,6 +136,27 @@ def test_rows_do_not_depend_on_the_batch(m, data, j0_inv, mixed):
         _same_rows(whole, _rows(m, pts[i:i + 1], mixed[i:i + 1], j0_inv), i, i + 1)
     for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
         _same_rows(whole, _rows(m, pts[lo:hi], mixed[lo:hi], j0_inv), lo, hi)
+
+
+# rows down every path of solve_batch: exactly singular, NaN, infinite, a
+# non-finite right-hand side, extreme scales and the closed form
+_SPECIAL = (np.array([[[0, 0], [0, 0]], [[1, 2], [2, 4]], [[np.nan, 0], [0, 1]],
+                      [[1, 0], [np.inf, 1]], [[1, 1j], [0, 2]], [[1e200, 0], [0, 1e200]],
+                      [[0.5, 0.1], [0.2j, 0.3]]], complex),
+            np.array([[1, 1], [1, -1], [1, 0], [0, 1], [np.inf, 0], [1e200, 1], [1j, 2]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_stacks(24), points_and_splits())
+@example(_SPECIAL[0], (_SPECIAL[1], [2, 5]))
+def test_solutions_do_not_depend_on_the_batch(mixed, data):
+    rhs, cuts = data
+    mats = mixed[:len(rhs)]
+    x, solved = solve_batch(mats, rhs)
+    parts = [(i, i + 1) for i in range(len(rhs))] + list(zip([0] + cuts, cuts + [len(rhs)]))
+    for lo, hi in parts:
+        px, psolved = solve_batch(mats[lo:hi], rhs[lo:hi])
+        assert _same_bits(x[lo:hi], px) and _same_bits(solved[lo:hi], psolved)
 
 
 @settings(max_examples=400, deadline=None)

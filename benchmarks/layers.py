@@ -5,6 +5,7 @@ batched singular values, refined_sup's batched product, the scoring of
 one dense sample set and one Brody-Zalcman sequence.
 
     python3 benchmarks/layers.py OUTPUT.json
+    python3 benchmarks/layers.py OUTPUT.json --against OTHER/src [--only NAME,PREFIX*,...]
 
 Imports holomaplab from the ``src`` of the checkout this file sits in, so the
 same script times any commit.  Each entry is the median over REPEATS
@@ -12,6 +13,17 @@ repeats of the mean time per call, every repeat running the call for at
 least MIN_REPEAT_S seconds, with glibc's malloc thresholds fixed.  Times
 are raw seconds on the machine it runs on, which the output records.  Needs
 numpy only.
+
+With --against, the script is an A/B in one process: it also imports the
+holomaplab of OTHER/src, under the package name holomaplab_before, builds
+every entry on both trees, and times AB_ROUNDS rounds of each entry after
+one warm-up call per side.  In a round the two sides make one call each,
+and which side calls first alternates from round to round, so a speed
+swing of the machine lands on both sides alike.  Each entry reports
+"before" (OTHER) and "after" (this checkout), the medians of their call
+times, the rounds, and "after_faster", the rounds in which this checkout's
+call was the faster.  --only keeps the named entries; a name ending in *
+keeps a prefix.
 
 Entries:
   shell.linear.n128       _certify_shell on a complex Linear map, 128
@@ -41,6 +53,13 @@ Entries:
                           four dilations run in lockstep rounds
   membership.fail         solve_membership of a target outside the image:
                           the origin and the multistarts, one Newton batch
+  draw.linear.n128        one landau._draw on the Linear map's unit ball:
+                          128 sphere directions and the 8 Newton multistarts
+  ladders.harris3.sweep   one landau._ladders call on the 8 probe centers of
+                          the first climb sweep of estimate.harris3.refine1
+                          (step r_lo / 4 from the origin's image), from the
+                          highest rung at or below 0.8 r_lo, as the climb
+                          runs them
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
                           N in {1, 96, 10^4}
   svd.k2.n<N>             singular_values_batch on N random complex 2 x 2
@@ -74,12 +93,14 @@ Entries:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 # One BLAS thread: a spinning BLAS worker on a small machine slows the next
@@ -102,11 +123,10 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import holomaplab as hl  # noqa: E402
-from holomaplab import _sampling, conditioning, landau  # noqa: E402
-from holomaplab._sampling import shell_points, sphere_directions  # noqa: E402
+import holomaplab  # noqa: E402
 
 REPEATS = 7
+AB_ROUNDS = 60
 MIN_REPEAT_S = 0.05
 BATCH_SIZES = (1, 96, 10_000)
 SVD_BATCH_SIZES = (1, 8, 96, 32_769)  # about one sup-dense sample set (30,721)
@@ -130,28 +150,39 @@ def per_call(fn) -> float:
     return statistics.median(samples)
 
 
-def shell_case(m, dom, cfg, directions, r):
+def load_tree(src, name):
+    """The holomaplab package under src, imported as the package name."""
+    init = Path(src).resolve() / "holomaplab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def shell_case(hl, m, dom, cfg, directions, r):
     """A shell at radius r around m(0), warm-started from the certified
     shell one growth step (1.02) below it."""
     origin = np.zeros(m.dim, complex)
     center = hl.evaluate(m, origin)
-    dirs = sphere_directions(directions, m.dim, 1)
+    dirs = hl._sampling.sphere_directions(directions, m.dim, 1)
     below = center + (r / 1.02) * dirs
-    ok, z_below, _, _ = landau._certify_shell(m, below, np.tile(origin, (directions, 1)),
-                                              dom, cfg)
+    ok, z_below, _, _ = hl.landau._certify_shell(m, below, np.tile(origin, (directions, 1)),
+                                                 dom, cfg)
     if not ok.all():
         raise RuntimeError("the shell below did not certify")
     targets = center + r * dirs
 
     def run():
-        ok = landau._certify_shell(m, targets, z_below, dom, cfg)[0]
+        ok = hl.landau._certify_shell(m, targets, z_below, dom, cfg)[0]
         if not ok.all():
             raise RuntimeError("timed shell did not certify")
 
     return run
 
 
-def ilb_case(m, dom, cfg, directions):
+def ilb_case(hl, m, dom, cfg, directions):
     """One whole inscribed_lower_bound around m(0) at growth factor 1.02."""
     center = hl.evaluate(m, np.zeros(m.dim, complex))
 
@@ -162,7 +193,22 @@ def ilb_case(m, dom, cfg, directions):
     return run
 
 
-def sup_kappa_climb(m, dom, x0):
+def sweep_case(hl, m, dom, cfg, directions, growth_factor):
+    """One _ladders call on the probes of the first climb sweep from m(0):
+    its 4k centers at step r_lo / 4, from the highest rung at or below
+    0.8 r_lo, on the estimate's shared draws."""
+    landau = hl.landau
+    draws = landau._draw(m, dom, cfg, directions)
+    best = hl.inscribed_lower_bound(m, hl.evaluate(m, np.zeros(m.dim)), dom, cfg, directions,
+                                    growth_factor, _draws=draws)
+    first = max(0, bisect_right(draws.rungs, 0.8 * best.r_lo) - 1)
+    h = 0.25 * best.r_lo
+    centers = [best.center + delta * np.eye(m.dim)[j]
+               for j in range(m.dim) for delta in (h, -h, 1j * h, -1j * h)]
+    return lambda: landau._ladders(m, centers, dom, cfg, growth_factor, draws, first)
+
+
+def sup_kappa_climb(hl, m, dom, x0):
     """One coordinate_ascent of the scorer and domain test that sup_kappa
     hands to sampled_sup, 20 steps of 0.1 from x0."""
     handed = {}
@@ -171,6 +217,7 @@ def sup_kappa_climb(m, dom, x0):
         handed.update(score=score, inside=inside)
         return pts[0], 0.0, len(pts), 0
 
+    conditioning = hl.conditioning
     original, conditioning.sampled_sup = conditioning.sampled_sup, capture
     try:
         hl.sup_kappa(m, dom, hl.SamplerConfig(radial_shells=1, points_per_shell=1))
@@ -179,14 +226,11 @@ def sup_kappa_climb(m, dom, x0):
     score, inside = handed["score"], handed["inside"]
     x0 = np.array(x0, dtype=complex)
     best = float(score(x0[None])[0])
-    return lambda: _sampling.coordinate_ascent(score, x0, best, 20, 0.1, inside)
+    return lambda: hl._sampling.coordinate_ascent(score, x0, best, 20, 0.1, inside)
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("output")
-    args = p.parse_args(argv)
-
+def build_cases(hl):
+    """Every entry's call on the holomaplab package hl, by name."""
     ball = hl.DomainSpec.ball(2, 1.0)
     cfg = hl.NewtonConfig(tolerance=1e-8, rng_seed=7)
     linear = hl.parse(LINEAR_TEXT)
@@ -194,11 +238,11 @@ def main(argv=None) -> int:
     sigma_min = float(np.linalg.svd(linear.matrix, compute_uv=False)[-1])
 
     cases = {}
-    cases["shell.linear.n128"] = shell_case(linear, ball, cfg, 128, 0.9 * sigma_min)
-    cases["shell.dilate_exp.n96"] = shell_case(dilate_exp, ball, cfg, 96, 0.06)
+    cases["shell.linear.n128"] = shell_case(hl, linear, ball, cfg, 128, 0.9 * sigma_min)
+    cases["shell.dilate_exp.n96"] = shell_case(hl, dilate_exp, ball, cfg, 96, 0.06)
     henon, ball09 = hl.parse("henon(b=0.5)"), hl.DomainSpec.ball(2, 0.9)
-    cases["shell.henon.n1024"] = shell_case(henon, ball09, cfg, 1024, 0.35)
-    cases["ilb.linear.n128"] = ilb_case(linear, ball, cfg, 128)
+    cases["shell.henon.n1024"] = shell_case(hl, henon, ball09, cfg, 1024, 0.35)
+    cases["ilb.linear.n128"] = ilb_case(hl, linear, ball, cfg, 128)
     harris, polydisc = hl.Harris(3), hl.DomainSpec.polydisc(2, 1.0)
     cases["estimate.harris3.refine1"] = lambda: hl.landau_estimate(
         harris, polydisc, cfg, center_candidates=1, direction_count=96, growth_factor=1.02,
@@ -217,6 +261,8 @@ def main(argv=None) -> int:
             raise RuntimeError("a target outside the image certified")
 
     cases["membership.fail"] = membership_fail
+    cases["draw.linear.n128"] = lambda: hl.landau._draw(linear, ball, cfg, 128)
+    cases["ladders.harris3.sweep"] = sweep_case(hl, harris, polydisc, cfg, 96, 1.02)
 
     maps = {
         "linear": linear,
@@ -242,7 +288,7 @@ def main(argv=None) -> int:
 
     dense = hl.SamplerConfig(radial_shells=DENSE_SHELLS, points_per_shell=DENSE_PER_SHELL,
                              rng_seed=3, refine_steps=0)
-    samples = shell_points(ball, DENSE_SHELLS, DENSE_PER_SHELL, 3)
+    samples = hl._sampling.shell_points(ball, DENSE_SHELLS, DENSE_PER_SHELL, 3)
     dense_maps = {"henon_exp": maps["henon_exp"], "poly": hl.parse(POLY_TEXT), "linear": linear}
     for name, m in dense_maps.items():
         cases[f"jacobian_batch.{name}.n{len(samples)}"] = lambda m=m: hl.jacobian_batch(m, samples)
@@ -250,7 +296,7 @@ def main(argv=None) -> int:
 
     start = [0.3 + 0.2j, -0.25 + 0.4j]
     for name in ("henon_exp", "linear"):
-        cases[f"climb.kappa.{name}"] = sup_kappa_climb(dense_maps[name], ball, start)
+        cases[f"climb.kappa.{name}"] = sup_kappa_climb(hl, dense_maps[name], ball, start)
     cases["spectral_norm.k2.n4096"] = (
         lambda mats=cstack(4096, 2): hl.algebra.spectral_norm_batch(mats))
 
@@ -265,14 +311,57 @@ def main(argv=None) -> int:
                                   refine_steps=6)
     cases["bz_sequence.linear.n5"] = lambda: hl.bz_sequence(
         bz_members.__getitem__, list(bz_members), 1.0, bz_sampler)
+    return cases
 
-    layers = {}
-    for name, fn in cases.items():
-        layers[name] = per_call(fn)
-        print(f"{name:36s} {layers[name] * 1e6:12.2f} us")
+
+def selected(names, only):
+    """The names that --only keeps, in order."""
+    if not only:
+        return list(names)
+    keys = only.split(",")
+    return [name for name in names
+            if any(name == key or key.endswith("*") and name.startswith(key[:-1])
+                   for key in keys)]
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def against(cases, before_cases, names, rounds=AB_ROUNDS):
+    """The in-process A/B of each entry: before_cases (the other tree)
+    against cases, the sides alternating call by call."""
+    out = {}
+    for name in names:
+        sides = (before_cases[name], cases[name])
+        for fn in sides:
+            fn()  # warm-up
+        times = ([], [])
+        for i in range(rounds):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                times[side].append(timed(sides[side]))
+        before, after = (statistics.median(t) for t in times)
+        out[name] = {"before": before, "after": after, "rounds": rounds,
+                     "after_faster": sum(a < b for b, a in zip(*times))}
+        print(f"{name:36s} {before * 1e6:12.2f} -> {after * 1e6:12.2f} us, "
+              f"faster in {out[name]['after_faster']} of {rounds}")
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("output")
+    p.add_argument("--against", metavar="SRC_DIR",
+                   help="the src directory of another checkout: time both, in one process")
+    p.add_argument("--only", default="", help="comma-separated entries; NAME* keeps a prefix")
+    args = p.parse_args(argv)
+
+    cases = build_cases(holomaplab)
+    names = selected(cases, args.only)
     report = {
         "unit": "s per call, median of repeats",
-        "repeats": REPEATS,
         "machine": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -282,8 +371,18 @@ def main(argv=None) -> int:
             "MALLOC_MMAP_THRESHOLD_": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
             "MALLOC_TRIM_THRESHOLD_": os.environ.get("MALLOC_TRIM_THRESHOLD_"),
         },
-        "layers": layers,
     }
+    if args.against:
+        before_cases = build_cases(load_tree(args.against, "holomaplab_before"))
+        report["unit"] = "s per call, median of rounds"
+        report["against"] = str(Path(args.against).resolve())
+        report["in_process"] = against(cases, before_cases, names)
+    else:
+        report["repeats"] = REPEATS
+        report["layers"] = {}
+        for name in names:
+            report["layers"][name] = per_call(cases[name])
+            print(f"{name:36s} {report['layers'][name] * 1e6:12.2f} us")
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -142,17 +142,19 @@ def sphere_directions(n: int, k: int, seed: int) -> np.ndarray:
 
 def interior_points(dom, n: int, seed: int) -> np.ndarray:
     """n points of the domain at radii <= INTERIOR_PULLBACK * radius.  Each index draws
-    from its own child stream, so the family is prefix-stable in n."""
+    from its own child stream, so the family is prefix-stable in n; the rows are then
+    normalized and scaled in one pass, with the float operations of one row alone."""
     k = dom.dim
-    pts = np.empty((n, k), dtype=np.complex128)
+    g, u = np.empty((n, 2 * k)), np.empty(n)
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 499, i]))
-        g = rng.standard_normal(2 * k)
-        v = g[:k] + 1j * g[k:]
-        v = v / (np.linalg.norm(v) if dom.shape == "ball" else np.abs(v).max())
-        r = dom.radius * INTERIOR_PULLBACK * rng.random() ** (1.0 / (2 * k))
-        pts[i] = r * v
-    return pts
+        g[i] = rng.standard_normal(2 * k)
+        u[i] = rng.random() ** (1.0 / (2 * k))  # C's pow: numpy's power may round otherwise
+    v = g[:, :k] + 1j * g[:, k:]
+    # a vector's np.linalg.norm takes a BLAS dot of each part
+    norm = (np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+            if dom.shape == "ball" else np.abs(v).max(axis=1))
+    return (dom.radius * INTERIOR_PULLBACK * u)[:, None] * (v / norm[:, None])
 
 
 def score_blocks(score, pts):

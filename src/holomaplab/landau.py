@@ -10,32 +10,26 @@ finds a rung lo whose whole direction set certified while rung lo + 1,
 started from lo's preimages, did not.  Rung lo is the reported lower
 bound r_lo, labeled "sampled": Newton met an absolute residual on a
 finite set of directions at the rungs the search tested, so r_lo is not
-proven.  Its certificates, with the center's, are the ones returned.
-A shell is one Newton batch, warm-started from the preimages of the
-highest certified rung scaled to the new radius, whose final residuals
-the certificates report; a direction it misses fails the shell.  Each
-Newton step solves its rows' systems with algebra.solve_batch (Cramer's
-rule for k = 2, LAPACK for the rows and sizes it leaves), and a row whose
-Jacobian is exactly singular retires unmoved.  A Newton failure is never
-proof of non-membership, so the upper bound from rung lo + 1 is
-heuristic - except for the Harris and Duren-Rudin maps on the unit
-polydisc, where the counterexample witnesses supply a certified bound.
-When the ladder's last rung certifies, r_hi is inf, labeled "ladder_end".
+proven.  A shell is one Newton batch, warm-started from the preimages of
+the highest certified rung scaled to the new radius; a direction it
+misses fails the shell.  Each Newton step solves its rows' systems with
+algebra.solve_batch, and a row whose Jacobian is exactly singular retires
+unmoved.  A Newton failure is never proof of non-membership, so the upper
+bound from rung lo + 1 is heuristic - except for the Harris and
+Duren-Rudin maps on the unit polydisc, where the counterexample witnesses
+supply a certified bound.  When the ladder's last rung certifies, r_hi is
+inf, labeled "ladder_end".
 
-What every ladder shares depends only on the domain, the NewtonConfig, the
-direction count and the growth factor: the Newton starts of a membership
-search, the sphere directions of a shell and the r0 ladder of rungs.  So
-one estimate draws them once for its center candidates, full runs and
-climb probes, and one growth series once for all its dilations.  The
-center climb is _sampling.coordinate_ascent; a probe searches the shared
-r0 ladder from a rung below the incumbent radius, so a probe and a full
-run that certify the same rung read the same radius.  The ladders of the
-center candidates, and those of each climb sweep's probes, run in lockstep:
-their center searches form one Newton batch, each round then certifies the
-next shell of every running ladder as one, and no ladder's result depends
-on the batch it shares.  A growth series runs the center candidates of
-all its dilations so too, on the base map: each row of a batch goes
-through its own z -> (1/R) m(R z), in the float operations of dilate.
+The Newton starts, sphere directions and r0 ladder depend only on the
+domain, the NewtonConfig, the direction count and the growth factor, so an
+estimate or growth series draws them once.  The center climb is
+_sampling.coordinate_ascent; a probe searches the shared ladder from a rung
+below the incumbent radius.  The center candidates (of every dilation of a
+growth series too, each row on its own z -> (1/R) m(R z)) and each climb
+sweep's probes run as one lockstep search: the search state is per-search
+rung indices, and each round's targets and warm starts are broadcast into
+one Newton batch, in which no row depends on another.  Certificates are
+formed only for an estimate a caller keeps; a probe reports r_lo alone.
 """
 
 from __future__ import annotations
@@ -131,6 +125,16 @@ class _Draws(NamedTuple):
     rungs: list  # the ladder r0 * g**k from r0 = tolerance * 1e3, extended as searches climb it
 
 
+def _grow(rungs, growth_factor, k):
+    """Extend the shared ladder rungs through rung k, in chunks: each rung is
+    the one below times growth_factor (inf past the float range)."""
+    if k >= len(rungs):
+        size = min(_MAX_SHELLS, max(k + 1, 2 * len(rungs), 1024)) - len(rungs)
+        chain = np.concatenate([rungs[-1:], np.full(size, float(growth_factor))])
+        with np.errstate(over="ignore"):
+            rungs += np.multiply.accumulate(chain)[1:].tolist()
+
+
 def _newton_starts(dom, cfg):
     origin = np.zeros((1, dom.dim), dtype=np.complex128)
     multistarts = interior_points(dom, MULTISTART_COUNT, subseed(cfg.rng_seed, "newton-starts"))
@@ -163,12 +167,11 @@ def _target(m, b, dom):
 def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig, _shell=None):
     """Newton search for a preimage of b strictly inside the domain.
 
-    Starts: the origin, then seeded interior multistarts.  All starts run as
-    one shell of _certify_shell (_shell, its rows, when a caller's batch has
-    run them); the first start, in that order, that certifies gives the
-    MembershipCertificate.  Otherwise NotFound carries the smallest finite
-    final residual over the starts, or inf and the origin when none is
-    finite.
+    Starts: the origin, then seeded interior multistarts, as one shell of
+    _certify_shell (_shell: its rows, run in a caller's batch); the first
+    that certifies gives the MembershipCertificate.  Otherwise NotFound
+    carries the smallest finite final residual over the starts, or inf and
+    the origin when none is finite.
     """
     b = _target(m, b, dom)
     if _shell is None:
@@ -191,7 +194,7 @@ class _Dilations(MapExpr):
     dim = property(lambda self: self.m.dim)
 
     def __init__(self, m, R):
-        self.m, self.R = m, R
+        self.m = m
         self._matrix = np.eye(m.dim, dtype=complex)[:, :, None] * R  # R * I per row
         self._inverse = (1.0 / R).astype(complex)
 
@@ -199,45 +202,45 @@ class _Dilations(MapExpr):
         inner = _affine_apply(np.zeros(self.m.dim), self._matrix, coords)
         return tuple(y * self._inverse for y in self.m.apply(inner))
 
-    def take(self, rows):
-        return _Dilations(self.m, self.R[rows])
+    def take(self, rows):  # each entry is its row's own product: a slice keeps its bits
+        out = object.__new__(_Dilations)
+        out.m, out._matrix, out._inverse = self.m, self._matrix[:, :, rows], self._inverse[rows]
+        return out
 
 
 def _newton_batch(m, targets, warm, dom, cfg):
     """Vectorized Newton across a batch of targets; returns (z, residual)
-    with each row's residual |m(z) - target| taken at the z returned.  The
-    running rows are kept compact (ids, z, targets, escape bounds), gathered
-    only when one drops out; each iteration evaluates them, scatters z and
-    residual back by id, and takes Jacobians only of rows above tolerance.
-    A row retires where its Jacobian is exactly singular (solve_batch leaves
-    it unsolved) or when its max-abs coordinate is not within its escape
-    bound, 25 * (R + max_j |target_j| + 1) for its own target (so a NaN row
-    retires too).  A row's run does not depend on the other rows in its
-    batch, so the shells of many ladders may share one; a per-row dilation
-    keeps the rows of the running ones."""
-    take = m.take if isinstance(m, _Dilations) else lambda ids: m
-    mc = m  # the map of the running rows
-    z = np.array(warm, dtype=np.complex128)
-    res = np.empty(z.shape[0])
-    ids, zc, tc = np.arange(z.shape[0]), z, targets  # the running rows, compact
-    escape = _DIVERGENCE_FACTOR * (dom.radius + np.abs(targets).max(axis=1) + 1.0)
-    live = True  # per running row: within its escape bound, so it may step
+    with each row's residual |m(z) - target| taken at the z returned.  Only
+    the running rows are evaluated, kept compact, and only those above
+    tolerance take Jacobians; a row writes its z and residual back by id
+    when it drops out, the rest at the end.  A row retires where its
+    Jacobian is exactly singular (solve_batch leaves it unsolved) or its
+    max-abs coordinate is not within 25 * (R + max_j |target_j| + 1) for
+    its own target (so a NaN row retires too).  No row's run depends on the
+    other rows of its batch; a per-row dilation keeps the running rows'."""
+    zc, tc, mc = np.array(warm, dtype=np.complex128), targets, m  # the running rows
+    z, res, ids = np.empty_like(zc), np.empty(len(zc)), None  # ids None: every row, in order
+    live = True  # per running row: solved and within its escape bound
     for it in range(MAX_ITERATIONS + 1):
         f = evaluate_batch(mc, zc) - tc
-        r = np.linalg.norm(f, axis=1)
-        z[ids], res[ids] = zc, r
-        go = np.flatnonzero(live & ~(r <= cfg.tolerance))  # the rows that step
-        if it == MAX_ITERATIONS or go.size == 0:
+        r = algebra.row_norms(f)
+        go = live & ~(r <= cfg.tolerance)  # the rows that step: above tolerance or NaN
+        steps = np.count_nonzero(go)
+        if it == MAX_ITERATIONS or not steps:
             break
-        if go.size < ids.size:
-            ids, zc, tc, escape, f = ids[go], zc[go], tc[go], escape[go], f[go]
-            mc = take(ids)
+        if it == 0:
+            escape = _DIVERGENCE_FACTOR * (dom.radius + algebra.row_max_abs(tc) + 1.0)
+        if steps < len(go):  # the others retire
+            idx = np.arange(len(go)) if ids is None else ids
+            z[idx[~go]], res[idx[~go]] = zc[~go], r[~go]
+            ids, zc, tc, escape, f = idx[go], zc[go], tc[go], escape[go], f[go]
+            mc = m.take(ids) if isinstance(m, _Dilations) else m
         step, solved = algebra.solve_batch(jacobian_batch(mc, zc)[1], f)
-        if not solved.all():  # an exactly singular Jacobian: z cannot move
-            ids, zc, tc, escape, step = (x[solved] for x in (ids, zc, tc, escape, step))
-            mc = take(ids)
-        zc = zc - step
-        live = np.abs(zc).max(axis=1) <= escape
+        zc = zc - step  # an unsolved row's step is 0: it retires at its next residual
+        live = solved & (algebra.row_max_abs(zc) <= escape)
+    if ids is None:
+        return zc, r
+    z[ids], res[ids] = zc, r
     return z, res
 
 
@@ -266,27 +269,24 @@ def inscribed_lower_bound(
     be certified in the image, else CenterNotInImage), found by galloping
     search over a geometric ladder of radii.
 
-    Rung k of the ladder has radius r0 * growth_factor**k, formed by
-    repeated multiplication from r0 = tolerance * 1e3; the search tests no
-    rung below rung _first.  A rung certifies when all direction_count
-    quasi-uniform sphere points do, in one Newton batch warm-started from
-    the preimages of lo, the highest certified rung so far, scaled about
-    the center's preimage by the radius ratio (the center's own preimage
-    while no rung has certified).
-    From lo the search tests rungs lo+1, lo+2, lo+4, ... until one fails,
-    then bisects between the last pass and the first fail.  It stops only
-    when rung lo+1 failed from lo's own preimages; a lo+1 that failed from
-    a lower warm start is tested again, and galloping resumes from it if it
-    certifies.  r_lo, the radius of rung lo, is a sampled lower bound, not
-    a proven one; r_hi is rung lo+1, labeled "heuristic".  If the ladder's
-    last rung, rung _MAX_SHELLS - 1, certified, r_hi is inf labeled
-    "ladder_end": the search ran out of rungs, and no shell failed to bound
-    the radius from above.  shell_history lists (radius, certified)
-    in the order the shells were tested.  The returned certificates are
-    the center's followed by those of rung lo; none when no rung
-    certified.  _draws, when given, holds the starts, directions and r0
-    ladder that the caller drew for this direction_count and growth_factor.
-    This is _ladders on one center.
+    Rung k has radius r0 * growth_factor**k, by repeated multiplication
+    from r0 = tolerance * 1e3; no rung below rung _first is tested.  A rung
+    certifies when all direction_count quasi-uniform sphere points do, in
+    one Newton batch warm-started from the preimages of lo, the highest
+    certified rung so far, scaled about the center's preimage by the radius
+    ratio (the center's own preimage while no rung has certified).  From lo
+    the search tests rungs lo+1, lo+2, lo+4, ... until one fails, then
+    bisects between the last pass and the first fail.  It stops only when
+    rung lo+1 failed from lo's own preimages; a lo+1 that failed from a
+    lower warm start is tested again, and galloping resumes from it if it
+    certifies.  r_lo, rung lo's radius, is a sampled lower bound, not a
+    proven one; r_hi is rung lo+1, labeled "heuristic", or inf labeled
+    "ladder_end" when the last rung, _MAX_SHELLS - 1, certified: no shell
+    bounded the radius from above.  shell_history lists (radius, certified)
+    in test order.  The certificates are the center's, then rung lo's (none
+    when no rung certified).  _draws, when given, holds the starts,
+    directions and r0 ladder the caller drew for this direction_count and
+    growth_factor.  This is _ladders on one center.
     """
     a = algebra.as_vector(a)
     _check_ladder(m, dom, direction_count, growth_factor)
@@ -295,109 +295,96 @@ def inscribed_lower_bound(
     if isinstance(est, NotFound):
         raise CenterNotInImage(f"no certificate for center {a}; best residual "
                                f"{est.best_residual:.3e}")
-    return est
+    return _keep(est)
 
 
 def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
-    """inscribed_lower_bound around each of centers (complex vectors) from
-    rung first, in lockstep: in each round the next shell of every running
-    search, its membership search first, joins one _certify_shell batch,
-    and each search reads back its own rows.  With scales, center i's search
-    runs on z -> (1/R) m(R z), R = scales[i], through a per-row dilation of
-    m.  No row's Newton run depends on its batch, so each search is the one
-    its center runs alone.  Returns, per center, its LandauEstimate or its
-    center's NotFound."""
+    """inscribed_lower_bound around each of centers from rung first, in
+    lockstep: the membership searches form one _certify_shell batch, then
+    each round certifies the next shell of every running search as one,
+    n rows per search, broadcast from the searches' arrays.  With scales,
+    center i's search runs on z -> (1/R) m(R z), R = scales[i], through a
+    per-row dilation.  No row's run depends on its batch, so each search is
+    the one its center runs alone.  Returns, per center, its LandauEstimate
+    (whose certificates stay the batch rows (targets, z, residual, margin)
+    of the center and of rung lo, for _keep) or its center's NotFound."""
     centers = [_target(m, a, dom) for a in centers]
-    out = [None] * len(centers)
-    running = {i: _ladder(m, a, dom, cfg, draws, growth_factor, first)
-               for i, a in enumerate(centers)}
-    sent = dict.fromkeys(running)  # each search's last shell; None starts it
-    while running:
-        shells = {}  # the (targets, warm) of each running search's next shell
-        for i in list(running):
-            try:
-                shells[i] = running[i].send(sent[i])
-            except StopIteration as stop:
-                out[i] = stop.value
-                del running[i]
-        if not shells:
+    if not centers:
+        return []
+    starts, dirs, rungs = draws
+    s, n, k = len(starts), len(dirs), m.dim
+    scales = None if scales is None else np.asarray(scales, dtype=float)
+
+    def on(ladders, rows):  # the map of a batch of rows per ladder
+        return m if scales is None else _Dilations(m, np.repeat(scales[ladders], rows))
+
+    a = np.array(centers)
+    search = _certify_shell(on(slice(None), s), np.repeat(a, s, axis=0),
+                            np.tile(starts, (len(a), 1)), dom, cfg)
+    ok, zs, res, margins = (x.reshape(len(a), s, *x.shape[1:]) for x in search)
+    out = [None if ok[i].any() else solve_membership(
+        m, centers[i], dom, cfg, _shell=(ok[i], zs[i], res[i], margins[i]))
+        for i in range(len(a))]
+    found = np.flatnonzero([est is None for est in out])  # the searches, by center
+    j = ok[found].argmax(axis=1)  # each search's first start that certifies
+    rows = [[(a[i, None], zs[i, jj, None], res[i, jj, None], margins[i, jj, None])]
+            for i, jj in zip(found, j)]  # each search's certificate rows
+    a, z_c, count = a[found, None], zs[found, j, None], len(found)  # a, z_c: (count, 1, k)
+    # per search: the highest certified rung lo, the lowest failed rung hi
+    # above it (-1 for none), the lo that hi was tested from, the gallop step
+    lo, hi, hi_from, step = [first - 1] * count, [-1] * count, [0] * count, [1] * count
+    history, top, run = [[] for _ in found], _MAX_SHELLS - 1, range(count)
+    for shell in range(_MAX_SHELLS):  # a search tests at most _MAX_SHELLS shells
+        nxt = []  # (search, rung) of each running search
+        for q in run:
+            l, h = lo[q], hi[q]
+            if h < 0 and l < top:  # galloping
+                nxt.append((q, min(l + step[q], top)))
+            elif h > l + 1:  # bisecting
+                nxt.append((q, (l + h) // 2))
+            elif h >= 0 and hi_from[q] != l:  # lo + 1 failed from below: test it again
+                nxt.append((q, h))
+        if not nxt:
             break
-        # rows per shell, the same for every search of a round: the Newton
-        # starts in the first, the directions after it
-        n = len(next(iter(shells.values()))[0])
-        mm = m if scales is None else _Dilations(m, np.repeat([scales[i] for i in shells], n))
-        if len(shells) == 1:  # one shell: no concatenation and no split
-            sent = {i: _certify_shell(mm, *shell, dom, cfg) for i, shell in shells.items()}
-        else:
-            targets, warm = (np.concatenate(x) for x in zip(*shells.values()))
-            batch = _certify_shell(mm, targets, warm, dom, cfg)
-            sent = {i: tuple(x[j * n:(j + 1) * n] for x in batch) for j, i in enumerate(shells)}
+        run, rung = (list(x) for x in zip(*nxt))
+        _grow(rungs, growth_factor, max(rung))
+        radii = [rungs[i] for i in rung]
+        sel = run if len(run) < count else slice(None)
+        targets = a[sel] + np.array(radii)[:, None, None] * dirs
+        if shell == 0:  # no rung certified yet: start from the center's preimage
+            warm = np.repeat(z_c, n, axis=1)
+        else:  # each running search certified a rung: scale its preimages
+            ratio = np.array([radius / rungs[lo[q]] for q, radius in zip(run, radii)])
+            z_lo = np.stack([rows[q][1][1] for q in run])
+            warm = z_c[sel] + ratio[:, None, None] * (z_lo - z_c[sel])
+        batch = _certify_shell(on(found[sel], n), targets.reshape(-1, k), warm.reshape(-1, k),
+                               dom, cfg)
+        ok, z, res, margins = (x.reshape(len(run), n, *x.shape[1:]) for x in batch)
+        for i, (q, radius, rq, c) in enumerate(zip(run, radii, rung, ok.all(axis=1).tolist())):
+            history[q].append((radius, c))
+            if not c:
+                hi[q], hi_from[q] = rq, lo[q]
+                continue
+            if hi[q] < 0:
+                step[q] *= 2
+            elif rq == hi[q]:  # lo + 1 certified on its retest: gallop again from it
+                hi[q], step[q] = -1, 1
+            lo[q], rows[q][1:] = rq, [(targets[i], z[i], res[i], margins[i])]
+    for q, i in enumerate(found):
+        r_lo, r_hi = rungs[lo[q]] if lo[q] >= first else 0.0, rungs[hi[q]] if hi[q] >= 0 else np.inf
+        out[i] = LandauEstimate(centers[i], r_lo, "sampled", r_hi,
+                                "heuristic" if hi[q] >= 0 else "ladder_end", tuple(rows[q]), n,
+                                history[q])
     return out
 
 
-def _ladder(m, a, dom, cfg, draws, growth_factor, first):
-    """inscribed_lower_bound's membership search for a and galloping search
-    around it, as a generator: it yields each shell's (targets, warm), is
-    sent back its (ok, z, residual, margin), and returns the estimate, or
-    the search's NotFound."""
-    dirs, radii = draws.dirs, draws.rungs
-    search = yield np.tile(a, (len(draws.starts), 1)), draws.starts
-    center_sol = solve_membership(m, a, dom, cfg, _shell=search)
-    if isinstance(center_sol, NotFound):
-        return center_sol
-    z_c = center_sol.preimage
-
-    def radius(k):
-        while len(radii) <= k:
-            radii.append(radii[-1] * growth_factor)
-        return radii[k]
-
-    top = _MAX_SHELLS - 1  # the ladder's last rung
-    lo, best = first - 1, None  # highest certified rung and its (targets, z, res, margins)
-    hi, hi_from = None, None  # lowest failed rung above lo, and the lo it was tested from
-    step = 1
-    history: list = []
-    while len(history) < _MAX_SHELLS:
-        if hi is None:
-            if lo == top:
-                break
-            k = min(lo + step, top)
-        elif hi == lo + 1:
-            if hi_from == lo:
-                break
-            k = hi
-        else:
-            k = (lo + hi) // 2
-        r = radius(k)
-        targets = a + r * dirs
-        if best is None:
-            warm = np.tile(z_c, (len(dirs), 1))
-        else:
-            warm = z_c + (r / radii[lo]) * (best[1] - z_c)  # lo's preimages, scaled
-        ok, z, res, margins = yield targets, warm
-        certified = bool(ok.all())
-        history.append((r, certified))
-        if certified:
-            if hi is None:
-                step *= 2
-            elif k == hi:  # lo + 1 certified on its retest: gallop again from it
-                hi, step = None, 1
-            lo, best = k, (targets, z, res, margins)
-        else:
-            hi, hi_from = k, lo
-    shell_certs = [] if best is None else [
-        MembershipCertificate(*row)
-        for row in zip(best[0], np.array(best[1]), best[2].tolist(), best[3].tolist())]
-    return LandauEstimate(
-        center=a,
-        r_lo=radii[lo] if best is not None else 0.0,
-        r_lo_label="sampled",
-        r_hi=radii[hi] if hi is not None else np.inf,
-        r_hi_label="heuristic" if hi is not None else "ladder_end",
-        certificates=[center_sol] + shell_certs,
-        directions_tested=len(dirs),
-        shell_history=history,
-    )
+def _keep(est):
+    """est with its certificates formed from the rows _ladders left."""
+    if not isinstance(est.certificates, tuple):
+        return est  # formed already: a full run of the center climb
+    return replace(est, certificates=[
+        MembershipCertificate(*row) for t, z, res, margins in est.certificates
+        for row in zip(t, np.array(z), res.tolist(), margins.tolist())])
 
 
 def landau_estimate(
@@ -419,17 +406,15 @@ def landau_estimate(
     estimate never shrinks when more are requested.  The climb is
     coordinate_ascent from the winner, center_refine_steps sweeps from step
     r_lo / 4.  A probe of a climb center searches the r0 ladder from its
-    highest rung at or below 0.8 * r_lo (rung 0 if none is that low), so
-    it fails fast; only a center whose probe beats the incumbent gets a
-    full (from-r0) run, and the reported estimate is always a full run.
-    All these runs share one draw of Newton starts, sphere directions and
-    r0 ladder.
+    highest rung at or below 0.8 * r_lo (rung 0 if none is that low); only
+    a center whose probe beats the incumbent gets a full (from-r0) run, and
+    the estimate returned, with its certificates, is always a full run.
     """
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
     draws = _draw(m, dom, cfg, direction_count)
-    return _estimate(m, dom, cfg, draws, center_candidates, growth_factor,
-                     center_refine_steps)[0]
+    return _keep(_estimate(m, dom, cfg, draws, center_candidates, growth_factor,
+                           center_refine_steps)[0])
 
 
 def _check_estimate(m, dom, center_candidates, direction_count, growth_factor,
@@ -522,11 +507,9 @@ def rescaled_growth(
     scale it back, reporting the series (R, R * r_lo(R)) whose growth
     mirrors 'contains balls of arbitrarily large radius'.  Every dilation
     is built, and so every R checked by dilate, and every argument checked
-    before the first draw.  The dilations share the unit ball, the seed,
-    the directions and the growth factor, so the series draws its starts,
-    directions and r0 ladder once.  The ladders of every dilation's center
-    candidates run in lockstep on m, each row of a Newton batch through its
-    own dilation; the center climbs run per dilation."""
+    before the first draw, which all dilations share.  The ladders of every
+    dilation's center candidates run in lockstep on m, each row of a Newton
+    batch through its own dilation; the center climbs run per dilation."""
     dom = DomainSpec.ball(m.dim, 1.0)
     dilated = [(float(R), dilate(m, R)) for R in r_values]
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,

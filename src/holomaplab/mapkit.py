@@ -484,9 +484,7 @@ class DomainSpec:
         so a mask built on it gives each row the answer it gives that row
         alone; the 1-D np.linalg.norm of a vector can round differently."""
         z = np.asarray(z, dtype=np.complex128)
-        if self.shape == "ball":
-            return np.linalg.norm(z, axis=-1)
-        return np.abs(z).max(axis=-1)
+        return algebra.row_norms(z) if self.shape == "ball" else algebra.row_max_abs(z)
 
     def margin(self, z):
         """Distance to the boundary in the domain's norm (negative outside)."""

@@ -372,3 +372,29 @@ class TestSolveBatch:
         rhs[18, 1] = np.inf
         solved = algebra.solve_batch(mats, rhs)[1]
         assert solved.tolist() == [True, True, False] + [False] * 3 + [True] * 18  # 0 * rows 3-5
+
+
+class TestRowReductions:
+    """row_norms and row_max_abs reduce the last axis column by column, with
+    the bits of numpy's reductions over it."""
+
+    @staticmethod
+    def rows(shape, rng):
+        # every ROW_SCALES magnitude, and NaN, inf and -0 entries
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * rng.choice(
+            ROW_SCALES, size=shape)
+        flat = z.reshape(-1)
+        for value, share in ((np.nan, 0.02), (np.inf, 0.02), (complex(-0.0, -0.0), 0.05)):
+            flat[rng.random(flat.size) < share] = value
+        return z
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 32])
+    def test_numpy_bits(self, k):
+        rng = np.random.default_rng(k)
+        for shape in [(2000, k), (k,), (3, 5, k), (0, k)]:
+            z = self.rows(shape, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.asarray(algebra.row_norms(z)).tobytes() == np.asarray(
+                    np.linalg.norm(z, axis=-1)).tobytes()
+                assert np.asarray(algebra.row_max_abs(z)).tobytes() == np.asarray(
+                    np.abs(z).max(axis=-1)).tobytes()

@@ -22,7 +22,13 @@ from holomaplab import (
     solve_membership,
 )
 from holomaplab import landau
-from holomaplab._sampling import STEP_FLOOR, interior_points, sphere_directions, subseed
+from holomaplab._sampling import (
+    INTERIOR_PULLBACK,
+    STEP_FLOOR,
+    interior_points,
+    sphere_directions,
+    subseed,
+)
 from holomaplab.errors import CenterNotInImage, PreconditionFailed
 
 BALL2 = DomainSpec.ball(2, 1.0)
@@ -561,11 +567,30 @@ class TestLockstepLadders:
             assert (est.r_lo, est.r_hi, est.r_hi_label) == (alone.r_lo, alone.r_hi,
                                                            alone.r_hi_label)
             assert est.center.tobytes() == alone.center.tobytes()
+            est = landau._keep(est)  # the certificates a caller that keeps est gets
             assert len(est.certificates) == len(alone.certificates) > 1
             for c, d in zip(est.certificates, alone.certificates):
                 assert c.target.tobytes() == d.target.tobytes()
                 assert c.preimage.tobytes() == d.preimage.tobytes()
                 assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
+
+    def test_only_the_returned_estimate_forms_certificates(self, monkeypatch):
+        # the climb's 8 probes and the candidate runs report r_lo alone; the
+        # estimate that landau_estimate returns forms its 1 + 32 certificates
+        formed = []
+
+        class Counted(MembershipCertificate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                formed.append(self)
+
+        monkeypatch.setattr(landau, "MembershipCertificate", Counted)
+        ladders = count_ladders(monkeypatch)
+        est = landau_estimate(Harris(3), POLY2, NewtonConfig(tolerance=1e-8, rng_seed=7),
+                              center_candidates=2, direction_count=32, growth_factor=1.02,
+                              center_refine_steps=1)
+        assert sum(len(out) for _, out in ladders) > 2
+        assert formed == est.certificates and len(formed) == 1 + 32
 
     def test_a_sweep_certifies_one_batch_per_round(self, monkeypatch):
         # one climb sweep of harris(n=3): its 8 probes share one
@@ -874,6 +899,54 @@ class TestSharedDraws:
         solve_membership(Identity(2), [0.3, 0.4], BALL2, CFG)
         assert len(seeds["sphere_directions"]) == 1
         assert seeds["interior_points"] == [subseed(CFG.rng_seed, "newton-starts")] * 2
+
+
+def interior_points_by_index(dom, n, seed):
+    """interior_points as it was written before its rows were normalized and
+    scaled in one pass: each index drawn, normalized and scaled alone."""
+    k = dom.dim
+    pts = np.empty((n, k), dtype=np.complex128)
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 499, i]))
+        g = rng.standard_normal(2 * k)
+        v = g[:k] + 1j * g[k:]
+        v = v / (np.linalg.norm(v) if dom.shape == "ball" else np.abs(v).max())
+        r = dom.radius * INTERIOR_PULLBACK * rng.random() ** (1.0 / (2 * k))
+        pts[i] = r * v
+    return pts
+
+
+class TestDrawBits:
+    """The draws shared by a call's ladders keep the bits of the one-at-a-time
+    code they replaced."""
+
+    @pytest.mark.parametrize("shape", ["ball", "polydisc"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interior_points_are_the_per_index_loop(self, shape, k):
+        for n in (1, 8, 33):
+            for radius in (1e-200, 0.7, 1e200):
+                dom = getattr(DomainSpec, shape)(k, radius)
+                for seed in (0, subseed(5, "newton-starts"), 2**64 - 1):
+                    assert interior_points(dom, n, seed).tobytes() == interior_points_by_index(
+                        dom, n, seed).tobytes(), (n, radius, seed)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g, size", [
+        (1.02, 5000), (1.05, 5000), (1.000001, landau._MAX_SHELLS), (1e10, 5000)])
+    def test_the_rung_ladder_is_repeated_multiplication(self, g, size):
+        # the ladder grows in chunks as searches climb it; at g = 1e10 its
+        # rungs overflow to inf from rung 32 on, without a warning
+        ladder = landau._draw(Identity(2), BALL2, CFG, 8).rungs
+        for k in (0, 1, 7, 100, 1500, 2049, size - 1):
+            landau._grow(ladder, g, k)
+            assert k < len(ladder) <= landau._MAX_SHELLS
+        rungs = [CFG.tolerance * 1e3]
+        while len(rungs) < size:
+            rungs.append(rungs[-1] * g)
+        assert all(type(r) is float for r in ladder)
+        assert [r.hex() for r in ladder[:size]] == [r.hex() for r in rungs]
+        if g == 1e10:
+            assert ladder[-1] == np.inf
 
 
 class TestArgumentRanges:

@@ -4,7 +4,8 @@ score the samples in blocks and each hill-climb sweep as one batch, so the
 blocks change nothing and the batched climb follows the
 one-candidate-at-a-time climb only if this holds; that equivalence is
 checked here too, on arbitrary scorers.  The dual numbers' (k, N) gradient
-layout is checked bit for bit against the (N, k) layout it replaced."""
+layout is checked bit for bit against the (N, k) layout it replaced, and a
+Landau ladder run in a lockstep batch against its search alone."""
 
 import zlib
 
@@ -26,15 +27,19 @@ from holomaplab import (  # noqa: E402
     Identity,
     Linear,
     Scalar,
+    NewtonConfig,
+    NotFound,
     Translation,
     dilate,
     evaluate_batch,
+    inscribed_lower_bound,
     jacobian_batch,
     parse,
     to_text,
 )
-from holomaplab import mapkit  # noqa: E402
-from holomaplab._sampling import coordinate_ascent  # noqa: E402
+from holomaplab import landau, mapkit  # noqa: E402
+from holomaplab._sampling import coordinate_ascent, interior_points  # noqa: E402
+from holomaplab.errors import CenterNotInImage  # noqa: E402
 from holomaplab.algebra import singular_values_batch, solve_batch, times_batch  # noqa: E402
 from holomaplab.mapkit import MapExpr  # noqa: E402
 from test_algebra import ROW_SCALES  # noqa: E402
@@ -385,3 +390,39 @@ def test_batched_climb_follows_the_sequential_climb(score, k, data):
     assert evals == ref_evals - 1
     assert excluded == ref_excluded - (not start > -np.inf)
     assert len(calls) <= ref_evals - 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(["harris3", "henon"]), seed=st.integers(0, 2**32 - 1),
+       first=st.sampled_from([0, 40, 150]), growth=st.sampled_from([1.02, 1.05, 1.3]),
+       inside=st.integers(0, 8), data=st.data())
+def test_each_ladder_in_a_batch_is_its_search_alone(case, seed, first, growth, inside, data):
+    # 0-8 centers in the image and one far outside it, searched in lockstep
+    # from rung first: each entry is inscribed_lower_bound of its center
+    # alone, and a kept entry forms the certificates of that run
+    m, dom = {"harris3": (Harris(3), DomainSpec.polydisc(2, 1.0)),
+              "henon": (Henon(0.5), DomainSpec.ball(2, 0.9))}[case]
+    cfg = NewtonConfig(tolerance=1e-8, rng_seed=seed)
+    centers = list(evaluate_batch(m, interior_points(dom, inside, seed))) if inside else []
+    outside = data.draw(st.integers(0, inside))
+    centers.insert(outside, np.array([50.0, 50.0], complex))
+    out = landau._ladders(m, centers, dom, cfg, growth, landau._draw(m, dom, cfg, 16), first)
+    assert len(out) == len(centers) and isinstance(out[outside], NotFound)
+    for i, (center, est) in enumerate(zip(centers, out)):
+        if i == outside:
+            with pytest.raises(CenterNotInImage):
+                inscribed_lower_bound(m, center, dom, cfg, 16, growth, _first=first)
+            continue
+        alone = inscribed_lower_bound(m, center, dom, cfg, 16, growth, _first=first)
+        assert [(r.hex(), ok) for r, ok in est.shell_history] == [
+            (r.hex(), ok) for r, ok in alone.shell_history]
+        assert (est.r_lo.hex(), est.r_hi.hex(), est.r_hi_label) == (
+            alone.r_lo.hex(), alone.r_hi.hex(), alone.r_hi_label)
+        assert est.center.tobytes() == alone.center.tobytes()
+        kept = landau._keep(est)
+        assert len(kept.certificates) == len(alone.certificates)
+        for c, d in zip(kept.certificates, alone.certificates):
+            assert c.target.tobytes() == d.target.tobytes()
+            assert c.preimage.tobytes() == d.preimage.tobytes()
+            assert (c.residual.hex(), c.domain_margin.hex()) == (
+                d.residual.hex(), d.domain_margin.hex())

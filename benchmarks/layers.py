@@ -35,6 +35,10 @@ Entries:
                           1024 directions at radius 0.35 (r_lo is about 0.437)
   ilb.linear.n128         one whole inscribed_lower_bound around m(0) on the
                           same Linear map, 128 directions, growth factor 1.02
+  ilb.quad05.n128         the same for (z1 + 0.5 z1^2, z2) on the unit
+                          polydisc, whose inscribed radius 0.5 lies below
+                          the linearized 0.8: the start rung fails, and the
+                          search gallops down from it
   estimate.harris3.refine1
                           landau_estimate of Harris(3) on the unit polydisc
                           from the origin's image, 96 directions, growth
@@ -244,6 +248,7 @@ def build_cases(hl):
     cases["shell.henon.n1024"] = shell_case(hl, henon, ball09, cfg, 1024, 0.35)
     cases["ilb.linear.n128"] = ilb_case(hl, linear, ball, cfg, 128)
     harris, polydisc = hl.Harris(3), hl.DomainSpec.polydisc(2, 1.0)
+    cases["ilb.quad05.n128"] = ilb_case(hl, hl.parse("(z1 + 0.5*z1^2, z2)"), polydisc, cfg, 128)
     cases["estimate.harris3.refine1"] = lambda: hl.landau_estimate(
         harris, polydisc, cfg, center_candidates=1, direction_count=96, growth_factor=1.02,
         center_refine_steps=1)

@@ -22,10 +22,12 @@ a value or a count.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import row_norms
 from .errors import EmptySample
 
 # outermost shell sits at radius * (1 - BOUNDARY_GAP)
@@ -108,6 +110,7 @@ def shell_points(dom, shells: int, per_shell: int, seed: int) -> np.ndarray:
     return scale_shells(draw_shells(dom, shells, per_shell, seed), dom.radius)
 
 
+@cache
 def _phi(d: int) -> float:
     # generalized golden ratio: unique positive root of x**(d+1) = x + 1
     x = 2.0
@@ -137,7 +140,7 @@ def sphere_directions(n: int, k: int, seed: int) -> np.ndarray:
         g[:, 2 * j] = r * np.cos(2.0 * np.pi * u[:, 2 * j + 1])
         g[:, 2 * j + 1] = r * np.sin(2.0 * np.pi * u[:, 2 * j + 1])
     v = g[:, :k] + 1j * g[:, k:]
-    return v / np.linalg.norm(v, axis=1)[:, None]
+    return v / row_norms(v)[:, None]
 
 
 def interior_points(dom, n: int, seed: int) -> np.ndarray:

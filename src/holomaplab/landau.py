@@ -7,7 +7,13 @@ preimage strictly inside the domain whose image matches the target to
 tolerance.  Candidate radii form a geometric ladder r0 * g**k from
 r0 = tolerance * 1e3; a galloping search (doubling steps, then bisection)
 finds a rung lo whose whole direction set certified while rung lo + 1,
-started from lo's preimages, did not.  Rung lo is the reported lower
+started from lo's preimages, did not.  A full search starts on the rung
+below its linearized radius: with z_c the center's certified preimage, the
+highest rung at or below START_FRACTION * sigma_min(J(z_c)) * margin(z_c).
+From there it gallops up by 1, 2, 4, ... rungs when that rung certifies,
+and down by 1, 2, 4, ... from cold starts at z_c until a rung does when it
+fails; a guess not above r0 or a non-finite J(z_c) leaves rung 0 as the
+start.  Rung lo is the reported lower
 bound r_lo, labeled "sampled": Newton met an absolute residual on a
 finite set of directions at the rungs the search tested, so r_lo is not
 proven.  A shell is one Newton batch, warm-started from the preimages of
@@ -62,6 +68,7 @@ MAX_ITERATIONS = 40  # Newton steps per shell
 MULTISTART_COUNT = 8  # seeded interior starts of a membership search, after the origin
 DOMAIN_MARGIN_MIN = 1e-4  # least distance to the boundary of a certified preimage
 GROWTH_FACTOR = 1.05  # default ratio of the radius ladder
+START_FRACTION = 0.8  # a full search starts at this fraction of its linearized radius
 
 
 @dataclass(frozen=True)
@@ -273,10 +280,17 @@ def inscribed_lower_bound(
     from r0 = tolerance * 1e3; no rung below rung _first is tested.  A rung
     certifies when all direction_count quasi-uniform sphere points do, in
     one Newton batch warm-started from the preimages of lo, the highest
-    certified rung so far, scaled about the center's preimage by the radius
-    ratio (the center's own preimage while no rung has certified).  From lo
-    the search tests rungs lo+1, lo+2, lo+4, ... until one fails, then
-    bisects between the last pass and the first fail.  It stops only when
+    certified rung so far, scaled about the center's preimage z_c by the
+    radius ratio (z_c itself while no rung has certified).  A probe
+    (_first > 0) tests rung _first, then rungs lo+2, lo+4, ... above each
+    pass until one fails.  A full search (_first = 0) tests first its start
+    rung g, the highest rung at or below
+    START_FRACTION * sigma_min(J(z_c)) * margin(z_c) (rung 0 when that is
+    not above r0 or J(z_c) is not finite; the last rung when it lies past
+    the ladder): if g certifies, it tests g+1, then lo+2, lo+4, ...; if g
+    fails, it tests g-1, g-3, g-7, ... (never below rung 0) from z_c until
+    one certifies.  Then it bisects between the last pass and the first
+    fail.  It stops only when
     rung lo+1 failed from lo's own preimages; a lo+1 that failed from a
     lower warm start is tested again, and galloping resumes from it if it
     certifies.  r_lo, rung lo's radius, is a sampled lower bound, not a
@@ -299,15 +313,16 @@ def inscribed_lower_bound(
 
 
 def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
-    """inscribed_lower_bound around each of centers from rung first, in
-    lockstep: the membership searches form one _certify_shell batch, then
-    each round certifies the next shell of every running search as one,
-    n rows per search, broadcast from the searches' arrays.  With scales,
-    center i's search runs on z -> (1/R) m(R z), R = scales[i], through a
-    per-row dilation.  No row's run depends on its batch, so each search is
-    the one its center runs alone.  Returns, per center, its LandauEstimate
-    (whose certificates stay the batch rows (targets, z, residual, margin)
-    of the center and of rung lo, for _keep) or its center's NotFound."""
+    """inscribed_lower_bound around each of centers from rung first (from
+    its start rung where first is 0), in lockstep: the membership searches
+    form one _certify_shell batch, then each round certifies the next shell
+    of every running search as one, n rows per search, broadcast from the
+    searches' arrays.  With scales, center i's search runs on
+    z -> (1/R) m(R z), R = scales[i], through a per-row dilation.  No row's
+    run depends on its batch, so each search is the one its center runs
+    alone.  Returns, per center, its LandauEstimate (whose certificates stay
+    the batch rows (targets, z, residual, margin) of the center and of rung
+    lo, for _keep) or its center's NotFound."""
     centers = [_target(m, a, dom) for a in centers]
     if not centers:
         return []
@@ -332,14 +347,25 @@ def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
     a, z_c, count = a[found, None], zs[found, j, None], len(found)  # a, z_c: (count, 1, k)
     # per search: the highest certified rung lo, the lowest failed rung hi
     # above it (-1 for none), the lo that hi was tested from, the gallop step
+    # (at first, from lo = first - 1 to the rung the search tests first)
     lo, hi, hi_from, step = [first - 1] * count, [-1] * count, [0] * count, [1] * count
+    if first == 0 and count:  # a full search tests its start rung first
+        step = [g + 1 for g in _start_rungs(on(found, 1), z_c[:, 0], margins[found, j], rungs,
+                                            growth_factor)]
     history, top, run = [[] for _ in found], _MAX_SHELLS - 1, range(count)
-    for shell in range(_MAX_SHELLS):  # a search tests at most _MAX_SHELLS shells
+
+    def scaled(qs, radii, sel):  # rung lo's preimages of searches qs, scaled to radii about z_c
+        ratio = np.array([radius / rungs[lo[q]] for q, radius in zip(qs, radii)])
+        return z_c[sel] + ratio[:, None, None] * (np.stack([rows[q][1][1] for q in qs]) - z_c[sel])
+
+    for _ in range(_MAX_SHELLS):  # a search tests at most _MAX_SHELLS shells
         nxt = []  # (search, rung) of each running search
         for q in run:
             l, h = lo[q], hi[q]
-            if h < 0 and l < top:  # galloping
+            if h < 0 and l < top:  # galloping up
                 nxt.append((q, min(l + step[q], top)))
+            elif l < first < h:  # no rung certified below a failed start: galloping down
+                nxt.append((q, max(h - step[q], first)))
             elif h > l + 1:  # bisecting
                 nxt.append((q, (l + h) // 2))
             elif h >= 0 and hi_from[q] != l:  # lo + 1 failed from below: test it again
@@ -351,22 +377,26 @@ def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
         radii = [rungs[i] for i in rung]
         sel = run if len(run) < count else slice(None)
         targets = a[sel] + np.array(radii)[:, None, None] * dirs
-        if shell == 0:  # no rung certified yet: start from the center's preimage
-            warm = np.repeat(z_c, n, axis=1)
-        else:  # each running search certified a rung: scale its preimages
-            ratio = np.array([radius / rungs[lo[q]] for q, radius in zip(run, radii)])
-            z_lo = np.stack([rows[q][1][1] for q in run])
-            warm = z_c[sel] + ratio[:, None, None] * (z_lo - z_c[sel])
+        hot = [i for i, q in enumerate(run) if lo[q] >= first]  # the searches that certified a rung
+        if len(hot) == len(run):
+            warm = scaled(run, radii, sel)
+        else:  # a search with no certified rung starts from its center's preimage
+            warm = np.repeat(z_c[sel], n, axis=1)
+            if hot:
+                qs = [run[i] for i in hot]
+                warm[hot] = scaled(qs, [radii[i] for i in hot], qs)
         batch = _certify_shell(on(found[sel], n), targets.reshape(-1, k), warm.reshape(-1, k),
                                dom, cfg)
         ok, z, res, margins = (x.reshape(len(run), n, *x.shape[1:]) for x in batch)
         for i, (q, radius, rq, c) in enumerate(zip(run, radii, rung, ok.all(axis=1).tolist())):
             history[q].append((radius, c))
             if not c:
+                if lo[q] < first:  # gallop down from a failed start rung: steps 1, 2, 4, ...
+                    step[q] = 1 if hi[q] < 0 else 2 * step[q]
                 hi[q], hi_from[q] = rq, lo[q]
                 continue
-            if hi[q] < 0:
-                step[q] *= 2
+            if hi[q] < 0:  # from a start rung above first, gallop up with step 1
+                step[q] = 1 if lo[q] < first < rq else 2 * step[q]
             elif rq == hi[q]:  # lo + 1 certified on its retest: gallop again from it
                 hi[q], step[q] = -1, 1
             lo[q], rows[q][1:] = rq, [(targets[i], z[i], res[i], margins[i])]
@@ -376,6 +406,26 @@ def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
                                 "heuristic" if hi[q] >= 0 else "ladder_end", tuple(rows[q]), n,
                                 history[q])
     return out
+
+
+def _start_rungs(m, z_c, margins, rungs, growth_factor):
+    """The rung each full search tests first, from its center's preimages z_c
+    (on m, one row each) and their domain margins: the highest rung at or
+    below START_FRACTION * sigma_min(J(z_c)) * margin, or rung 0 where that
+    guess is not above r0 or J(z_c) is not finite.  The ladder grows to the
+    largest guess (at most to its last rung), and each rung is found by
+    bisection."""
+    guess = np.zeros(len(z_c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = jacobian_batch(m, z_c)[1]
+        fin = np.isfinite(jac).all(axis=(1, 2))  # singular_values_batch raises on NaN
+        if fin.any():
+            sigma_min = algebra.singular_values_batch(jac[fin])[:, -1]
+            guess[fin] = START_FRACTION * sigma_min * margins[fin]
+    guess = guess.tolist()
+    while rungs[-1] <= max(guess) and len(rungs) < _MAX_SHELLS:
+        _grow(rungs, growth_factor, len(rungs))
+    return [bisect_right(rungs, x) - 1 if x > rungs[0] else 0 for x in guess]
 
 
 def _keep(est):
@@ -407,8 +457,9 @@ def landau_estimate(
     coordinate_ascent from the winner, center_refine_steps sweeps from step
     r_lo / 4.  A probe of a climb center searches the r0 ladder from its
     highest rung at or below 0.8 * r_lo (rung 0 if none is that low); only
-    a center whose probe beats the incumbent gets a full (from-r0) run, and
-    the estimate returned, with its certificates, is always a full run.
+    a center whose probe beats the incumbent gets a full run, from the
+    start rung of its linearized radius, and the estimate returned, with
+    its certificates, is always a full run.
     """
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)

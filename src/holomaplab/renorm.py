@@ -133,7 +133,7 @@ def bz_step(
     imax = int(np.argmax(norms))
     max_norm = float(norms[imax])
     bound = 2.0 * c_bound
-    shifts = np.linalg.norm(grid @ b_matrix.T, axis=1)
+    shifts = algebra.row_norms(grid @ b_matrix.T)
     shift_max = float(shifts.max())
     shift_limit = 0.5 * (1.0 - float(np.linalg.norm(a)))
     check = BoundCheck(

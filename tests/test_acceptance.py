@@ -288,7 +288,7 @@ GOLDEN_PAYLOADS = {
     "eval_henon": "3b1233ae72195cf57d2f5d322f708689f0fca6c41078d70189f100ebb2b79ef5",
     "jacobian_henon_exp": "dfbf1ca50c5abcc3e8384f787e69e5bc6ce9c6b4fc74d346b6a8e6b43296dd0b",
     "kappa_sup_henon_exp": "b3ad567d944177e704173559b9b9193a7a55b8e0f397d476619782075a228ac9",
-    "landau_linear": "9c3ca5b5694272fe1b0e16dac7fab1a13b2036c7e70d775bb37c91d4e6d0f5ac",
+    "landau_linear": "ea17f92c799e56d97438026d21bc7a4d5b36c6411d4817cee967aecb4bb2e440",
     "refined_sup_henon": "35572ddee61fe52b582c00993efb820fba19c1f004b653a1b0273fd2a48875de",
     "rescaled_growth_identity": "06a4e5c78b7b931bb0616f971b90d10b5864f9e5f1e90383228a1e0652d0dabf",
 }

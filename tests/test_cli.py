@@ -247,14 +247,14 @@ PAYLOAD_PINS = {
          "task": "landau", "seed": 7,
          "params": {"direction_count": 16, "center_candidates": 1, "center_refine_steps": 0}},
         lambda p: p["r_hi_label"] == "certified",
-        "8422ade03b684b620a913dda2d0f478f9e7b60655557cee77e19151a3efd5e8c",
+        "5dd353b95b19068f3e4dbd90be3428982804efa8a7211b59b33df6eb826631e7",
     ),
     "landau_ladder_end": (
         {"map": "identity(k=2)", "task": "landau", "seed": 3,
          "params": {"direction_count": 8, "growth_factor": 1.000001,
                     "center_candidates": 1, "center_refine_steps": 0}},
         lambda p: (p["r_hi"], p["r_hi_label"]) == ("inf", "ladder_end"),
-        "2156221004bf964890dd3c017d0aa3d9bd347e4fd3b0a7e47c127c39e7cab241",
+        "545d1c1418d2cd68a2a8e320c87d6954c3be10b30ec5a221c12bd6c8eccdf91d",
     ),
     "kappa_sup_skipped_singular": (
         {"map": "(z1^2, z2)", "task": "kappa-sup", "seed": 4,

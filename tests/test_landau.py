@@ -18,6 +18,7 @@ from holomaplab import (
     jacobian_batch,
     landau_estimate,
     parse,
+    Scalar,
     rescaled_growth,
     solve_membership,
 )
@@ -209,9 +210,10 @@ class TestInscribedLowerBound:
 
     def test_certified_last_rung_is_labeled_ladder_end(self):
         # the identity's image is the whole ball, and at ratio 1.000001 the
-        # ladder tops out near 1.2e-5: 18 doubling steps reach its last rung
+        # ladder tops out near 1.2e-5, far below the linearized radius 0.8:
+        # the search starts on the last rung, and it certifies
         est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG, 8, 1.000001)
-        assert len(est.shell_history) == 18
+        assert len(est.shell_history) == 1
         assert all(ok for _, ok in est.shell_history)
         assert est.r_hi == np.inf and est.r_hi_label == "ladder_end"
         assert est.r_lo == est.shell_history[-1][0]
@@ -280,6 +282,133 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def rung_indices(est, rungs):
+    """est's shell history as (rung index, certified) pairs."""
+    return [(rungs.index(r), ok) for r, ok in est.shell_history]
+
+
+class TestStartRung:
+    """A full search tests first the highest rung at or below
+    START_FRACTION * sigma_min(J(z_c)) * margin(z_c), then gallops up from
+    it by 1, 2, 4, ... or, where it fails, down by 1, 2, 4, ... with cold
+    starts; the radii it reports are the walk's."""
+
+    @pytest.mark.parametrize("m, dom", [
+        (parse("(z1 + 0.1*z1^2, z2)"), POLY2),
+        (parse("(z1 + 0.3*z1^2, z2)"), POLY2),
+        (parse("(z1 + 0.5*z1^2, z2)"), POLY2),
+        (Harris(3), POLY2),
+        (Harris(27), POLY2),
+        (Linear(np.array([[0.9 + 0.3j, -0.2 + 0.5j], [0.4 - 0.1j, 0.3 + 0.6j]])), BALL2),
+    ], ids=["quad0.1", "quad0.3", "quad0.5", "harris3", "harris27", "linear"])
+    def test_search_matches_the_rung_by_rung_walk(self, m, dom):
+        center = evaluate(m, np.zeros(2))
+        ladder = walk_every_rung(m, center, dom, CFG, 32, 1.02)
+        est = inscribed_lower_bound(m, center, dom, CFG, 32, 1.02)
+        assert est.shell_history[0][0] > CFG.tolerance * 1e3  # the search used a start rung
+        assert est.r_lo.hex() == ladder.r_lo.hex()
+        assert est.r_hi.hex() == ladder.r_hi.hex()
+
+    def test_a_start_that_certifies_gallops_up_from_it(self, monkeypatch):
+        m = Linear(np.diag([2.0, 0.5]))  # z_c = 0: sigma_min 0.5, margin 1
+        starts = count_calls(monkeypatch, landau, "_start_rungs")
+        draws = landau._draw(m, BALL2, CFG, 32)
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        [[g]] = starts
+        assert draws.rungs[g] <= landau.START_FRACTION * 0.5 < draws.rungs[g + 1]
+        assert rung_indices(est, draws.rungs)[:4] == [(g, True), (g + 1, True), (g + 3, True),
+                                                      (g + 7, True)]
+
+    def test_a_start_that_fails_gallops_down_from_cold_starts(self, monkeypatch):
+        # the image of (z1 + 0.5 z1^2, z2) holds the ball of radius 0.5 about
+        # 0 and no larger one, below the linearized radius 0.8
+        m = parse("(z1 + 0.5*z1^2, z2)")
+        shells = []
+        original = landau._certify_shell
+
+        def recorded(m, targets, warm, dom, cfg):
+            out = original(m, targets, warm, dom, cfg)
+            shells.append(warm)
+            return out
+
+        monkeypatch.setattr(landau, "_certify_shell", recorded)
+        draws = landau._draw(m, POLY2, CFG, 32)
+        est = inscribed_lower_bound(m, np.zeros(2), POLY2, CFG, 32, 1.02, _draws=draws)
+        history = rung_indices(est, draws.rungs)
+        g = history[0][0]
+        assert draws.rungs[g] <= landau.START_FRACTION < draws.rungs[g + 1]
+        down = [g - (2 ** t - 1) for t in range(len(history))]
+        cold = next(t for t, (rung, ok) in enumerate(history) if ok) + 1
+        assert cold > 2 and history[:cold] == [(rung, rung == down[cold - 1])
+                                               for rung in down[:cold]]
+        z_c = est.certificates[0].preimage
+        for warm in shells[1:1 + cold]:  # after the center's membership search
+            assert np.array_equal(warm, np.tile(z_c, (32, 1)))
+        assert history[-1] == (history[-1][0], False) and est.r_hi == draws.rungs[history[-1][0]]
+        assert est.r_lo == draws.rungs[history[-1][0] - 1]
+
+    def test_a_start_not_above_r0_is_rung_0(self):
+        # the image is the ball of radius 1.2e-5, whose linearized radius
+        # 0.96e-5 lies below r0 = 1e-5: the search runs from rung 0
+        m = Scalar(1.2e-5, Identity(2))
+        draws = landau._draw(m, BALL2, CFG, 32)
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        assert rung_indices(est, draws.rungs)[:3] == [(0, True), (2, True), (6, True)]
+        ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 32, 1.02)
+        assert (est.r_lo, est.r_hi) == (ladder.r_lo, ladder.r_hi)
+
+    def test_a_start_past_the_ladder_is_its_last_rung(self, monkeypatch):
+        # at ratio 1.000001 the ladder's last rung is near 1.2e-5, far below
+        # the identity's 0.8: the ladder grows in a few chunks to its end, and
+        # the start rung is found by bisection, not by a walk
+        grows = count_calls(monkeypatch, landau, "_grow")
+        draws = landau._draw(Identity(2), BALL2, CFG, 8)
+        est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG, 8, 1.000001,
+                                    _draws=draws)
+        assert len(draws.rungs) == landau._MAX_SHELLS and len(grows) < 20
+        assert est.shell_history == [(draws.rungs[-1], True)]
+
+    def test_each_dilation_starts_from_its_own_jacobian(self):
+        # a growth series' rows run z -> (1/R) m(R z): at a center away from
+        # the origin each R has its own sigma_min, so its own start rung
+        m = parse("expcoord(c=0.1, k=2)")
+        Rs, p = [1.0, 4.0, 8.0], np.array([-0.5, 0.2j])
+        centers = [evaluate(dilate(m, R), p) for R in Rs]
+        draws = landau._draw(m, BALL2, CFG, 32)
+        out = landau._ladders(m, centers, BALL2, CFG, 1.02, draws, 0, Rs)
+        assert len({est.shell_history[0] for est in out}) == len(Rs)
+        for R, center, est in zip(Rs, centers, out):
+            alone = inscribed_lower_bound(dilate(m, R), center, BALL2, CFG, 32, 1.02)
+            assert est.shell_history == alone.shell_history
+            assert (est.r_lo, est.r_hi) == (alone.r_lo, alone.r_hi)
+
+    def test_a_probe_gallops_from_its_first_rung(self, monkeypatch):
+        m = Linear(np.diag([2.0, 0.5]))
+        draws = landau._draw(m, BALL2, CFG, 32)
+        full = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        j = draws.rungs.index(full.r_lo) - 20
+        starts = count_calls(monkeypatch, landau, "_start_rungs")
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _first=j,
+                                    _draws=draws)
+        assert starts == []
+        assert rung_indices(est, draws.rungs)[:3] == [(j, True), (j + 2, True), (j + 6, True)]
+        assert (est.r_lo, est.r_hi) == (full.r_lo, full.r_hi)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [
+        Scalar(1e300, Linear(np.diag([1e10, 1.0]))),  # J(0) holds inf
+        # J(0) holds NaN, on which singular_values_batch raises LinAlgError
+        Scalar(1e300, Scalar(1e300, Scalar(1e300, Linear(np.diag([1e10, 1.0]))))),
+        parse("(z1^2, z2)"),  # J(0) is singular
+    ], ids=["inf", "nan", "singular"])
+    def test_no_start_rung_without_a_finite_nonsingular_jacobian(self, m, monkeypatch):
+        starts = count_calls(monkeypatch, landau, "_start_rungs")
+        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 16, 1.05)
+        assert starts == [[0]] and est.shell_history[0][0] == CFG.tolerance * 1e3
+        ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 16, 1.05)
+        assert (est.r_lo, est.r_hi) == (ladder.r_lo, ladder.r_hi)
 
 
 class TestCertifyShell:

@@ -1,5 +1,5 @@
 """Layer timings of holomaplab: one Landau shell, one whole inscribed-ball
-search, two Landau estimates with center climbs, one growth series, one
+search, three Landau estimates with center climbs, one growth series, one
 failing membership search, the two evaluators at three batch sizes,
 batched singular values, refined_sup's batched product, the scoring of
 one dense sample set and one Brody-Zalcman sequence.
@@ -51,6 +51,11 @@ Entries:
                           and 160 probes, none of which beats the
                           incumbent; the full runs share lockstep rounds,
                           and so do the 8 probes of each sweep
+  estimate.quad05.refine6 landau_estimate of (z1 + 0.5 z1^2, z2) on the ball
+                          of radius 0.9, seed 1, from the origin's image,
+                          32 directions, growth factor 1.02, 6 climb
+                          sweeps: 6 probes beat the incumbent, and a full
+                          run follows each
   growth.expcoord.r2      rescaled_growth of expcoord(c=0.1, k=2) at R in
                           {1, 2}, 96 directions, growth factor 1.02
   growth.expcoord.r1248   the same at R in {1, 2, 4, 8}: the ladders of the
@@ -203,8 +208,8 @@ def sweep_case(hl, m, dom, cfg, directions, growth_factor):
     0.8 r_lo, on the estimate's shared draws."""
     landau = hl.landau
     draws = landau._draw(m, dom, cfg, directions)
-    best = hl.inscribed_lower_bound(m, hl.evaluate(m, np.zeros(m.dim)), dom, cfg, directions,
-                                    growth_factor, _draws=draws)
+    best = landau._ladders(m, [hl.evaluate(m, np.zeros(m.dim))], dom, cfg, growth_factor,
+                           draws)[0]
     first = max(0, bisect_right(draws.rungs, 0.8 * best.r_lo) - 1)
     h = 0.25 * best.r_lo
     centers = [best.center + delta * np.eye(m.dim)[j]
@@ -248,12 +253,16 @@ def build_cases(hl):
     cases["shell.henon.n1024"] = shell_case(hl, henon, ball09, cfg, 1024, 0.35)
     cases["ilb.linear.n128"] = ilb_case(hl, linear, ball, cfg, 128)
     harris, polydisc = hl.Harris(3), hl.DomainSpec.polydisc(2, 1.0)
-    cases["ilb.quad05.n128"] = ilb_case(hl, hl.parse("(z1 + 0.5*z1^2, z2)"), polydisc, cfg, 128)
+    quad05 = hl.parse("(z1 + 0.5*z1^2, z2)")
+    cases["ilb.quad05.n128"] = ilb_case(hl, quad05, polydisc, cfg, 128)
     cases["estimate.harris3.refine1"] = lambda: hl.landau_estimate(
         harris, polydisc, cfg, center_candidates=1, direction_count=96, growth_factor=1.02,
         center_refine_steps=1)
     cases["estimate.henon.refine20"] = lambda: hl.landau_estimate(
         henon, ball09, cfg, center_refine_steps=20)
+    cases["estimate.quad05.refine6"] = lambda: hl.landau_estimate(
+        quad05, ball09, hl.NewtonConfig(rng_seed=1),
+        center_candidates=1, direction_count=32, growth_factor=1.02, center_refine_steps=6)
     expcoord = hl.parse("expcoord(c=0.1, k=2)")
     cases["growth.expcoord.r2"] = lambda: hl.rescaled_growth(
         expcoord, [1.0, 2.0], cfg, direction_count=96, growth_factor=1.02)

@@ -22,11 +22,13 @@ LAPACK's does.  A row whose f is NaN, infinite or outside
 [2^-480, 2^480] goes to np.linalg.svd instead, as one subset of the
 stack: inside that range no square or product overflows, and where
 |ad - bc|^2 underflows the error it leaves is far below an ulp of
-sigma_max.  So extreme scales keep LAPACK's accuracy, and a NaN Jacobian
-still raises numpy's LinAlgError.  Every step is elementwise and which
-path a row takes depends on that row's entries alone, so a row's singular
-values do not depend on the batch it is computed in; there is no
-batch-size threshold.  spectral_norm_batch takes sigma_max alone from the
+sigma_max.  So extreme scales keep LAPACK's accuracy.  A row that is not
+finite goes to LAPACK too, which raises LinAlgError or gives that row NaN
+(as for [[inf+nanj, 0], [0, 1]]), so callers filter such rows first, as
+landau._start_rungs does.  Every step is elementwise and which path a row
+takes depends on that row's entries alone, so a row's singular values do
+not depend on the batch it is computed in; there is no batch-size
+threshold.  spectral_norm_batch takes sigma_max alone from the
 same expressions, without the determinant, so its rows have the bits of
 the first column of singular_values_batch.  Stacks of any other k go to
 np.linalg.svd unchanged.  The single-matrix functions call the batch
@@ -132,8 +134,8 @@ _SAFE_MIN, _SAFE_MAX = 2.0 ** -480, 2.0 ** 480
 
 def singular_values_batch(mats) -> np.ndarray:
     """Singular values (descending) for a stack of square matrices -> (..., k).
-    A row with a NaN entry raises LinAlgError; a row with +-inf entries but
-    no NaN gives NaN without raising."""
+    A row that is not finite goes to LAPACK, which raises LinAlgError or
+    gives that row NaN; callers filter such rows first."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.shape[-2:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)
@@ -191,8 +193,8 @@ def times_batch(mats, b) -> np.ndarray:
 
 def spectral_norm_batch(mats) -> np.ndarray:
     """Largest singular value of each matrix of a stack -> (...,); the
-    2 x 2 closed form skips the determinant that sigma_min needs.  NaN and
-    infinite entries behave as in singular_values_batch."""
+    2 x 2 closed form skips the determinant that sigma_min needs.  A row
+    that is not finite raises or gives NaN, as in singular_values_batch."""
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.shape[-2:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)[..., 0]

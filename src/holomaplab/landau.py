@@ -35,7 +35,9 @@ growth series too, each row on its own z -> (1/R) m(R z)) and each climb
 sweep's probes run as one lockstep search: the search state is per-search
 rung indices, and each round's targets and warm starts are broadcast into
 one Newton batch, in which no row depends on another.  Certificates are
-formed only for an estimate a caller keeps; a probe reports r_lo alone.
+formed only for the estimate a public call returns, once its search ends;
+until then every search, the climb's probes and full runs included,
+carries r_lo and its shells alone.
 """
 
 from __future__ import annotations
@@ -171,20 +173,18 @@ def _target(m, b, dom):
     return b
 
 
-def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig, _shell=None):
+def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
     """Newton search for a preimage of b strictly inside the domain.
 
     Starts: the origin, then seeded interior multistarts, as one shell of
-    _certify_shell (_shell: its rows, run in a caller's batch); the first
-    that certifies gives the MembershipCertificate.  Otherwise NotFound
-    carries the smallest finite final residual over the starts, or inf and
-    the origin when none is finite.
+    _certify_shell; the first that certifies gives the
+    MembershipCertificate.  Otherwise NotFound carries the smallest finite
+    final residual over the starts, or inf and the origin when none is
+    finite.
     """
     b = _target(m, b, dom)
-    if _shell is None:
-        starts = _newton_starts(dom, cfg)
-        _shell = _certify_shell(m, np.tile(b, (len(starts), 1)), starts, dom, cfg)
-    ok, z, res, margins = _shell
+    starts = _newton_starts(dom, cfg)
+    ok, z, res, margins = _certify_shell(m, np.tile(b, (len(starts), 1)), starts, dom, cfg)
     if ok.any():
         j = int(np.argmax(ok))
         return MembershipCertificate(b, z[j], float(res[j]), float(margins[j]))
@@ -269,60 +269,56 @@ def inscribed_lower_bound(
     cfg: NewtonConfig,
     direction_count: int,
     growth_factor: float = GROWTH_FACTOR,
-    _first: int = 0,
-    _draws: _Draws | None = None,
 ) -> LandauEstimate:
     """Sampled inscribed radius around a fixed center a (which must itself
-    be certified in the image, else CenterNotInImage), found by galloping
-    search over a geometric ladder of radii.
+    be certified in the image, else CenterNotInImage, whose message carries
+    solve_membership's best residual), found by galloping search over a
+    geometric ladder of radii.
 
     Rung k has radius r0 * growth_factor**k, by repeated multiplication
-    from r0 = tolerance * 1e3; no rung below rung _first is tested.  A rung
-    certifies when all direction_count quasi-uniform sphere points do, in
-    one Newton batch warm-started from the preimages of lo, the highest
-    certified rung so far, scaled about the center's preimage z_c by the
-    radius ratio (z_c itself while no rung has certified).  A probe
-    (_first > 0) tests rung _first, then rungs lo+2, lo+4, ... above each
-    pass until one fails.  A full search (_first = 0) tests first its start
-    rung g, the highest rung at or below
-    START_FRACTION * sigma_min(J(z_c)) * margin(z_c) (rung 0 when that is
-    not above r0 or J(z_c) is not finite; the last rung when it lies past
-    the ladder): if g certifies, it tests g+1, then lo+2, lo+4, ...; if g
-    fails, it tests g-1, g-3, g-7, ... (never below rung 0) from z_c until
-    one certifies.  Then it bisects between the last pass and the first
-    fail.  It stops only when
-    rung lo+1 failed from lo's own preimages; a lo+1 that failed from a
-    lower warm start is tested again, and galloping resumes from it if it
-    certifies.  r_lo, rung lo's radius, is a sampled lower bound, not a
-    proven one; r_hi is rung lo+1, labeled "heuristic", or inf labeled
-    "ladder_end" when the last rung, _MAX_SHELLS - 1, certified: no shell
-    bounded the radius from above.  shell_history lists (radius, certified)
-    in test order.  The certificates are the center's, then rung lo's (none
-    when no rung certified).  _draws, when given, holds the starts,
-    directions and r0 ladder the caller drew for this direction_count and
-    growth_factor.  This is _ladders on one center.
+    from r0 = tolerance * 1e3.  A rung certifies when all direction_count
+    quasi-uniform sphere points do, in one Newton batch warm-started from
+    the preimages of lo, the highest certified rung so far, scaled about
+    the center's preimage z_c by the radius ratio (z_c itself while no rung
+    has certified).  The search tests first its start rung g, the highest
+    rung at or below START_FRACTION * sigma_min(J(z_c)) * margin(z_c)
+    (rung 0 when that is not above r0 or J(z_c) is not finite; the last
+    rung when it lies past the ladder): if g certifies, it tests g+1, then
+    lo+2, lo+4, ...; if g fails, it tests g-1, g-3, g-7, ... (never below
+    rung 0) from z_c until one certifies.  Then it bisects between the last
+    pass and the first fail.  It stops only when rung lo+1 failed from lo's
+    own preimages; a lo+1 that failed from a lower warm start is tested
+    again, and galloping resumes from it if it certifies.  r_lo, rung lo's
+    radius, is a sampled lower bound, not a proven one; r_hi is rung lo+1,
+    labeled "heuristic", or inf labeled "ladder_end" when the last rung,
+    _MAX_SHELLS - 1, certified: no shell bounded the radius from above.
+    shell_history lists (radius, certified) in test order.  The
+    certificates are the center's, then rung lo's (none when no rung
+    certified).  This is _ladders on one center, on draws of its own.
     """
     a = algebra.as_vector(a)
     _check_ladder(m, dom, direction_count, growth_factor)
-    draws = _draw(m, dom, cfg, direction_count) if _draws is None else _draws
-    est = _ladders(m, [a], dom, cfg, growth_factor, draws, _first)[0]
-    if isinstance(est, NotFound):
+    est = _ladders(m, [a], dom, cfg, growth_factor, _draw(m, dom, cfg, direction_count))[0]
+    if est is None:
         raise CenterNotInImage(f"no certificate for center {a}; best residual "
-                               f"{est.best_residual:.3e}")
+                               f"{solve_membership(m, a, dom, cfg).best_residual:.3e}")
     return _keep(est)
 
 
 def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
-    """inscribed_lower_bound around each of centers from rung first (from
-    its start rung where first is 0), in lockstep: the membership searches
-    form one _certify_shell batch, then each round certifies the next shell
-    of every running search as one, n rows per search, broadcast from the
-    searches' arrays.  With scales, center i's search runs on
+    """inscribed_lower_bound around each of centers on the shared draws, in
+    lockstep.  A full search (first = 0) tests its start rung first; a
+    probe (first > 0) tests rung first, then rungs lo+2, lo+4, ... above
+    each pass until one fails, and no rung below first.  The membership
+    searches form one _certify_shell batch, then each round certifies the
+    next shell of every running search as one, n rows per search, broadcast
+    from the searches' arrays.  With scales, center i's search runs on
     z -> (1/R) m(R z), R = scales[i], through a per-row dilation.  No row's
     run depends on its batch, so each search is the one its center runs
-    alone.  Returns, per center, its LandauEstimate (whose certificates stay
-    the batch rows (targets, z, residual, margin) of the center and of rung
-    lo, for _keep) or its center's NotFound."""
+    alone.  Returns, per center, its LandauEstimate, whose certificates
+    stay the batch rows (targets, z, residual, margin) of the center and of
+    rung lo until _keep forms them, or None where no start certified the
+    center."""
     centers = [_target(m, a, dom) for a in centers]
     if not centers:
         return []
@@ -337,10 +333,8 @@ def _ladders(m, centers, dom, cfg, growth_factor, draws, first=0, scales=None):
     search = _certify_shell(on(slice(None), s), np.repeat(a, s, axis=0),
                             np.tile(starts, (len(a), 1)), dom, cfg)
     ok, zs, res, margins = (x.reshape(len(a), s, *x.shape[1:]) for x in search)
-    out = [None if ok[i].any() else solve_membership(
-        m, centers[i], dom, cfg, _shell=(ok[i], zs[i], res[i], margins[i]))
-        for i in range(len(a))]
-    found = np.flatnonzero([est is None for est in out])  # the searches, by center
+    found = np.flatnonzero(ok.any(axis=1))  # the searches, by center
+    out = [None] * len(a)
     j = ok[found].argmax(axis=1)  # each search's first start that certifies
     rows = [[(a[i, None], zs[i, jj, None], res[i, jj, None], margins[i, jj, None])]
             for i, jj in zip(found, j)]  # each search's certificate rows
@@ -418,7 +412,7 @@ def _start_rungs(m, z_c, margins, rungs, growth_factor):
     guess = np.zeros(len(z_c))
     with np.errstate(over="ignore", invalid="ignore"):
         jac = jacobian_batch(m, z_c)[1]
-        fin = np.isfinite(jac).all(axis=(1, 2))  # singular_values_batch raises on NaN
+        fin = np.isfinite(jac).all(axis=(1, 2))  # a non-finite row may raise or give NaN
         if fin.any():
             sigma_min = algebra.singular_values_batch(jac[fin])[:, -1]
             guess[fin] = START_FRACTION * sigma_min * margins[fin]
@@ -429,9 +423,7 @@ def _start_rungs(m, z_c, margins, rungs, growth_factor):
 
 
 def _keep(est):
-    """est with its certificates formed from the rows _ladders left."""
-    if not isinstance(est.certificates, tuple):
-        return est  # formed already: a full run of the center climb
+    """est with its certificates formed from the batch rows _ladders left."""
     return replace(est, certificates=[
         MembershipCertificate(*row) for t, z, res, margins in est.certificates
         for row in zip(t, np.array(z), res.tolist(), margins.tolist())])
@@ -458,8 +450,8 @@ def landau_estimate(
     r_lo / 4.  A probe of a climb center searches the r0 ladder from its
     highest rung at or below 0.8 * r_lo (rung 0 if none is that low); only
     a center whose probe beats the incumbent gets a full run, from the
-    start rung of its linearized radius, and the estimate returned, with
-    its certificates, is always a full run.
+    start rung of its linearized radius, and the estimate returned is
+    always a full run; its certificates are the only ones formed.
     """
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
@@ -498,7 +490,7 @@ def _estimate(m, dom, cfg, draws, center_candidates, growth_factor, center_refin
     runs = _ladders(m, sum(groups, []), dom, cfg, growth_factor, draws, 0, scales)
     out = []
     for (_, m_R), g in zip(maps, groups):
-        results = [est for est in runs[:len(g)] if isinstance(est, LandauEstimate)]
+        results = [est for est in runs[:len(g)] if est is not None]
         runs = runs[len(g):]
         if not results:
             raise CenterNotInImage("no candidate center could be certified in the image")
@@ -523,11 +515,10 @@ def _climb(m, dom, cfg, draws, growth_factor, center_refine_steps, best, centers
             sweep = cands[start:start + 4 * m.dim]
             ests = _ladders(m, sweep, dom, cfg, growth_factor, draws, first)
             for i, (cand, est) in enumerate(zip(sweep, ests), start):
-                if isinstance(est, NotFound):
+                if est is None:
                     continue
                 if est.r_lo > best.r_lo:  # a full run
-                    est = inscribed_lower_bound(m, cand, dom, cfg, len(draws.dirs),
-                                                growth_factor, _draws=draws)
+                    est = _ladders(m, [cand], dom, cfg, growth_factor, draws)[0]
                 vals[i] = est.r_lo
                 if est.r_lo > best.r_lo:
                     best = est

@@ -263,6 +263,30 @@ class TestSpectralNormBatch:
         assert ours.tobytes() == algebra.singular_values_batch(mats)[..., 0].tobytes()
 
 
+# rows that are not finite go to LAPACK, which raises on some and gives
+# others NaN: callers filter them first
+NON_FINITE_ROWS = {
+    "inf+nanj_inf": [[complex(np.inf, np.nan), 0], [0, np.inf]],
+    "inf+nanj_one": [[complex(np.inf, np.nan), 0], [0, 1]],
+    "nan+infj": [[complex(np.nan, np.inf), 1], [1, 1]],
+    "nan": [[np.nan, 0], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("row", list(NON_FINITE_ROWS))
+@pytest.mark.parametrize("fn", [algebra.singular_values_batch, algebra.spectral_norm_batch],
+                         ids=["singular_values", "spectral_norm"])
+def test_a_non_finite_row_raises_or_is_all_nan(fn, row):
+    mats = _cstack(np.random.default_rng(20), 4)
+    mats[2] = NON_FINITE_ROWS[row]
+    try:
+        out = fn(mats)
+    except np.linalg.LinAlgError:
+        return
+    assert np.isnan(out[2]).all()
+    assert np.isfinite(np.delete(out, 2, axis=0)).all()
+
+
 def _lapack_rows(mats, rhs):
     """np.linalg.solve row by row -> (x, solved); x = 0 where it raises."""
     x, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)

@@ -121,9 +121,11 @@ class TestInscribedLowerBound:
             assert cert.domain_margin >= landau.DOMAIN_MARGIN_MIN
 
     def test_center_not_in_image(self):
-        with pytest.raises(CenterNotInImage):
-            inscribed_lower_bound(Identity(2), np.array([5.0, 0.0]), BALL2, CFG,
-                                  direction_count=16)
+        center = np.array([5.0, 0.0])
+        missing = solve_membership(Identity(2), center, BALL2, CFG)
+        with pytest.raises(CenterNotInImage) as raised:
+            inscribed_lower_bound(Identity(2), center, BALL2, CFG, direction_count=16)
+        assert f"best residual {missing.best_residual:.3e}" in str(raised.value)
 
     def test_shell_history_brackets_r_lo(self):
         est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG,
@@ -200,10 +202,9 @@ class TestInscribedLowerBound:
     def test_probe_ladder_starts_at_its_first_rung(self):
         m = Linear(np.diag([2.0, 0.5]))
         draws = landau._draw(m, BALL2, CFG, 32)
-        full = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        full = search_alone(m, np.zeros(2), BALL2, CFG, 1.02, draws)
         j = draws.rungs.index(full.r_lo) - 10  # a rung below r_lo
-        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _first=j,
-                                    _draws=draws)
+        est = search_alone(m, np.zeros(2), BALL2, CFG, 1.02, draws, j)
         ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 32, 1.02, r_start=draws.rungs[j])
         assert est.shell_history[0] == (draws.rungs[j], True)
         assert est.r_lo == ladder.r_lo == full.r_lo and est.r_hi == ladder.r_hi
@@ -284,6 +285,12 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def search_alone(m, a, dom, cfg, growth_factor, draws, first=0):
+    """The search of landau._ladders around a alone, on draws from rung
+    first, with its certificates formed as inscribed_lower_bound forms them."""
+    return landau._keep(landau._ladders(m, [a], dom, cfg, growth_factor, draws, first)[0])
+
+
 def rung_indices(est, rungs):
     """est's shell history as (rung index, certified) pairs."""
     return [(rungs.index(r), ok) for r, ok in est.shell_history]
@@ -315,7 +322,7 @@ class TestStartRung:
         m = Linear(np.diag([2.0, 0.5]))  # z_c = 0: sigma_min 0.5, margin 1
         starts = count_calls(monkeypatch, landau, "_start_rungs")
         draws = landau._draw(m, BALL2, CFG, 32)
-        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        est = search_alone(m, np.zeros(2), BALL2, CFG, 1.02, draws)
         [[g]] = starts
         assert draws.rungs[g] <= landau.START_FRACTION * 0.5 < draws.rungs[g + 1]
         assert rung_indices(est, draws.rungs)[:4] == [(g, True), (g + 1, True), (g + 3, True),
@@ -335,7 +342,7 @@ class TestStartRung:
 
         monkeypatch.setattr(landau, "_certify_shell", recorded)
         draws = landau._draw(m, POLY2, CFG, 32)
-        est = inscribed_lower_bound(m, np.zeros(2), POLY2, CFG, 32, 1.02, _draws=draws)
+        est = search_alone(m, np.zeros(2), POLY2, CFG, 1.02, draws)
         history = rung_indices(est, draws.rungs)
         g = history[0][0]
         assert draws.rungs[g] <= landau.START_FRACTION < draws.rungs[g + 1]
@@ -354,7 +361,7 @@ class TestStartRung:
         # 0.96e-5 lies below r0 = 1e-5: the search runs from rung 0
         m = Scalar(1.2e-5, Identity(2))
         draws = landau._draw(m, BALL2, CFG, 32)
-        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        est = search_alone(m, np.zeros(2), BALL2, CFG, 1.02, draws)
         assert rung_indices(est, draws.rungs)[:3] == [(0, True), (2, True), (6, True)]
         ladder = walk_every_rung(m, np.zeros(2), BALL2, CFG, 32, 1.02)
         assert (est.r_lo, est.r_hi) == (ladder.r_lo, ladder.r_hi)
@@ -365,8 +372,7 @@ class TestStartRung:
         # the start rung is found by bisection, not by a walk
         grows = count_calls(monkeypatch, landau, "_grow")
         draws = landau._draw(Identity(2), BALL2, CFG, 8)
-        est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG, 8, 1.000001,
-                                    _draws=draws)
+        est = search_alone(Identity(2), np.zeros(2), BALL2, CFG, 1.000001, draws)
         assert len(draws.rungs) == landau._MAX_SHELLS and len(grows) < 20
         assert est.shell_history == [(draws.rungs[-1], True)]
 
@@ -387,11 +393,10 @@ class TestStartRung:
     def test_a_probe_gallops_from_its_first_rung(self, monkeypatch):
         m = Linear(np.diag([2.0, 0.5]))
         draws = landau._draw(m, BALL2, CFG, 32)
-        full = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _draws=draws)
+        full = search_alone(m, np.zeros(2), BALL2, CFG, 1.02, draws)
         j = draws.rungs.index(full.r_lo) - 20
         starts = count_calls(monkeypatch, landau, "_start_rungs")
-        est = inscribed_lower_bound(m, np.zeros(2), BALL2, CFG, 32, 1.02, _first=j,
-                                    _draws=draws)
+        est = search_alone(m, np.zeros(2), BALL2, CFG, 1.02, draws, j)
         assert starts == []
         assert rung_indices(est, draws.rungs)[:3] == [(j, True), (j + 2, True), (j + 6, True)]
         assert (est.r_lo, est.r_hi) == (full.r_lo, full.r_hi)
@@ -399,7 +404,7 @@ class TestStartRung:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [
         Scalar(1e300, Linear(np.diag([1e10, 1.0]))),  # J(0) holds inf
-        # J(0) holds NaN, on which singular_values_batch raises LinAlgError
+        # J(0) holds NaN, which _start_rungs filters out before singular_values_batch
         Scalar(1e300, Scalar(1e300, Scalar(1e300, Linear(np.diag([1e10, 1.0]))))),
         parse("(z1^2, z2)"),  # J(0) is singular
     ], ids=["inf", "nan", "singular"])
@@ -683,15 +688,16 @@ class TestLockstepLadders:
         centers = list(evaluate_batch(m, interior_points(dom, 8, 11)))
         centers.insert(4, np.array([50.0, 50.0], complex))
         out = landau._ladders(m, centers, dom, cfg, 1.05, draws, first)
-        assert isinstance(out[4], NotFound)
+        assert out[4] is None
         with pytest.raises(CenterNotInImage):
             inscribed_lower_bound(m, centers[4], dom, cfg, 32, 1.05)
-        rounds = {len(est.shell_history) for est in out if not isinstance(est, NotFound)}
+        rounds = {len(est.shell_history) for est in out if est is not None}
         assert len(rounds) > 1
         for center, est in zip(centers, out):
-            if isinstance(est, NotFound):
+            if est is None:
                 continue
-            alone = inscribed_lower_bound(m, center, dom, cfg, 32, 1.05, _first=first)
+            own = landau._draw(m, dom, cfg, 32)  # the draws of a call alone
+            alone = search_alone(m, center, dom, cfg, 1.05, own, first)
             assert est.shell_history == alone.shell_history
             assert (est.r_lo, est.r_hi, est.r_hi_label) == (alone.r_lo, alone.r_hi,
                                                            alone.r_hi_label)
@@ -704,8 +710,10 @@ class TestLockstepLadders:
                 assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
 
     def test_only_the_returned_estimate_forms_certificates(self, monkeypatch):
-        # the climb's 8 probes and the candidate runs report r_lo alone; the
-        # estimate that landau_estimate returns forms its 1 + 32 certificates
+        # the climb's probes, its full runs and the candidate runs report
+        # r_lo alone; the estimate that landau_estimate returns forms its
+        # 1 + 32 certificates.  Harris(3) makes no full run after its two
+        # candidates; the quadratic map's climb makes 6
         formed = []
 
         class Counted(MembershipCertificate):
@@ -715,11 +723,17 @@ class TestLockstepLadders:
 
         monkeypatch.setattr(landau, "MembershipCertificate", Counted)
         ladders = count_ladders(monkeypatch)
-        est = landau_estimate(Harris(3), POLY2, NewtonConfig(tolerance=1e-8, rng_seed=7),
-                              center_candidates=2, direction_count=32, growth_factor=1.02,
-                              center_refine_steps=1)
-        assert sum(len(out) for _, out in ladders) > 2
-        assert formed == est.certificates and len(formed) == 1 + 32
+        for m, dom, seed, candidates, refine, full_runs in [
+                (Harris(3), POLY2, 7, 2, 1, 0),
+                (parse("(z1 + 0.5*z1^2, z2)"), DomainSpec.ball(2, 0.9), 1, 1, 6, 6)]:
+            formed.clear()
+            ladders.clear()
+            est = landau_estimate(m, dom, NewtonConfig(tolerance=1e-8, rng_seed=seed),
+                                  center_candidates=candidates, direction_count=32,
+                                  growth_factor=1.02, center_refine_steps=refine)
+            assert sum(len(out) for _, out in ladders) > 2
+            assert [len(out) for first, out in ladders[1:] if first == 0] == [1] * full_runs
+            assert formed == est.certificates and len(formed) == 1 + 32
 
     def test_a_sweep_certifies_one_batch_per_round(self, monkeypatch):
         # one climb sweep of harris(n=3): its 8 probes share one
@@ -864,9 +878,9 @@ def climb_by_hand(m, dom, cfg, direction_count, growth_factor, center_refine_ste
     or below 0.8 * r_lo."""
     draws = landau._draw(m, dom, cfg, direction_count)
 
-    def run(center, first=0):
-        return inscribed_lower_bound(m, center, dom, cfg, direction_count, growth_factor,
-                                     _first=first, _draws=draws)
+    def run(center, first=0):  # None off the image
+        est = landau._ladders(m, [center], dom, cfg, growth_factor, draws, first)[0]
+        return est if est is None else landau._keep(est)
 
     best = run(evaluate(m, np.zeros(m.dim)))
     step = 0.25 * best.r_lo
@@ -880,13 +894,11 @@ def climb_by_hand(m, dom, cfg, direction_count, growth_factor, center_refine_ste
                 cand = best.center.copy()
                 cand[j] += delta
                 first = max([0] + [k for k, r in enumerate(draws.rungs) if r <= 0.8 * best.r_lo])
-                try:
-                    if run(cand, first).r_lo > best.r_lo:
-                        full = run(cand)
-                        if full.r_lo > best.r_lo:
-                            best, improved = full, True
-                except CenterNotInImage:
-                    continue
+                probe = run(cand, first)
+                if probe is not None and probe.r_lo > best.r_lo:
+                    full = run(cand)
+                    if full.r_lo > best.r_lo:
+                        best, improved = full, True
         if not improved:
             step *= 0.5
     return best

@@ -54,8 +54,8 @@ Entries:
   estimate.quad05.refine6 landau_estimate of (z1 + 0.5 z1^2, z2) on the ball
                           of radius 0.9, seed 1, from the origin's image,
                           32 directions, growth factor 1.02, 6 climb
-                          sweeps: 6 probes beat the incumbent, and a full
-                          run follows each
+                          sweeps: 6 probes beat the incumbent, and each
+                          becomes the incumbent with the search it ran
   growth.expcoord.r2      rescaled_growth of expcoord(c=0.1, k=2) at R in
                           {1, 2}, 96 directions, growth factor 1.02
   growth.expcoord.r1248   the same at R in {1, 2, 4, 8}: the ladders of the

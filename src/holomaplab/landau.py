@@ -30,14 +30,14 @@ The Newton starts, sphere directions and r0 ladder depend only on the
 domain, the NewtonConfig, the direction count and the growth factor, so an
 estimate or growth series draws them once.  The center climb is
 _sampling.coordinate_ascent; a probe searches the shared ladder from a rung
-below the incumbent radius.  The center candidates (of every dilation of a
-growth series too, each row on its own z -> (1/R) m(R z)) and each climb
-sweep's probes run as one lockstep search: the search state is per-search
-rung indices, and each round's targets and warm starts are broadcast into
-one Newton batch, in which no row depends on another.  Certificates are
-formed only for the estimate a public call returns, once its search ends;
-until then every search, the climb's probes and full runs included,
-carries r_lo and its shells alone.
+below the incumbent radius, and one that beats the incumbent replaces it.
+The center candidates (of every dilation of a growth series too, each row
+on its own z -> (1/R) m(R z)) and each climb sweep's probes run as one
+lockstep search: the search state is per-search rung indices, and each
+round's targets and warm starts are broadcast into one Newton batch, in
+which no row depends on another.  Certificates are formed only for the
+estimate a public call returns, once its search ends; until then every
+search, the climb's probes included, carries r_lo and its shells alone.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def inscribed_lower_bound(
 ) -> LandauEstimate:
     """Sampled inscribed radius around a fixed center a (which must itself
     be certified in the image, else CenterNotInImage, whose message carries
-    solve_membership's best residual), found by galloping search over a
-    geometric ladder of radii.
+    solve_membership's best residual and its point's domain margin), found
+    by galloping search over a geometric ladder of radii.
 
     Rung k has radius r0 * growth_factor**k, by repeated multiplication
     from r0 = tolerance * 1e3.  A rung certifies when all direction_count
@@ -300,8 +300,10 @@ def inscribed_lower_bound(
     _check_ladder(m, dom, direction_count, growth_factor)
     est = _ladders(m, [a], dom, cfg, growth_factor, _draw(m, dom, cfg, direction_count))[0]
     if est is None:
+        nf = solve_membership(m, a, dom, cfg)
         raise CenterNotInImage(f"no certificate for center {a}; best residual "
-                               f"{solve_membership(m, a, dom, cfg).best_residual:.3e}")
+                               f"{nf.best_residual:.3e} at domain margin "
+                               f"{float(dom.margin(nf.best_point)):.3e}")
     return _keep(est)
 
 
@@ -448,10 +450,10 @@ def landau_estimate(
     estimate never shrinks when more are requested.  The climb is
     coordinate_ascent from the winner, center_refine_steps sweeps from step
     r_lo / 4.  A probe of a climb center searches the r0 ladder from its
-    highest rung at or below 0.8 * r_lo (rung 0 if none is that low); only
-    a center whose probe beats the incumbent gets a full run, from the
-    start rung of its linearized radius, and the estimate returned is
-    always a full run; its certificates are the only ones formed.
+    highest rung at or below 0.8 * r_lo (rung 0 if none is that low); a
+    probe that beats the incumbent becomes it.  Only the center candidates
+    get full searches, from the start rungs of their linearized radii.  The
+    certificates of the estimate returned are the only ones formed.
     """
     direction_count = _check_estimate(m, dom, center_candidates, direction_count,
                                       growth_factor, center_refine_steps)
@@ -504,25 +506,22 @@ def _climb(m, dom, cfg, draws, growth_factor, center_refine_steps, best, centers
     centers, and the certified upper bound where the map has one."""
 
     def score(cands):
-        """The climb's rows, in order, up to the first whose full run beats
-        best: the probes of each sweep, from the highest r0 rung at or below
-        0.8 * best.r_lo, run in one lockstep call, and a full run follows
-        where a probe beats best; -inf off the image."""
+        """The climb's rows, in order, up to the first whose probe beats
+        best, which becomes best: the probes of each sweep, from the highest
+        r0 rung at or below 0.8 * best.r_lo, run in one lockstep call; -inf
+        off the image."""
         nonlocal best
         first = max(0, bisect_right(draws.rungs, 0.8 * best.r_lo) - 1)
         vals = np.full(len(cands), -np.inf)
         for start in range(0, len(cands), 4 * m.dim):  # one sweep's probes at a time
             sweep = cands[start:start + 4 * m.dim]
             ests = _ladders(m, sweep, dom, cfg, growth_factor, draws, first)
-            for i, (cand, est) in enumerate(zip(sweep, ests), start):
-                if est is None:
-                    continue
-                if est.r_lo > best.r_lo:  # a full run
-                    est = _ladders(m, [cand], dom, cfg, growth_factor, draws)[0]
-                vals[i] = est.r_lo
-                if est.r_lo > best.r_lo:
-                    best = est
-                    return vals
+            for i, est in enumerate(ests, start):
+                if est is not None:
+                    vals[i] = est.r_lo
+                    if est.r_lo > best.r_lo:
+                        best = est
+                        return vals
         return vals
 
     # centers live in the image, not in the domain: every candidate may be scored

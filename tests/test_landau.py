@@ -35,6 +35,9 @@ from holomaplab.errors import CenterNotInImage, PreconditionFailed
 BALL2 = DomainSpec.ball(2, 1.0)
 POLY2 = DomainSpec.polydisc(2, 1.0)
 CFG = NewtonConfig(tolerance=1e-8, rng_seed=5)
+NESTED = dict(direction_count=16, growth_factor=1.05, center_refine_steps=3)
+# (z1 + 0.5 z1^2, z2) on the ball of radius 0.9 climbs from its one candidate
+QUAD05_CLIMB = dict(direction_count=32, growth_factor=1.02, center_refine_steps=6)
 
 
 def random_unitary(rng):
@@ -126,6 +129,8 @@ class TestInscribedLowerBound:
         with pytest.raises(CenterNotInImage) as raised:
             inscribed_lower_bound(Identity(2), center, BALL2, CFG, direction_count=16)
         assert f"best residual {missing.best_residual:.3e}" in str(raised.value)
+        # the exact preimage (5, 0) misses the domain, not the tolerance
+        assert "at domain margin -4.000e+00" in str(raised.value)
 
     def test_shell_history_brackets_r_lo(self):
         est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG,
@@ -710,10 +715,10 @@ class TestLockstepLadders:
                 assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
 
     def test_only_the_returned_estimate_forms_certificates(self, monkeypatch):
-        # the climb's probes, its full runs and the candidate runs report
-        # r_lo alone; the estimate that landau_estimate returns forms its
-        # 1 + 32 certificates.  Harris(3) makes no full run after its two
-        # candidates; the quadratic map's climb makes 6
+        # the climb's probes and the candidate runs report r_lo alone; the
+        # estimate that landau_estimate returns forms its 1 + 32
+        # certificates.  Neither climb runs a full search after its
+        # candidates, though the quadratic map's climb moves 6 times
         formed = []
 
         class Counted(MembershipCertificate):
@@ -725,7 +730,7 @@ class TestLockstepLadders:
         ladders = count_ladders(monkeypatch)
         for m, dom, seed, candidates, refine, full_runs in [
                 (Harris(3), POLY2, 7, 2, 1, 0),
-                (parse("(z1 + 0.5*z1^2, z2)"), DomainSpec.ball(2, 0.9), 1, 1, 6, 6)]:
+                (parse("(z1 + 0.5*z1^2, z2)"), DomainSpec.ball(2, 0.9), 1, 1, 6, 0)]:
             formed.clear()
             ladders.clear()
             est = landau_estimate(m, dom, NewtonConfig(tolerance=1e-8, rng_seed=seed),
@@ -829,22 +834,47 @@ class TestLandauEstimate:
         assert est.r_lo == ref.r_lo
         assert np.array_equal(est.center, ref.center)
 
-    @pytest.mark.parametrize("text, center, r_lo", [
-        ("expcoord(c=0.4, k=2)", [0.04076 + 0j, 0.04076 + 0j], 0.37747535228954066),
-        ("(z1 + 0.3*z1^2, z2)", [0.17795 - 0.17795j, 0j], 0.9084394430643272),
-    ], ids=["expcoord", "quadratic"])
-    def test_climb_matches_the_nested_sweeps(self, text, center, r_lo):
+    @pytest.mark.parametrize("text, dom, kwargs, center, r_lo", [
+        ("expcoord(c=0.4, k=2)", BALL2, NESTED, [0.04076 + 0j, 0.04076 + 0j],
+         0.37747535228954066),
+        ("(z1 + 0.3*z1^2, z2)", BALL2, NESTED, [0.17795 - 0.17795j, 0j], 0.9084394430643272),
+        ("(z1 + 0.5*z1^2, z2)", DomainSpec.ball(2, 0.9), QUAD05_CLIMB,
+         [0.18102 + 0.13165j, 0.09874 + 0j], 0.7671805092805322),
+    ], ids=["expcoord", "quadratic", "quadratic05"])
+    def test_climb_matches_the_nested_sweeps(self, text, dom, kwargs, center, r_lo):
         m = parse(text)
-        kwargs = dict(direction_count=16, growth_factor=1.05, center_refine_steps=3)
         cfg = NewtonConfig(tolerance=1e-8, rng_seed=1)
-        est = landau_estimate(m, BALL2, cfg, center_candidates=1, **kwargs)
-        ref = climb_by_hand(m, BALL2, cfg, **kwargs)
+        est = landau_estimate(m, dom, cfg, center_candidates=1, **kwargs)
+        ref = climb_by_hand(m, dom, cfg, **kwargs)
         assert np.allclose(est.center, center, atol=1e-5) and est.r_lo == r_lo
         assert est.center.tobytes() == ref.center.tobytes()
         assert est.r_lo == ref.r_lo and est.r_hi == ref.r_hi
         assert est.shell_history == ref.shell_history
         assert len(est.certificates) == len(ref.certificates)
         for c, d in zip(est.certificates, ref.certificates):
+            assert c.target.tobytes() == d.target.tobytes()
+            assert c.preimage.tobytes() == d.preimage.tobytes()
+            assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
+
+    def test_a_winning_probe_is_the_estimate(self, monkeypatch):
+        # a probe that beats the incumbent becomes it with the search it ran:
+        # no full search of its center follows
+        ladders = count_ladders(monkeypatch)
+        cfg = NewtonConfig(tolerance=1e-8, rng_seed=1)
+        est = landau_estimate(parse("(z1 + 0.5*z1^2, z2)"), DomainSpec.ball(2, 0.9), cfg,
+                              center_candidates=1, **QUAD05_CLIMB)
+        (first, (best,)), probes = ladders[0], ladders[1:]
+        assert first == 0 and all(first > 0 for first, _ in probes)
+        wins = 0
+        for _, out in probes:  # the climb reads a call's rows up to its first win
+            win = next((p for p in out if p is not None and p.r_lo > best.r_lo), None)
+            if win is not None:
+                best, wins = win, wins + 1
+        assert wins == 6
+        assert est.shell_history == best.shell_history
+        assert (est.r_lo, est.r_hi, est.r_hi_label) == (best.r_lo, best.r_hi, best.r_hi_label)
+        assert est.center.tobytes() == best.center.tobytes()
+        for c, d in zip(est.certificates, landau._keep(best).certificates, strict=True):
             assert c.target.tobytes() == d.target.tobytes()
             assert c.preimage.tobytes() == d.preimage.tobytes()
             assert (c.residual, c.domain_margin) == (d.residual, d.domain_margin)
@@ -875,7 +905,7 @@ def climb_by_hand(m, dom, cfg, direction_count, growth_factor, center_refine_ste
     """landau_estimate of the origin's image alone with its center climb as
     nested sweeps, the way it was written before it ran through
     coordinate_ascent, with each probe started on the highest r0 rung at
-    or below 0.8 * r_lo."""
+    or below 0.8 * r_lo; a probe that beats best becomes best."""
     draws = landau._draw(m, dom, cfg, direction_count)
 
     def run(center, first=0):  # None off the image
@@ -896,9 +926,7 @@ def climb_by_hand(m, dom, cfg, direction_count, growth_factor, center_refine_ste
                 first = max([0] + [k for k, r in enumerate(draws.rungs) if r <= 0.8 * best.r_lo])
                 probe = run(cand, first)
                 if probe is not None and probe.r_lo > best.r_lo:
-                    full = run(cand)
-                    if full.r_lo > best.r_lo:
-                        best, improved = full, True
+                    best, improved = probe, True
         if not improved:
             step *= 0.5
     return best

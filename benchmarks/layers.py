@@ -97,17 +97,23 @@ Entries:
                           family linear(a=[[n, 0], [0, n]]), n = 1..5 (maps
                           parsed beforehand), C = 1, 6 shells x 32 points,
                           6 climb steps, seed 7
+  cli.<stem>              one cli.run of configs/<stem>.json, for every
+                          bundled config, writing its report to a temporary
+                          directory: the config read, its validation, the
+                          task, and the report's encoding and write
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from bisect import bisect_right
 from pathlib import Path
@@ -238,8 +244,20 @@ def sup_kappa_climb(hl, m, dom, x0):
     return lambda: hl._sampling.coordinate_ascent(score, x0, best, 20, 0.1, inside)
 
 
-def build_cases(hl):
-    """Every entry's call on the holomaplab package hl, by name."""
+def cli_case(hl, config, report):
+    """One cli.run of the config file, writing its report to report."""
+    cli = importlib.import_module(f"{hl.__name__}.cli")
+
+    def run():
+        if cli.run(str(config), str(report)) != 0:
+            raise RuntimeError(f"{config.name} did not exit 0")
+
+    return run
+
+
+def build_cases(hl, workdir):
+    """Every entry's call on the holomaplab package hl, by name; the cli
+    entries write their reports to the directory workdir."""
     ball = hl.DomainSpec.ball(2, 1.0)
     cfg = hl.NewtonConfig(tolerance=1e-8, rng_seed=7)
     linear = hl.parse(LINEAR_TEXT)
@@ -325,6 +343,10 @@ def build_cases(hl):
                                   refine_steps=6)
     cases["bz_sequence.linear.n5"] = lambda: hl.bz_sequence(
         bz_members.__getitem__, list(bz_members), 1.0, bz_sampler)
+
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        report = Path(workdir) / f"{hl.__name__}.{config.stem}.report.json"
+        cases[f"cli.{config.stem}"] = cli_case(hl, config, report)
     return cases
 
 
@@ -372,32 +394,33 @@ def main(argv=None) -> int:
     p.add_argument("--only", default="", help="comma-separated entries; NAME* keeps a prefix")
     args = p.parse_args(argv)
 
-    cases = build_cases(holomaplab)
-    names = selected(cases, args.only)
-    report = {
-        "unit": "s per call, median of repeats",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
-            "MALLOC_MMAP_THRESHOLD_": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
-            "MALLOC_TRIM_THRESHOLD_": os.environ.get("MALLOC_TRIM_THRESHOLD_"),
-        },
-    }
-    if args.against:
-        before_cases = build_cases(load_tree(args.against, "holomaplab_before"))
-        report["unit"] = "s per call, median of rounds"
-        report["against"] = str(Path(args.against).resolve())
-        report["in_process"] = against(cases, before_cases, names)
-    else:
-        report["repeats"] = REPEATS
-        report["layers"] = {}
-        for name in names:
-            report["layers"][name] = per_call(cases[name])
-            print(f"{name:36s} {report['layers'][name] * 1e6:12.2f} us")
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = build_cases(holomaplab, workdir)
+        names = selected(cases, args.only)
+        report = {
+            "unit": "s per call, median of repeats",
+            "machine": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpus": os.cpu_count(),
+                "processor": platform.processor() or platform.machine(),
+                "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+                "MALLOC_MMAP_THRESHOLD_": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
+                "MALLOC_TRIM_THRESHOLD_": os.environ.get("MALLOC_TRIM_THRESHOLD_"),
+            },
+        }
+        if args.against:
+            before_cases = build_cases(load_tree(args.against, "holomaplab_before"), workdir)
+            report["unit"] = "s per call, median of rounds"
+            report["against"] = str(Path(args.against).resolve())
+            report["in_process"] = against(cases, before_cases, names)
+        else:
+            report["repeats"] = REPEATS
+            report["layers"] = {}
+            for name in names:
+                report["layers"][name] = per_call(cases[name])
+                print(f"{name:36s} {report['layers'][name] * 1e6:12.2f} us")
+        Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

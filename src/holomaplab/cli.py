@@ -31,17 +31,19 @@ _PAYLOAD_NAMES renames or drops.  Complex numbers in configs and reports
 are [re, im] pairs.  All randomness flows from the single config seed
 through named sub-seeds (sampler, newton, centers), and a run is
 single-threaded, so re-running a config reproduces the payload byte for
-byte.
+byte.  The report file is one line of sorted-key JSON, written by the C
+encoder; `emit --format structured` or `python -m json.tool` indents it.
 
-Exit codes: 0 success; 2 validation error (a malformed config, a param
-that does not cast or is out of range, an unreadable or malformed input
-or an unwritable output); 3 numerical failure, any unexpected exception
-from the task included (a partial report with the error is still
-written).  The CLI only casts JSON values: an int param takes only a
-JSON integer, a real param only a JSON number (not a bool or a string),
-a point only finite [re, im] pairs of numbers.  The library owns every
-range rule and raises PreconditionFailed when one fails.  The CLI adds
-only the rules of its own params, centers_count and bz-sequence's n_values.
+Exit codes: 0 success; 2 validation error (a malformed config, a NaN,
+Infinity or out-of-range number in it, a param that does not cast or is
+out of range, an unreadable or malformed input or an unwritable output);
+3 numerical failure, any unexpected exception from the task included (a
+partial report with the error is still written).  The CLI only casts JSON
+values: an int param takes only a JSON integer, a real param only a JSON
+number (not a bool or a string), a point only finite [re, im] pairs of
+numbers.  The library owns every range rule and raises PreconditionFailed
+when one fails.  The CLI adds only the rules of its own params,
+centers_count and bz-sequence's n_values.
 """
 
 from __future__ import annotations
@@ -187,10 +189,17 @@ def _enc(obj):
     if isinstance(obj, MapExpr):
         return to_text(obj)
     if is_dataclass(obj):
-        names = _PAYLOAD_NAMES.get(type(obj), {})
-        return {name: _enc(getattr(obj, f.name))
-                for f in fields(obj) if (name := names.get(f.name, f.name))}
+        return {name: _enc(getattr(obj, attr)) for attr, name in _payload_fields(type(obj))}
     return obj
+
+
+@functools.cache
+def _payload_fields(record: type) -> tuple:
+    """The (field, payload name) pairs of a library record type, in field
+    order, without the fields that _PAYLOAD_NAMES drops."""
+    names = _PAYLOAD_NAMES.get(record, {})
+    return tuple((f.name, name) for f in fields(record)
+                 if (name := names.get(f.name, f.name)))
 
 
 def _real(x) -> float:
@@ -383,12 +392,22 @@ def _run_task(cfg: ExperimentConfig) -> dict:
     return task.run(*args, **_cast_like(cfg.params, _library_defaults(task.func)))
 
 
+def _finite(text: str) -> float:
+    """A config's JSON number as a float.  NaN, Infinity, -Infinity and a
+    number past the float range raise ValueError: they are not JSON numbers
+    a report could repeat."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def run(config_path: str, output: str | None = None) -> int:
     """Execute a config file; returns the process exit code."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, _finite, bad UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -419,7 +438,7 @@ def run(config_path: str, output: str | None = None) -> int:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3
     report["wall_time_s"] = time.perf_counter() - start
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"  # encode before truncating
+    text = json.dumps(report, sort_keys=True) + "\n"  # encode before truncating
     return code if _write(out_path, text, "report") else 2
 
 
@@ -463,7 +482,7 @@ def emit(report_path: str, fmt: str, output: str | None = None) -> int:
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, bad UTF-8
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return 2
     try:

@@ -97,6 +97,14 @@ def lambda_functional(m: MapExpr, cfg: SamplerConfig, _pts: np.ndarray | None = 
     return best, best_pt
 
 
+def _check_bounds(c_bound: float, grid_factor: float) -> None:
+    """The range rules of bz_step's c_bound and grid_factor."""
+    if not (1.0 <= c_bound < np.inf):
+        raise PreconditionFailed("c_bound must be finite and >= 1 (kappa is never below 1)")
+    if not (0.0 < grid_factor < np.inf):
+        raise PreconditionFailed("grid_factor must be finite and > 0")
+
+
 def bz_step(
     m: MapExpr,
     c_bound: float,
@@ -114,10 +122,7 @@ def bz_step(
     _draws, when given, holds the lambda samples and the grid draw that cfg
     draws for m's dimension.
     """
-    if not (1.0 <= c_bound < np.inf):
-        raise PreconditionFailed("c_bound must be finite and >= 1 (kappa is never below 1)")
-    if not (0.0 < grid_factor < np.inf):
-        raise PreconditionFailed("grid_factor must be finite and > 0")
+    _check_bounds(c_bound, grid_factor)
     lambda_pts, grid_draw = (None, None) if _draws is None else _draws
     lam, a = lambda_functional(m, cfg, _pts=lambda_pts)
     b_matrix = algebra.invert(jacobian(m, a).jacobian)
@@ -162,8 +167,11 @@ def bz_sequence(
     ball are drawn once per map dimension, and so is the check grid's draw
     (its normals and their norms, no radius); each member scales the grid
     draw to its own radius grid_factor * lambda / (2 c_bound).  Each step is
-    bit for bit the bz_step of its member alone.
+    bit for bit the bz_step of its member alone.  c_bound and grid_factor
+    obey bz_step's rules, checked before the first member, so an empty
+    n_values checks them too.
     """
+    _check_bounds(c_bound, grid_factor)
     draws = {}
     steps = []
     for n in n_values:

@@ -451,6 +451,60 @@ class TestExitCodeContract:
         assert not (tmp_path / "r.json").exists()
 
 
+def reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+class TestReportFile:
+    """A report file is one line of sorted-key strict JSON, and a config
+    number a report could not repeat as JSON exits 2."""
+
+    def test_report_is_one_line_of_sorted_keys(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(str(CONFIG_DIR / "bz_sequence_linear.json"), str(out)) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    def test_non_finite_value_is_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "map": "(z1^2, z2)", "task": "kappa-sup", "seed": 1,
+            "params": {"exclusion_tolerance": 0, "radial_shells": 3, "points_per_shell": 8,
+                       "refine_steps": 0}})
+        out = tmp_path / "r.json"
+        assert run(str(cfg), str(out)) == 0
+        text = out.read_text()
+        report = json.loads(text, parse_constant=reject_constant)
+        assert report["payload"]["sup_estimate"] == "inf"
+        assert text == json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_config_number_exits_2(self, tmp_path, capsys, token):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"schema": 1, "map": "linear(a=[[{n}, 0], [0, {n}]])", '
+                       '"task": "bz-sequence", "seed": 1, '
+                       f'"params": {{"C": {token}, "n_values": []}}}}')
+        assert main(["run", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
+        assert f"{token} is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("params, rule", [
+        ({"C": -1, "grid_factor": -3}, "c_bound"),
+        ({"C": 2.0, "grid_factor": -3}, "grid_factor"),
+    ])
+    def test_empty_sequence_checks_its_bounds(self, tmp_path, capsys, params, rule):
+        args = run_args(dict(BZ_SEQUENCE_CONFIG, params={**params, "n_values": []}))
+        assert main(args(tmp_path)) == 2
+        assert f"invalid config: {rule} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "emit"])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
+
 class TestEmit:
     def test_bz_sequence_rows(self, tmp_path):
         out = tmp_path / "r.json"

@@ -228,6 +228,17 @@ class TestSharedDraws:
         for n, step in zip([1, 2, 3, 4, 5], steps):
             assert bits(step) == bits(bz_step(family(n), 1.0, CFG))
 
+    @pytest.mark.parametrize("n_values", [[1], []])
+    @pytest.mark.parametrize("c_bound, grid_factor", [
+        (-1.0, 0.9), (np.nan, 0.9), (2.0, -3.0), (2.0, np.inf),
+    ])
+    def test_bounds_are_checked_before_the_first_member(self, c_bound, grid_factor, n_values):
+        def family(n):
+            raise AssertionError("a member was built before the bounds were checked")
+
+        with pytest.raises(PreconditionFailed):
+            bz_sequence(family, n_values, c_bound, CFG, grid_factor=grid_factor)
+
     def test_empty_sequence_draws_nothing(self, monkeypatch):
         seen = count_draws(monkeypatch)
         assert bz_sequence(lambda n: Identity(2), [], 1.0, CFG) == []

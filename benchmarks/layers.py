@@ -71,6 +71,10 @@ Entries:
                           runs them
   jacobian_batch.<map>.n<N>, evaluate_batch.<map>.n<N>
                           N in {1, 96, 10^4}
+  jacobian_batch.dilations_exp.n192, evaluate_batch.dilations_exp.n192
+                          the same on a landau._Dilations of
+                          expcoord(c=0.1, k=2) with R in {1, 2} x 96 rows,
+                          the batch shape of one round of growth.expcoord.r2
   svd.k2.n<N>             singular_values_batch on N random complex 2 x 2
                           matrices, N in {1, 8, 96, 32769}
   svd.k3.n96              the same on 96 3 x 3 matrices (LAPACK)
@@ -308,6 +312,11 @@ def build_cases(hl, workdir):
         for name, m in maps.items():
             cases[f"jacobian_batch.{name}.n{n}"] = lambda m=m, pts=pts: hl.jacobian_batch(m, pts)
             cases[f"evaluate_batch.{name}.n{n}"] = lambda m=m, pts=pts: hl.evaluate_batch(m, pts)
+    dilations = hl.landau._Dilations(expcoord, np.repeat([1.0, 2.0], 96))
+    draw = np.random.default_rng(192).random  # its own stream: rng's later draws keep their bits
+    rows = 0.5 * (draw((192, 2)) + 1j * draw((192, 2)))
+    cases["jacobian_batch.dilations_exp.n192"] = lambda: hl.jacobian_batch(dilations, rows)
+    cases["evaluate_batch.dilations_exp.n192"] = lambda: hl.evaluate_batch(dilations, rows)
 
     def cstack(n, k):
         return rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))

@@ -223,6 +223,7 @@ def _cast(params, key, kind):
 
 
 def _point_from(param, k) -> np.ndarray:
+    """Only ExperimentConfig.from_dict callers can reach the finiteness check."""
     if not isinstance(param, (list, tuple)) or len(param) != k:
         raise ConfigError(f"point must be a list of {k} [re, im] pairs")
     out = np.empty(k, dtype=np.complex128)

@@ -57,7 +57,6 @@ from .mapkit import (
     DurenRudin,
     Harris,
     MapExpr,
-    _affine_apply,
     dilate,
     evaluate,
     evaluate_batch,
@@ -196,22 +195,23 @@ def solve_membership(m: MapExpr, b, dom: DomainSpec, cfg: NewtonConfig):
 
 class _Dilations(MapExpr):
     """z -> (1/R) m(R z) with one R per batch row: on each row the float
-    operations of dilate(m, R).  take(rows) keeps the given rows."""
+    operations of dilate(m, R), so an overflowed row may hold inf, not NaN.
+    R and 1/R stay complex to skip a cast.  take(rows) keeps the given rows."""
 
     dim = property(lambda self: self.m.dim)
 
     def __init__(self, m, R):
         self.m = m
-        self._matrix = np.eye(m.dim, dtype=complex)[:, :, None] * R  # R * I per row
+        self._scale = np.asarray(R, dtype=complex)
         self._inverse = (1.0 / R).astype(complex)
 
     def apply(self, coords):
-        inner = _affine_apply(np.zeros(self.m.dim), self._matrix, coords)
+        inner = tuple(c * self._scale for c in coords)
         return tuple(y * self._inverse for y in self.m.apply(inner))
 
     def take(self, rows):  # each entry is its row's own product: a slice keeps its bits
         out = object.__new__(_Dilations)
-        out.m, out._matrix, out._inverse = self.m, self._matrix[:, :, rows], self._inverse[rows]
+        out.m, out._scale, out._inverse = self.m, self._scale[rows], self._inverse[rows]
         return out
 
 

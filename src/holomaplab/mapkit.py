@@ -564,14 +564,13 @@ def jacobian_batch(m: MapExpr, pts):
 
 
 def dilate(m: MapExpr, R: float) -> MapExpr:
-    """z -> (1/R) m(R z).  Preserves the Jacobian at the origin.  R and 1/R
-    must be finite and > 0, else PreconditionFailed."""
+    """z -> (1/R) m(R z) as scalar(1/R, compose(m, scalar(R, identity(k)))): no
+    R * I matrix, so an overflowed value may be inf where its zero terms gave NaN.
+    Keeps the Jacobian at the origin.  R, 1/R must be finite and > 0, else PreconditionFailed."""
     R = float(R)
     if not (0 < R < np.inf and 1.0 / R < np.inf):
         raise PreconditionFailed("dilation factor and its inverse must be finite and > 0")
-    k = m.dim
-    inner = Affine(np.zeros(k), R * np.eye(k), m)
-    return Scalar(1.0 / R, inner)
+    return Scalar(1.0 / R, Compose(m, Scalar(R, Identity(m.dim))))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from holomaplab import cli, conditioning
 from holomaplab.cli import ExperimentConfig, _run_task, emit_series, main, run
-from holomaplab.errors import UnsupportedPayload
+from holomaplab.errors import ConfigError, UnsupportedPayload
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -305,10 +305,11 @@ EVAL_CONFIG = {"schema": 1, "map": "identity(k=2)", "task": "eval", "seed": 1,
                "params": {"point": [[0.1, 0], [0.2, 0]]}}
 
 
-def run_args(raw):
+def run_args(raw, expect="error: invalid config"):
     def args(tmp_path):
         return ["run", str(write_config(tmp_path, "c.json", raw)),
                 "-o", str(tmp_path / "r.json")]
+    args.expect = expect  # how stderr starts when the config is rejected
     return args
 
 
@@ -353,20 +354,26 @@ class TestExitCodeContract:
         # range rules the library owns and checks at entry
         run_args(dict(BZ_RUN_CONFIG, params={"C": 0.5})),
         run_args(dict(BZ_RUN_CONFIG, params={"C": 2.0, "grid_factor": 0})),
-        run_args(dict(LANDAU_CONFIG, params={"tolerance": math.inf})),
+        run_args(dict(LANDAU_CONFIG, params={"tolerance": -1e-8})),
         run_args(dict(LANDAU_CONFIG, params={"center_refine_steps": -1})),
-        run_args(dict(EVAL_CONFIG, task="kappa-sup", domain={"radius": 1e400}, params={})),
+        run_args(dict(EVAL_CONFIG, task="kappa-sup", domain={"radius": -1}, params={})),
         run_args(dict(GROWTH_CONFIG, params={"R_values": [1, -1]})),
-        run_args(dict(GROWTH_CONFIG, params={"R_values": [1, 1e400]})),
+        run_args(dict(GROWTH_CONFIG, params={"R_values": [1, 1e-320]})),  # 1/R overflows
         # the CLI's own rule on n_values
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [0]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [1.5]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [True]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [10**400]})),
-        # non-finite points and centers, and int params given as floats
-        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers": [[[math.nan, 0], [0, 0]]]})),
-        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_scale": 1e400})),
-        run_args(dict(EVAL_CONFIG, params={"point": [[1e400, 0], [0, 0]]})),
+        # non-finite numbers: json.dumps writes them as NaN or Infinity, which
+        # the read rejects before any rule (test_non_finite_point_is_a_config_error
+        # pins the point rule; centers_scale is no longer a param)
+        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers": [[[math.nan, 0], [0, 0]]]}),
+                 "error: cannot read config"),
+        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_scale": 1e400}),
+                 "error: cannot read config"),
+        run_args(dict(EVAL_CONFIG, params={"point": [[1e400, 0], [0, 0]]}),
+                 "error: cannot read config"),
+        # int params given as floats
         run_args(dict(EVAL_CONFIG, task="kappa-sup", params={
             "radial_shells": 1.5, "points_per_shell": 4.9, "refine_steps": 0})),
         # at 1 every Jacobian is singular
@@ -405,8 +412,20 @@ class TestExitCodeContract:
             "point-string-bool", "domain-radius-string"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(getattr(args, "expect", "error:"))
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("raw", [
+        dict(EVAL_CONFIG, params={"point": [[math.nan, 0], [0, 0]]}),
+        dict(EVAL_CONFIG, task="jacobian", params={"point": [[0, 0], [0, math.inf]]}),
+        dict(COUNTEREXAMPLE_CONFIG, params={"centers": [[[math.nan, 0], [0, 0]]]}),
+        dict(COUNTEREXAMPLE_CONFIG, params={"centers": [[[0, 0], [-math.inf, 0]]]}),
+    ], ids=["point-nan", "point-inf", "center-nan", "center-inf"])
+    def test_non_finite_point_is_a_config_error(self, raw):
+        # a config file cannot hold these numbers, a from_dict caller can
+        cfg = ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match="must be finite"):
+            _run_task(cfg)
 
     @pytest.mark.parametrize("command", ["run", "parse-check"])
     @pytest.mark.parametrize("text", [

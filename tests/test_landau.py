@@ -21,6 +21,7 @@ from holomaplab import (
     Scalar,
     rescaled_growth,
     solve_membership,
+    to_text,
 )
 from holomaplab import landau
 from holomaplab._sampling import (
@@ -645,6 +646,28 @@ class TestPerRowDilation:
             self.assert_rows_are_dilate(node, m, R, z)
             rows = np.array([6, 0, 3, 4])
             self.assert_rows_are_dilate(node.take(rows), m, R[rows], z[rows])
+
+    @pytest.mark.parametrize("text", [
+        "expcoord(c=0.1, k=2)", "compose(henon(b=0.5), expcoord(c=0.1, k=2))", "harris(n=3)",
+        "identity(k=2)", "(z1 + 0.5*z1^2, z2)"])
+    def test_rows_match_dilate_bit_for_bit(self, text):
+        # seeded R in [0.01, 10] and points with the origin among them: every
+        # row's value and Jacobian has the bits of its own dilate(m, R)
+        m = parse(text)
+        rng = np.random.default_rng(31)
+        R = rng.uniform(0.01, 10.0, 12)
+        z = rng.uniform(-0.5, 0.5, (12, 2)) + 1j * rng.uniform(-0.5, 0.5, (12, 2))
+        z[0] = 0
+        node = landau._Dilations(m, R)
+        values = evaluate_batch(node, z)
+        jvalues, jacs = jacobian_batch(node, z)
+        for i, r in enumerate(R):
+            ref = dilate(m, r)
+            assert parse(to_text(ref)) == ref
+            ref_values, ref_jacs = jacobian_batch(ref, z[i:i + 1])
+            for got, want in ((values[i], evaluate_batch(ref, z[i:i + 1])[0]),
+                              (jvalues[i], ref_values[0]), (jacs[i], ref_jacs[0])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (i, got, want)
 
     def test_a_batch_of_dilations_runs_as_each_dilation_alone(self):
         # a Newton batch whose rows drop out at both gathers: at the rows

@@ -272,7 +272,8 @@ class TestParse:
             "((1 + z1)^63 * (1 + z2)^63 + z3, z2, z3)",  # 4097 terms, from the sum
             "identity(k=33)",
             "expcoord(c=0.1, k=33)",
-            # capped before dilate builds a k x k matrix for its inner map
+            # capped at the parse: dilate's scalar and identity(k) are cheap to
+            # build, but a Jacobian of the map holds k x k entries per point
             "dilate(2, identity(k=1000000000000))",
             "identity(k=1e400)",
             "(z1^1e400, z2)",

@@ -276,7 +276,7 @@ class _Parser:
 
     # -- scalar / literal parsing -------------------------------------------
 
-    def parse_const_expr(self) -> complex:
+    def parse_complex(self) -> complex:
         tok = self.peek()
         poly = self.parse_poly_expr(allow_vars=False)
         value = poly.constant_value()
@@ -284,12 +284,9 @@ class _Parser:
             raise ParseError("variables are not allowed here", tok.pos)
         return value
 
-    def parse_complex(self) -> complex:
-        return complex(self.parse_const_expr())
-
     def parse_real(self) -> float:
         tok = self.peek()
-        value = self.parse_const_expr()
+        value = self.parse_complex()
         if value.imag != 0.0:
             raise ParseError("expected a real number", tok.pos)
         return float(value.real)

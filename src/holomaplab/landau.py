@@ -198,10 +198,8 @@ class _Dilations(MapExpr):
     operations of dilate(m, R), so an overflowed row may hold inf, not NaN.
     R and 1/R stay complex to skip a cast.  take(rows) keeps the given rows."""
 
-    dim = property(lambda self: self.m.dim)
-
     def __init__(self, m, R):
-        self.m = m
+        self.m, self.dim = m, m.dim
         self._scale = np.asarray(R, dtype=complex)
         self._inverse = (1.0 / R).astype(complex)
 
@@ -211,7 +209,8 @@ class _Dilations(MapExpr):
 
     def take(self, rows):  # each entry is its row's own product: a slice keeps its bits
         out = object.__new__(_Dilations)
-        out.m, out._scale, out._inverse = self.m, self._scale[rows], self._inverse[rows]
+        out.m, out.dim = self.m, self.dim
+        out._scale, out._inverse = self._scale[rows], self._inverse[rows]
         return out
 
 

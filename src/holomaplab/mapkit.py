@@ -22,8 +22,10 @@ Each named node class states its grammar `name` and its constructor
 constructor order.  That table is the one source for parsing (_grammar
 builds its calls and BUILTIN_SIGNATURES from NODES), printing (to_text;
 PolyCoord prints as a tuple), equality and hashing.  To add a node, set
-`name` and `fields` on a MapExpr subclass with `dim` and `apply`, and add
-it to NODES; a new kind also needs a printer in _FORMAT and a parser in
+`name` and `fields` on a MapExpr subclass, set `dim` as a class constant or
+in __init__, write `apply` with +, * (constants on the right), - of a
+number and _exp only, the operations _Dual has, and add the class to
+NODES; a new kind also needs a printer in _FORMAT and a parser in
 _grammar._PARSE.
 
 Jacobians are computed by forward-mode differentiation with holomorphic
@@ -60,6 +62,9 @@ class _Dual:
 
     val is a scalar or an (N,) array; der is (k, N), der[j] being the
     derivative along input coordinate j, so val broadcasts against der.
+    It has only the operators nodes use: + of a dual or a number on either
+    side, * by a dual or by a constant on the right, and - of a number.  A
+    constant on the left of * or -, or a negation, raises TypeError.
     """
 
     __slots__ = ("val", "der")
@@ -75,16 +80,8 @@ class _Dual:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _Dual(-self.val, -self.der)
-
     def __sub__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.val - other.val, self.der - other.der)
         return _Dual(self.val - other, self.der)
-
-    def __rsub__(self, other):
-        return _Dual(other - self.val, -self.der)
 
     def __mul__(self, other):
         if isinstance(other, _Dual):
@@ -93,8 +90,6 @@ class _Dual:
                 self.val * other.der + other.val * self.der,
             )
         return _Dual(self.val * other, other * self.der)
-
-    __rmul__ = __mul__
 
 
 def _exp(x):
@@ -122,10 +117,7 @@ class MapExpr:
 
     name: str | None = None
     fields: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    dim: int  # k, a class constant or set in __init__
 
     def apply(self, coords):
         """Evaluate on a tuple of scalar-like coordinates (numbers, arrays or
@@ -163,17 +155,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 class Identity(MapExpr):
     name = "identity"
-    fields = (("k", "k", "int"),)
+    fields = (("dim", "k", "int"),)
 
     def __init__(self, k: int):
         k = int(k)
         if k < 1:
             raise DimensionMismatch("identity needs dimension k >= 1")
-        self.k = k
-
-    @property
-    def dim(self):
-        return self.k
+        self.dim = k
 
     def apply(self, coords):
         return tuple(coords)
@@ -185,10 +173,7 @@ class Linear(MapExpr):
 
     def __init__(self, matrix):
         self.matrix = _frozen(_constant(algebra.as_matrix, matrix))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+        self.dim = self.matrix.shape[0]
 
     def apply(self, coords):
         return _affine_apply(None, self.matrix, coords)
@@ -200,10 +185,7 @@ class Translation(MapExpr):
 
     def __init__(self, offset):
         self.offset = _frozen(_constant(algebra.as_vector, offset))
-
-    @property
-    def dim(self):
-        return self.offset.size
+        self.dim = self.offset.size
 
     def apply(self, coords):
         return tuple(c + t for c, t in zip(coords, self.offset))
@@ -214,13 +196,10 @@ class Henon(MapExpr):
 
     name = "henon"
     fields = (("b", "b", "complex"),)
+    dim = 2
 
     def __init__(self, b):
         self.b = _constant(algebra.as_scalar, b)
-
-    @property
-    def dim(self):
-        return 2
 
     def apply(self, coords):
         z, w = coords
@@ -233,16 +212,13 @@ class Harris(MapExpr):
 
     name = "harris"
     fields = (("n", "n", "int"),)
+    dim = 2
 
     def __init__(self, n):
         n = int(n)
         if not 1 <= n <= sys.float_info.max:
             raise PreconditionFailed("harris parameter n must be an integer in [1, 1.8e308]")
         self.n = n
-
-    @property
-    def dim(self):
-        return 2
 
     def apply(self, coords):
         z, w = coords
@@ -255,6 +231,7 @@ class DurenRudin(MapExpr):
 
     name = "durenrudin"
     fields = (("delta", "delta", "real"),)
+    dim = 2
 
     def __init__(self, delta):
         delta = float(delta)
@@ -262,10 +239,6 @@ class DurenRudin(MapExpr):
             raise PreconditionFailed("durenrudin delta and its inverse must be finite and > 0")
         self.delta = delta
         self._inv_delta = 1.0 / delta
-
-    @property
-    def dim(self):
-        return 2
 
     def apply(self, coords):
         z, w = coords
@@ -277,18 +250,14 @@ class ExpCoord(MapExpr):
     """Coordinatewise z_i -> exp(c z_i) - 1; fixes 0 with Jacobian c*I."""
 
     name = "expcoord"
-    fields = (("c", "c", "complex"), ("k", "k", "int"))
+    fields = (("c", "c", "complex"), ("dim", "k", "int"))
 
     def __init__(self, c, k: int):
         k = int(k)
         if k < 1:
             raise DimensionMismatch("expcoord needs dimension k >= 1")
         self.c = _constant(algebra.as_scalar, c)
-        self.k = k
-
-    @property
-    def dim(self):
-        return self.k
+        self.dim = k
 
     def apply(self, coords):
         return tuple(_exp(c * self.c) - 1.0 for c in coords)
@@ -306,10 +275,7 @@ class Scalar(MapExpr):
             raise PreconditionFailed("scalar factor must be nonzero")
         self.s = s
         self.inner = inner
-
-    @property
-    def dim(self):
-        return self.inner.dim
+        self.dim = inner.dim
 
     def apply(self, coords):
         return tuple(y * self.s for y in self.inner.apply(coords))
@@ -328,10 +294,7 @@ class Compose(MapExpr):
             )
         self.outer = outer
         self.inner = inner
-
-    @property
-    def dim(self):
-        return self.outer.dim
+        self.dim = outer.dim
 
     def apply(self, coords):
         return self.outer.apply(self.inner.apply(coords))
@@ -352,10 +315,7 @@ class Affine(MapExpr):
                 f"inner k={inner.dim}"
             )
         self.inner = inner
-
-    @property
-    def dim(self):
-        return self.inner.dim
+        self.dim = inner.dim
 
     def apply(self, coords):
         return self.inner.apply(_affine_apply(self.shift, self.matrix, coords))
@@ -380,9 +340,8 @@ class PolyCoord(MapExpr):
         k = len(polys)
         normalized = []
         for poly in polys:
-            items = poly.items() if isinstance(poly, dict) else poly
             merged: dict = {}
-            for exps, coeff in items:
+            for exps, coeff in poly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != k:
                     raise DimensionMismatch(
@@ -394,11 +353,7 @@ class PolyCoord(MapExpr):
             normalized.append(tuple(sorted(
                 (e, _constant(algebra.as_scalar, c)) for e, c in merged.items() if c != 0)))
         self.polys = tuple(normalized)
-        self.k = k
-
-    @property
-    def dim(self):
-        return self.k
+        self.dim = k
 
     def apply(self, coords):
         out = []
@@ -495,9 +450,14 @@ class DomainSpec:
 # evaluation and differentiation
 
 
-def _check_dim(m: MapExpr, size: int):
-    if size != m.dim:
-        raise DimensionMismatch(f"point has k={size}, map has k={m.dim}")
+def _points(m: MapExpr, pts) -> np.ndarray:
+    """pts as a complex (N, k) array with k = m.dim, else DimensionMismatch."""
+    Z = np.asarray(pts, dtype=np.complex128)
+    if Z.ndim != 2:
+        raise DimensionMismatch(f"expected an (N, k) point array, got shape {Z.shape}")
+    if Z.shape[1] != m.dim:
+        raise DimensionMismatch(f"point has k={Z.shape[1]}, map has k={m.dim}")
+    return Z
 
 
 def evaluate(m: MapExpr, z) -> np.ndarray:
@@ -512,10 +472,7 @@ def evaluate(m: MapExpr, z) -> np.ndarray:
 
 def evaluate_batch(m: MapExpr, pts) -> np.ndarray:
     """Evaluate a map at N points at once; pts has shape (N, k)."""
-    Z = np.asarray(pts, dtype=np.complex128)
-    if Z.ndim != 2:
-        raise DimensionMismatch(f"expected an (N, k) point array, got shape {Z.shape}")
-    _check_dim(m, Z.shape[1])
+    Z = _points(m, pts)
     out = m.apply(tuple(Z[:, j] for j in range(Z.shape[1])))
     values = np.empty(Z.shape, dtype=np.complex128)
     for i, c in enumerate(out):
@@ -536,10 +493,7 @@ def jacobian(m: MapExpr, z) -> Jet:
 
 def jacobian_batch(m: MapExpr, pts):
     """Values (N, k) and Jacobians (N, k, k) at N points in one dual pass."""
-    Z = np.asarray(pts, dtype=np.complex128)
-    if Z.ndim != 2:
-        raise DimensionMismatch(f"expected an (N, k) point array, got shape {Z.shape}")
-    _check_dim(m, Z.shape[1])
+    Z = _points(m, pts)
     n, k = Z.shape
     duals = []
     for j in range(k):

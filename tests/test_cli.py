@@ -305,11 +305,11 @@ EVAL_CONFIG = {"schema": 1, "map": "identity(k=2)", "task": "eval", "seed": 1,
                "params": {"point": [[0.1, 0], [0.2, 0]]}}
 
 
-def run_args(raw, expect="error: invalid config"):
+def run_args(raw):
     def args(tmp_path):
         return ["run", str(write_config(tmp_path, "c.json", raw)),
                 "-o", str(tmp_path / "r.json")]
-    args.expect = expect  # how stderr starts when the config is rejected
+    args.expect = "error: invalid config"  # how stderr starts when the config is rejected
     return args
 
 
@@ -364,15 +364,6 @@ class TestExitCodeContract:
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [1.5]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [True]})),
         run_args(dict(BZ_SEQUENCE_CONFIG, params={"C": 2.0, "n_values": [10**400]})),
-        # non-finite numbers: json.dumps writes them as NaN or Infinity, which
-        # the read rejects before any rule (test_non_finite_point_is_a_config_error
-        # pins the point rule; centers_scale is no longer a param)
-        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers": [[[math.nan, 0], [0, 0]]]}),
-                 "error: cannot read config"),
-        run_args(dict(COUNTEREXAMPLE_CONFIG, params={"centers_scale": 1e400}),
-                 "error: cannot read config"),
-        run_args(dict(EVAL_CONFIG, params={"point": [[1e400, 0], [0, 0]]}),
-                 "error: cannot read config"),
         # int params given as floats
         run_args(dict(EVAL_CONFIG, task="kappa-sup", params={
             "radial_shells": 1.5, "points_per_shell": 4.9, "refine_steps": 0})),
@@ -403,8 +394,8 @@ class TestExitCodeContract:
             "emit-unwritable", "emit-report-list", "emit-series-number",
             "bz-c-below-1", "bz-grid-factor", "newton-tolerance-inf", "center-refine-steps",
             "domain-radius-inf", "r-values-negative", "r-values-inf", "n-values-zero",
-            "n-values-float", "n-values-bool", "n-values-huge", "center-nan",
-            "centers-scale-inf", "point-inf", "int-param-float", "exclusion-tolerance-1.5",
+            "n-values-float", "n-values-bool", "n-values-huge", "int-param-float",
+            "exclusion-tolerance-1.5",
             "refined-sup-exclusion", "centers-scale", "max-iterations",
             "radial-shells-huge", "points-per-shell-huge", "direction-count-huge",
             "center-candidates-huge", "centers-count-huge", "c-string", "c-bool",

@@ -26,6 +26,7 @@ from holomaplab import (
 )
 from holomaplab import _grammar
 from holomaplab.errors import DimensionMismatch, ParseError, PreconditionFailed
+from holomaplab.mapkit import _Dual
 
 
 def ball_points(n, k, radius, seed):
@@ -114,6 +115,15 @@ class TestJacobian:
                 e[j] = h
                 fd = (evaluate_batch(m, pts + e) - evaluate_batch(m, pts - e)) / (2 * h)
                 assert np.abs(fd - jacs[:, :, j]).max() <= 1e-7
+
+    @pytest.mark.parametrize("op", [lambda d: 2 * d, lambda d: 1.0 - d, lambda d: -d,
+                                    lambda d: d - d],
+                             ids=["constant-times", "constant-minus", "negation", "dual-minus"])
+    def test_dual_rejects_operators_nodes_do_not_use(self, op):
+        # constants multiply from the right, so evaluate_batch stays bit-equal to jacobian_batch
+        d = _Dual(np.array([0.5 + 0.1j, -0.2j]), np.ones((1, 2), dtype=complex))
+        with pytest.raises(TypeError):
+            op(d)
 
 
 class TestReparametrize:

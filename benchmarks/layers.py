@@ -88,6 +88,9 @@ Entries:
   score.kappa.<map>.n32769
                           the whole sup_kappa call on those samples with
                           refine_steps=0: sampling and scoring, no climb
+  shells.ball.n30721      one _sampling.shell_points on the unit ball of C^2,
+                          16 shells x 2048 points: one sup-dense sample set,
+                          drawn and scaled
   climb.kappa.<map>       one coordinate_ascent of the sup_kappa scorer and
                           domain test, 20 steps of 0.1 from a fixed start in
                           the unit ball, for henon_exp and linear (whose
@@ -152,6 +155,7 @@ SVD_BATCH_SIZES = (1, 8, 96, 32_769)  # about one sup-dense sample set (30,721)
 LINEAR_TEXT = "linear(a=[[0.9+0.3i, -0.2+0.5i], [0.4-0.1i, 0.3+0.6i]])"
 POLY_TEXT = "(z1 + (0.1+0.05i)*z2^2 + (-0.12+0.08i)*z1*z2, z2 + (0.07-0.1i)*z1^2 + 0.05*z1^3)"
 DENSE_SHELLS, DENSE_PER_SHELL = 17, 2048  # 1 + 16 * 2048 = 32,769 samples
+SUP_DENSE_SHELLS = 16  # a sup-dense sample set: 1 + 15 * 2048 = 30,721 samples
 
 
 def per_call(fn) -> float:
@@ -334,6 +338,10 @@ def build_cases(hl, workdir):
     for name, m in dense_maps.items():
         cases[f"jacobian_batch.{name}.n{len(samples)}"] = lambda m=m: hl.jacobian_batch(m, samples)
         cases[f"score.kappa.{name}.n{len(samples)}"] = lambda m=m: hl.sup_kappa(m, ball, dense)
+
+    sup_dense_rows = 1 + (SUP_DENSE_SHELLS - 1) * DENSE_PER_SHELL
+    cases[f"shells.ball.n{sup_dense_rows}"] = lambda: hl._sampling.shell_points(
+        ball, SUP_DENSE_SHELLS, DENSE_PER_SHELL, 3)
 
     start = [0.3 + 0.2j, -0.25 + 0.4j]
     for name in ("henon_exp", "linear"):

@@ -4,11 +4,14 @@ Everything here is a pure function of explicit integer seeds.  The point
 families are prefix-stable: asking for more points extends a sample set
 without changing the points already generated, so sweeps over sample
 sizes behave monotonically.  A shell sample is drawn, then scaled: the
-draw (draw_shells) holds each shell's complex normals v and their domain
-norms n and reads no radius, and the scale (scale_shells) forms the points
-r * v / n of each shell radius r.  shell_points is one draw and one scale,
-so a caller that samples one shape at many radii draws once and scales the
-draw to each radius, with the bits of shell_points at that radius.
+draw (draw_shells) reads no radius and fills one buffer with the sample's
+rows, the center's zero row first and then each shell's complex normals v
+in their own rows, with their domain norms n beside them; the scale
+(scale_shells) forms the points r * v / n of each shell radius r.
+shell_points is one draw and one scale in place, in the draw's buffer, so
+a sample costs one array of its own size.  A caller that samples one shape
+at many radii draws once and scales the draw into a fresh array for each
+radius, with the bits of shell_points at that radius.
 Sampled suprema are scored by one batch function: the samples are scored
 in blocks of SCORE_BLOCK rows, so that the temporaries of one block stay
 in cache.  The hill climb scores ahead:
@@ -68,46 +71,71 @@ def shell_radii(radius: float, shells: int) -> np.ndarray:
 class ShellDraw(NamedTuple):
     """The radius-free part of a shell sample of one domain shape."""
 
-    dim: int
     shells: int
-    normals: list  # per shell after the center: (v, n), v the (per_shell, k)
-    # complex normals and n their (per_shell, 1) domain norms
+    per_shell: int
+    v: np.ndarray  # (1 + (shells - 1) * per_shell, k): a zero center row, then
+    # each shell's complex normals in its own per_shell rows
+    n: np.ndarray  # (len(v), 1): each row's domain norm (1 for the center)
 
 
 def draw_shells(dom, shells: int, per_shell: int, seed: int) -> ShellDraw:
-    """Draw shell_points' normals for dom's shape and dimension; its radius
-    is not read.  Shell 0 is the center at every radius, so it draws none."""
+    """Draw shell_points' normals for dom's shape and dimension into one
+    buffer; its radius is not read.  Shell 0 is the center at every radius,
+    so it draws none: its row is zero."""
     k = dom.dim
-    normals = []
+    v = np.empty((1 + (shells - 1) * per_shell, k), dtype=np.complex128)
+    n = np.empty((len(v), 1))
+    v[0], n[0] = 0.0, 1.0
     for i in range(1, shells):
         rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 211, i]))
         g = rng.standard_normal((per_shell, 2 * k))
-        v = g[:, :k] + 1j * g[:, k:]
-        normals.append((v, dom.norm(v)[:, None]))
-    return ShellDraw(k, shells, normals)
+        lo = 1 + (i - 1) * per_shell
+        rows = v[lo:lo + per_shell]
+        np.multiply(1j, g[:, k:], out=rows)
+        rows += g[:, :k]  # the bits of g[:, :k] + 1j * g[:, k:]
+        n[lo:lo + per_shell, 0] = dom.norm(rows)
+    return ShellDraw(shells, per_shell, v, n)
 
 
-def scale_shells(draw: ShellDraw, radius: float) -> np.ndarray:
+def scale_shells(draw: ShellDraw, radius: float, out=None) -> np.ndarray:
     """The shell sample of a draw at radius: the center, then each shell's
     points r * v / n, or one center row where r rounds to 0.  Each shell is
-    computed in its rows of the result, with no temporaries to concatenate."""
+    computed in its rows of out, a fresh array by default; out=draw.v
+    scales the draw in place, which then holds the sample and no longer
+    the normals.  Returns the rows of out that the sample fills."""
+    per = draw.per_shell
     radii = shell_radii(radius, draw.shells)[1:]
-    sizes = [len(v) if r != 0.0 else 1 for r, (v, _) in zip(radii, draw.normals)]
-    pts = np.zeros((1 + sum(sizes), draw.dim), dtype=np.complex128)
+    if out is None:
+        out = np.empty((1 + sum(per if r != 0.0 else 1 for r in radii), draw.v.shape[1]),
+                       dtype=np.complex128)
+    out[0] = 0.0
     stop = 1
-    for r, (v, n), size in zip(radii, draw.normals, sizes):
-        start, stop = stop, stop + size
-        if r != 0.0:
-            rows = pts[start:stop]
-            np.divide(np.multiply(r, v, out=rows), n, out=rows)
-    return pts
+    for i, r in enumerate(radii):
+        src = slice(1 + i * per, 1 + (i + 1) * per)
+        if r == 0.0:
+            out[stop] = 0.0
+            stop += 1
+            continue
+        # rows never start after src, so in place each shell reads its
+        # normals before a later shell's rows overwrite them; a shell moved
+        # up by a center row reads a copy, because numpy multiplies partly
+        # overlapping operands in its loop without FMA, which can give an
+        # underflowed zero the other sign
+        rows, v = out[stop:stop + per], draw.v[src]
+        if stop != src.start and np.may_share_memory(rows, v):
+            v = v.copy()
+        np.divide(np.multiply(r, v, out=rows), draw.n[src], out=rows)
+        stop += per
+    return out[:stop]
 
 
 def shell_points(dom, shells: int, per_shell: int, seed: int) -> np.ndarray:
     """Stratified sample of a ball/polydisc domain: per_shell points on each
     sphere of shell_radii.  Prefix-stable in per_shell (per-shell child
-    streams, row-major draws).  The draw, then the scale to dom's radius."""
-    return scale_shells(draw_shells(dom, shells, per_shell, seed), dom.radius)
+    streams, row-major draws).  The draw, then the scale to dom's radius in
+    the draw's buffer."""
+    draw = draw_shells(dom, shells, per_shell, seed)
+    return scale_shells(draw, dom.radius, out=draw.v)
 
 
 @cache

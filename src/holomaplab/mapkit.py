@@ -34,8 +34,11 @@ complex gradient, multiplication follows (v, d)(v', d') =
 (vv', v d' + v' d) and exp lifts to (e^v, e^v d).  All built-ins are
 holomorphic, so one dual pass yields the exact Jacobian up to roundoff.
 Evaluation is batch-aware: coordinates may be scalars or (N,) arrays.  A
-batched dual stores its gradient as a (k, N) array, one contiguous tangent
-per input coordinate, so a value (N,) multiplies it by plain broadcasting.
+batched dual stores its gradient, one tangent per input coordinate, as a
+(k, 1) column while it is constant over the batch (jacobian_batch seeds
+cached unit columns, and nodes linear in their input keep that shape) and
+as a (k, N) array once a product of duals or exp makes it vary; either
+way a value (N,) multiplies it by plain broadcasting.
 
 Constants multiply coordinates from the right, as in a dual's value, and
 powers are repeated products: numpy's complex multiply is not bitwise
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,8 +64,9 @@ from .errors import DimensionMismatch, PreconditionFailed
 class _Dual:
     """Value plus complex gradient for forward-mode differentiation.
 
-    val is a scalar or an (N,) array; der is (k, N), der[j] being the
-    derivative along input coordinate j, so val broadcasts against der.
+    val is a scalar or an (N,) array; der is (k, 1) while constant over the
+    batch and (k, N) once it varies, der[j] being the derivative along
+    input coordinate j, so val broadcasts against der.
     It has only the operators nodes use: + of a dual or a number on either
     side, * by a dual or by a constant on the right, and - of a number.  A
     constant on the left of * or -, or a negation, raises TypeError.
@@ -491,26 +496,38 @@ def jacobian(m: MapExpr, z) -> Jet:
     return Jet(values[0], jacs[0])
 
 
+@cache
+def _unit_columns(k: int) -> tuple:
+    """The k seed gradients e_j as read-only (k, 1) columns, each its own
+    C-contiguous array: a strided column of an identity is slower to read."""
+    cols = []
+    for j in range(k):
+        col = np.zeros((k, 1), dtype=np.complex128)
+        col[j] = 1.0
+        cols.append(_frozen(col))
+    return tuple(cols)
+
+
 def jacobian_batch(m: MapExpr, pts):
-    """Values (N, k) and Jacobians (N, k, k) at N points in one dual pass."""
+    """Values (N, k) and Jacobians (N, k, k) at N points in one dual pass.
+
+    The Jacobians are written in (k, k, N) order, output coordinate first,
+    so each output's gradient is one contiguous copy; the (N, k, k) result
+    is the view jacs.transpose(2, 0, 1) of that array and is not
+    C-contiguous."""
     Z = _points(m, pts)
     n, k = Z.shape
-    duals = []
-    for j in range(k):
-        der = np.zeros((k, n), dtype=np.complex128)
-        der[j] = 1.0
-        duals.append(_Dual(Z[:, j], der))
-    out = m.apply(tuple(duals))
+    out = m.apply(tuple(_Dual(Z[:, j], col) for j, col in enumerate(_unit_columns(k))))
     values = np.empty((n, k), dtype=np.complex128)
-    jacs = np.empty((n, k, k), dtype=np.complex128)
+    jacs = np.empty((k, k, n), dtype=np.complex128)
     for i, o in enumerate(out):
         if isinstance(o, _Dual):
             values[:, i] = o.val
-            jacs[:, i, :] = o.der.T
+            jacs[i] = o.der  # a (k, 1) gradient broadcasts over the batch
         else:
             values[:, i] = o
-            jacs[:, i, :] = 0.0
-    return values, jacs
+            jacs[i] = 0.0
+    return values, jacs.transpose(2, 0, 1)
 
 
 # --------------------------------------------------------------------------

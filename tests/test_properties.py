@@ -3,9 +3,10 @@ steps do not depend on the batch they are computed in.  The sampled sups
 score the samples in blocks and each hill-climb sweep as one batch, so the
 blocks change nothing and the batched climb follows the
 one-candidate-at-a-time climb only if this holds; that equivalence is
-checked here too, on arbitrary scorers.  The dual numbers' (k, N) gradient
-layout is checked bit for bit against the (N, k) layout it replaced, and a
-Landau ladder run in a lockstep batch against its search alone."""
+checked here too, on arbitrary scorers.  The dual numbers' gradient layout,
+(k, 1) while constant and (k, N) once it varies, is checked bit for bit
+against the (N, k) layout it replaced, and a Landau ladder run in a
+lockstep batch against its search alone."""
 
 import zlib
 
@@ -32,6 +33,7 @@ from holomaplab import (  # noqa: E402
     dilate,
     evaluate_batch,
     inscribed_lower_bound,
+    jacobian,
     jacobian_batch,
     parse,
     to_text,
@@ -244,7 +246,7 @@ def test_constant_coordinate_broadcasts(data):
 
 
 # The (N, k) dual layout that mapkit used before it stored gradients as
-# (k, N), kept verbatim as the reference for the layout test below.
+# (k, 1) or (k, N) columns, kept as the reference for the layout test below.
 
 
 def _row(x):
@@ -254,7 +256,9 @@ def _row(x):
 
 
 class _RowDual:
-    """Value plus complex gradient row for forward-mode differentiation."""
+    """Value plus complex gradient row for forward-mode differentiation,
+    with the operators of mapkit._Dual alone, so an apply body the library
+    rejects fails here too."""
 
     __slots__ = ("val", "der")
 
@@ -269,16 +273,8 @@ class _RowDual:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _RowDual(-self.val, -self.der)
-
     def __sub__(self, other):
-        if isinstance(other, _RowDual):
-            return _RowDual(self.val - other.val, self.der - other.der)
         return _RowDual(self.val - other, self.der)
-
-    def __rsub__(self, other):
-        return _RowDual(other - self.val, -self.der)
 
     def __mul__(self, other):
         if isinstance(other, _RowDual):
@@ -287,8 +283,6 @@ class _RowDual:
                 _row(self.val) * other.der + _row(other.val) * self.der,
             )
         return _RowDual(self.val * other, _row(other) * self.der)
-
-    __rmul__ = __mul__
 
 
 def _row_exp(x):
@@ -323,6 +317,10 @@ def row_jacobian_batch(m, pts):
 
 
 _LAYOUT_PTS = np.random.default_rng(5).standard_normal((97, 2, 2)) @ np.array([1, 1j])
+_LINEAR = parse("linear(a=[[0.3+0.7i, -0.2+0.1i], [0.5-0.4i, 1.1+0.3i]])")
+_AFFINE = Affine([0.1 + 0.2j, -0.3j], [[0.3 + 0.7j, 0.2j], [0.5 - 0.4j, 1.1]], _LINEAR)
+_SCALED_IDENTITY = parse("scalar(s=2, identity(k=2))")
+_TRANSLATION = parse("translation(t=[0.5-0.2i, 1.5i])")
 
 
 @st.composite
@@ -336,12 +334,42 @@ def layout_points(draw):
 @example(_ConstFirst(), _LAYOUT_PTS)
 @example(parse("(1, z2)"), _LAYOUT_PTS[:3])
 @example(parse("compose(henon(b=0.3+0.4i), expcoord(c=0.1+0.3i, k=2))"), _LAYOUT_PTS)
+# maps whose gradient stays a (k, 1) column up to the output
+@example(_LINEAR, _LAYOUT_PTS[:1])
+@example(_LINEAR, _LAYOUT_PTS)
+@example(_AFFINE, _LAYOUT_PTS[:1])
+@example(_AFFINE, _LAYOUT_PTS)
+@example(_SCALED_IDENTITY, _LAYOUT_PTS[:1])
+@example(_SCALED_IDENTITY, _LAYOUT_PTS)
+@example(_TRANSLATION, _LAYOUT_PTS[:1])
+@example(_TRANSLATION, _LAYOUT_PTS)
 def test_gradient_layout_keeps_the_bits(m, pts):
     # every dual operation is the same elementwise operation in either layout
     values, jacs = jacobian_batch(m, pts)
     ref_values, ref_jacs = row_jacobian_batch(m, pts)
     assert _same_bits(values, ref_values)
     assert _same_bits(jacs, ref_jacs)
+
+
+@pytest.mark.parametrize("m", [Identity(2), _LINEAR, _AFFINE, _SCALED_IDENTITY, _TRANSLATION,
+                               parse("henon(b=0.3+0.4i)")], ids=to_text)
+@pytest.mark.parametrize("n", [1, 97])
+def test_a_returned_jacobian_is_the_callers_own(m, n):
+    # the seed gradients are cached and identity returns them as its
+    # outputs: writing into a result must not reach the next call, and the
+    # next call must not write into an earlier result
+    pts = _LAYOUT_PTS[:n]
+    values, jacs = jacobian_batch(m, pts)
+    want_values, want_jacs = values.copy(), jacs.copy()
+    values[...] = jacs[...] = 7.0
+    again_values, again_jacs = jacobian_batch(m, pts)
+    assert _same_bits(again_values, want_values) and _same_bits(again_jacs, want_jacs)
+    jet = jacobian(m, pts[0])
+    jet.value[...] = jet.jacobian[...] = 7.0
+    again = jacobian(m, pts[0])
+    assert _same_bits(again.value, want_values[0]) and _same_bits(again.jacobian, want_jacs[0])
+    assert (values == 7.0).all() and (jacs == 7.0).all()
+    assert (jet.value == 7.0).all() and (jet.jacobian == 7.0).all()
 
 
 SCORE_VALUES = (-np.inf, np.inf, np.nan, 0.0, 0.5, 1.0, 2.0)

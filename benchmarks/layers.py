@@ -80,6 +80,10 @@ Entries:
   svd.k3.n96              the same on 96 3 x 3 matrices (LAPACK)
   refined_product.n32769  times_batch of 32769 2 x 2 matrices by one 2 x 2
                           matrix: the J(a + z) J(a)^-1 of refined_sup
+  refined_product.jacobians.n4096
+                          the same on the Jacobians of one jacobian_batch
+                          call on 4096 shell samples for henon_exp, one
+                          scoring block in the layout refined_sup passes
   jacobian_batch.<map>.n32769
                           one jacobian_batch call on the 32769 shell samples
                           of 17 shells (the first is the center) x 2048
@@ -92,9 +96,12 @@ Entries:
                           16 shells x 2048 points: one sup-dense sample set,
                           drawn and scaled
   climb.kappa.<map>       one coordinate_ascent of the sup_kappa scorer and
-                          domain test, 20 steps of 0.1 from a fixed start in
-                          the unit ball, for henon_exp and linear (whose
-                          constant kappa never moves the climb)
+                          domain test, 20 steps of 0.1, for henon_exp and
+                          linear from a fixed start in the unit ball
+                          (henon_exp's climb moves 13 times; linear's
+                          constant kappa never moves it), and for poly from
+                          the best sample of score.kappa.poly.n32769, whose
+                          climb moves 5 times
   spectral_norm.k2.n4096  spectral_norm_batch of one scoring block of 4096
                           random complex 2 x 2 matrices
   witness.<map>.c25       one certify_no_ball call on durenrudin(delta=1) or
@@ -343,9 +350,14 @@ def build_cases(hl, workdir):
     cases[f"shells.ball.n{sup_dense_rows}"] = lambda: hl._sampling.shell_points(
         ball, SUP_DENSE_SHELLS, DENSE_PER_SHELL, 3)
 
+    block = hl.jacobian_batch(maps["henon_exp"], samples[:4096])[1]
+    cases["refined_product.jacobians.n4096"] = lambda: hl.algebra.times_batch(block, b)
+
     start = [0.3 + 0.2j, -0.25 + 0.4j]
     for name in ("henon_exp", "linear"):
         cases[f"climb.kappa.{name}"] = sup_kappa_climb(hl, dense_maps[name], ball, start)
+    best = hl.sup_kappa(dense_maps["poly"], ball, dense).argmax_point
+    cases["climb.kappa.poly"] = sup_kappa_climb(hl, dense_maps["poly"], ball, best)
     cases["spectral_norm.k2.n4096"] = (
         lambda mats=cstack(4096, 2): hl.algebra.spectral_norm_batch(mats))
 

@@ -17,9 +17,10 @@ in blocks of SCORE_BLOCK rows, so that the temporaries of one block stay
 in cache.  The hill climb scores ahead:
 a sweep from a point is scored in one batch together with the sweeps at
 halved steps that would follow it if none moved, a ladder of at most
-SCORE_BLOCK rows, and its domain test is one mask call.  Rows score
-independently of their batch, so neither the blocks nor the ladders change
-a value or a count.
+SCORE_BLOCK rows, and its domain test is one mask call.  After a move, the
+rest of that sweep from the new point and the ladder that would follow it
+form the next batch.  Rows score independently of their batch, so neither
+the blocks nor the ladders change a value or a count.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def interior_points(dom, n: int, seed: int) -> np.ndarray:
 def score_blocks(score, pts):
     """score(pts) computed on consecutive blocks of SCORE_BLOCK rows (the
     last may be shorter) and concatenated; score maps (N, k) points to (N,)
-    values, row by row."""
+    values, or to (N, c) rows of c values, row by row."""
     if len(pts) <= SCORE_BLOCK:
         return score(pts)
     return np.concatenate([score(pts[i:i + SCORE_BLOCK])
@@ -226,21 +227,22 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
     A sweep at step h tries (j, +h), (j, -h), (j, +ih), (j, -ih) for each
     coordinate j in turn and moves on every improvement; h halves after a
     sweep without one.  No sweep runs at an h below STEP_FLOOR * max(1,
-    step0), the first included.  Each sweep that starts from a point scores
-    ahead: its candidates and those of the sweeps at h/2, h/4, ... that
-    would follow if none moved form a ladder, cut where the steps run out,
-    where h would fall below the floor, or where the ladder would pass
-    SCORE_BLOCK rows.  inside maps the ladder's (M, k) candidates to a mask
-    of those the climb may score; it must give each row the answer it gives
-    that row alone.  The candidates that pass are scored as one batch, and
-    the levels are walked in order to the first improvement.  After a move
-    the rest of that sweep is rebuilt from the new point and scored as one
-    batch, up to the next move; the next sweep starts a new ladder.  Rows
-    score independently of their batch, so the point and value are those of
-    scoring one candidate at a time.  No row after the first that beats
-    best is read, so a scorer may stop there.  Returns (point, value,
-    evaluations, excluded), counting only the candidates up to each move,
-    as that climb would score them.
+    step0), the first included.  The climb scores ahead: a sweep from a
+    point and the sweeps at h/2, h/4, ... that would follow if none moved
+    form a ladder, cut where the steps run out or where h would fall below
+    the floor.  After a move at position p of a sweep, one batch holds the
+    rest of that sweep, rebuilt from the new point, and then the ladder
+    that would follow it if the rest did not move.  A batch passes
+    SCORE_BLOCK rows only where it is one sweep, or the rest of one, and
+    4k > SCORE_BLOCK.
+    inside maps a batch's (M, k) candidates to a mask of those the climb
+    may score; it must give each row the answer it gives that row alone.
+    The candidates that pass are scored as one batch and walked in order to
+    the first improvement.  Rows score independently of their batch, so the
+    point and value are those of scoring one candidate at a time.  No row
+    after the first that beats best is read, so a scorer may stop there.
+    Returns (point, value, evaluations, excluded), counting only the
+    candidates up to each move, as that climb would score them.
     """
     x = np.array(x0, dtype=np.complex128)
     evals = excluded = 0
@@ -251,38 +253,37 @@ def coordinate_ascent(score, x0, best: float, steps: int, step0: float, inside):
     n = 4 * x.size
     sweep = np.arange(n)
     flat = sweep * x.size + sweep // 4
-    levels_cap = max(1, SCORE_BLOCK // n)
     left = int(steps)
-    while left > 0 and h >= floor:
-        ladder = [h]
-        while len(ladder) < min(left, levels_cap) and 0.5 * ladder[-1] >= floor:
+    pos = n  # the sweep at h from x goes on at position pos; n: it has ended
+    while True:
+        # the batch: the rest of the sweep at h from x, then the ladder that
+        # follows if none of it moves, within SCORE_BLOCK rows
+        cap = min(left, (SCORE_BLOCK - n + pos) // n if pos < n else max(1, SCORE_BLOCK // n))
+        ladder = [h] if cap > 0 and h >= floor else []
+        while 0 < len(ladder) < cap and 0.5 * ladder[-1] >= floor:
             ladder.append(0.5 * ladder[-1])
-        hs = np.array(ladder)
+        if pos == n and not ladder:
+            break
+        hs = np.array([h, *ladder])
         deltas = np.stack([hs, -hs, 1j * hs, -1j * hs], axis=1)[:, sweep % 4]
         cands = np.repeat(x[None], deltas.size, axis=0)
-        cands.reshape(len(ladder), -1)[:, flat] += deltas
-        row, best, used, excl = _first_gain(score, inside, cands, best)
+        cands.reshape(len(hs), -1)[:, flat] += deltas
+        row, best, used, excl = _first_gain(score, inside, cands[pos:], best)
         evals += used
         excluded += excl
         if row is None:
             left -= len(ladder)
-            h = 0.5 * ladder[-1]
+            h = 0.5 * ladder[-1] if ladder else h
+            pos = n
             continue
-        # the levels before row's did not move; row's sweep moved at p
-        level, p = divmod(row, n)
-        left -= level + 1
-        h = ladder[level]
-        x = cands[row]
-        while p + 1 < n:  # the rest of the sweep, from the new point
-            cands = np.repeat(x[None], n, axis=0)
-            cands.reshape(-1)[flat] += deltas[level]
-            row, best, used, excl = _first_gain(score, inside, cands[p + 1:], best)
-            evals += used
-            excluded += excl
-            if row is None:
-                break
-            p += row + 1
-            x = cands[p]
+        # level 0 is the rest of the sweep at h; level i > 0 the ladder's
+        # (i - 1)-th sweep, after i - 1 sweeps that did not move
+        level, p = divmod(pos + row, n)
+        if level:
+            left -= level
+            h = ladder[level - 1]
+        x = cands[pos + row]
+        pos = p + 1
     return x, best, evals, excluded
 
 

@@ -512,9 +512,12 @@ def _climb(m, dom, cfg, draws, growth_factor, center_refine_steps, best, centers
         nonlocal best
         first = max(0, bisect_right(draws.rungs, 0.8 * best.r_lo) - 1)
         vals = np.full(len(cands), -np.inf)
-        for start in range(0, len(cands), 4 * m.dim):  # one sweep's probes at a time
-            sweep = cands[start:start + 4 * m.dim]
-            ests = _ladders(m, sweep, dom, cfg, growth_factor, draws, first)
+        n = 4 * m.dim
+        # one sweep's probes at a time: the rest of a moving sweep (the first
+        # len(cands) % n rows) alone, then whole sweeps
+        edges = [0, *range(len(cands) % n or n, len(cands) + 1, n)]
+        for start, stop in zip(edges, edges[1:]):
+            ests = _ladders(m, cands[start:stop], dom, cfg, growth_factor, draws, first)
             for i, est in enumerate(ests, start):
                 if est is not None:
                     vals[i] = est.r_lo

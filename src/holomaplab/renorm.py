@@ -133,12 +133,13 @@ def bz_step(
     grid = (shell_points(grid_dom, cfg.radial_shells, cfg.points_per_shell,
                          subseed(cfg.rng_seed, "bz-grid"))
             if grid_draw is None else scale_shells(grid_draw, grid_dom.radius))
-    norms = score_blocks(
-        lambda block: algebra.spectral_norm_batch(jacobian_batch(psi, block)[1]), grid)
+    # each row's spectral norm of J_psi and shift |B z|, in one pass of blocks
+    norms, shifts = score_blocks(lambda block: np.stack(
+        [algebra.spectral_norm_batch(jacobian_batch(psi, block)[1]),
+         algebra.row_norms(block @ b_matrix.T)], axis=1), grid).T
     imax = int(np.argmax(norms))
     max_norm = float(norms[imax])
     bound = 2.0 * c_bound
-    shifts = algebra.row_norms(grid @ b_matrix.T)
     shift_max = float(shifts.max())
     shift_limit = 0.5 * (1.0 - float(np.linalg.norm(a)))
     check = BoundCheck(

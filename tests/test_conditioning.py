@@ -45,6 +45,8 @@ def sequential_ascent(objective, x0, steps: int, step0: float, inside):
     best = objective(x)
     h = float(step0)
     for _ in range(int(steps)):
+        if h < 1e-14 * max(1.0, float(step0)):  # no sweep below the floor, the first included
+            break
         moved = False
         for j in range(x.size):
             for delta in (h, -h, 1j * h, -1j * h):
@@ -57,8 +59,6 @@ def sequential_ascent(objective, x0, steps: int, step0: float, inside):
                     best, x, moved = val, cand, True
         if not moved:
             h *= 0.5
-            if h < 1e-14 * max(1.0, float(step0)):
-                break
     return x, best
 
 
@@ -280,11 +280,16 @@ class TestSampledSup:
 
 class TestClimbLadder:
     """coordinate_ascent scores a sweep and the halved sweeps that would
-    follow it as one ladder, capped at SCORE_BLOCK rows."""
+    follow it as one ladder, capped at SCORE_BLOCK rows; after a move, the
+    rest of the sweep and the ladder after it form one batch."""
 
     X0 = np.array([0.1 + 0.2j, -0.3j])
+    TARGET = np.array([0.33 - 0.1j, 0.05 + 0.4j])
 
-    def climb(self, score, steps, step0=0.1):
+    def moving(self, z):
+        return -np.round(16 * np.abs(z - self.TARGET).sum(axis=1))
+
+    def climb(self, score, steps, step0=0.1, x0=X0):
         calls = {"score": [], "inside": []}
 
         def scored(z):
@@ -295,11 +300,14 @@ class TestClimbLadder:
             calls["inside"].append(len(z))
             return as_mask(_in_unit_ball)(z)
 
-        start = float(score(self.X0[None])[0])
-        out = _sampling.coordinate_ascent(scored, self.X0, start, steps, step0, mask)
-        ref = sequential_climb(score, self.X0, steps, step0, _in_unit_ball)
-        assert np.array_equal(out[0], ref[0]) and out[1] == ref[1]
+        start = float(score(x0[None])[0])
+        out = _sampling.coordinate_ascent(scored, x0, start, steps, step0, mask)
+        ref = sequential_climb(score, x0, steps, step0, _in_unit_ball)
+        assert np.array_equal(out[0], ref[0]) and out[0].tobytes() == ref[0].tobytes()
+        assert out[1] == ref[1] or np.isnan(out[1]) and np.isnan(ref[1])
         assert out[2:] == (ref[2] - 1, ref[3] - (not start > -np.inf))
+        assert max(calls["inside"] + calls["score"], default=0) <= max(_sampling.SCORE_BLOCK,
+                                                                      4 * x0.size)
         return calls
 
     def test_a_climb_that_never_moves_is_one_batch(self):
@@ -327,9 +335,43 @@ class TestClimbLadder:
     @pytest.mark.parametrize("block", [8, 20, 4096])
     def test_moving_climb_matches_at_any_cap(self, block, monkeypatch):
         monkeypatch.setattr(_sampling, "SCORE_BLOCK", block)
-        target = np.array([0.33 - 0.1j, 0.05 + 0.4j])
-        calls = self.climb(lambda z: -np.round(16 * np.abs(z - target).sum(axis=1)), 20, 0.3)
+        calls = self.climb(self.moving, 20, 0.3)
         assert 1 < len(calls["score"]) and max(calls["score"]) <= max(block, 8)
+
+    def test_one_scorer_call_per_move(self):
+        # the first ladder, then one batch after each of the climb's 6
+        # moves: the rest of its sweep and the ladder after it
+        calls = self.climb(self.moving, 20, 0.3)
+        assert calls["score"] == [160, 159, 156, 153, 145, 129, 118]
+
+    def test_the_folded_climb_is_the_sequential_climb(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(
+            k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+            quantum=st.sampled_from([4.0, 16.0, 64.0, 1e6]), holes=st.booleans(),
+            steps=st.integers(0, 30),
+            # 1e-15 lies below STEP_FLOOR: no sweep runs
+            step0=st.sampled_from([0.3, 2.0, 1e-15]) | st.floats(1e-3, 1.0),
+            block=st.sampled_from([8, 20, 4096]))
+        def check(k, seed, quantum, holes, steps, step0, block):
+            monkeypatch.setattr(_sampling, "SCORE_BLOCK", block)
+            rng = np.random.default_rng(seed)
+            target = 0.4 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            x0 = 0.2 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+
+            def score(z):
+                vals = -np.round(quantum * np.abs(z - target).sum(axis=1))
+                if holes:  # bands of -inf and NaN rows across the first coordinate
+                    vals[np.abs(37 * z[:, 0].real) % 1 < 0.2] = -np.inf
+                    vals[np.abs(41 * z[:, 0].imag) % 1 < 0.1] = np.nan
+                return vals
+
+            self.climb(score, steps, step0, x0)
+
+        check()
 
 
 def _row_norm_cases():

@@ -913,6 +913,23 @@ class TestLandauEstimate:
         full_runs = sum(len(out) for first, out in ladders if first == 0)
         assert full_runs == 2
 
+    @pytest.mark.parametrize("steps, searches", [(3, 31), (6, 55)])
+    def test_a_moving_sweep_runs_no_probe_past_its_win(self, steps, searches, monkeypatch):
+        # the climb scores the rest of a moving sweep and the ladder after
+        # it as one batch; the scorer runs the rest alone, then whole
+        # sweeps, so a probe win stops the batch before another sweep starts
+        # (36 and 60 searches when the batch ran in chunks of 4k rows)
+        ladders = count_ladders(monkeypatch)
+        est = landau_estimate(parse("(z1 + 0.5*z1^2, z2)"), POLY2, NewtonConfig(rng_seed=5),
+                              center_candidates=2, direction_count=64,
+                              center_refine_steps=steps)
+        assert sum(len(out) for _, out in ladders) == searches
+        assert (est.r_lo, est.r_hi) == (1.001554485978421, 1.0516322102773419)
+        assert (est.r_lo_label, est.r_hi_label) == ("sampled", "heuristic")
+        assert est.center.tobytes() == np.array(
+            [0.35661174859051115 - 0.03657015428385108j,
+             -0.012484972857751409 + 0.034924513018255166j]).tobytes()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", [
         "expcoord(c=1000, k=2)", "expcoord(c=30, k=2)",

@@ -2,7 +2,8 @@
 search, three Landau estimates with center climbs, one growth series, one
 failing membership search, the two evaluators at three batch sizes,
 batched singular values, refined_sup's batched product, the scoring of
-one dense sample set and one Brody-Zalcman sequence.
+one dense sample set, one Brody-Zalcman sequence, the parse of every
+bundled config's map and one CLI run of each bundled config.
 
     python3 benchmarks/layers.py OUTPUT.json
     python3 benchmarks/layers.py OUTPUT.json --against OTHER/src [--only NAME,PREFIX*,...]
@@ -111,6 +112,8 @@ Entries:
                           family linear(a=[[n, 0], [0, n]]), n = 1..5 (maps
                           parsed beforehand), C = 1, 6 shells x 32 points,
                           6 climb steps, seed 7
+  parse.configs           one parse of every bundled config's map, a
+                          bz-sequence family at its member n = 1
   cli.<stem>              one cli.run of configs/<stem>.json, for every
                           bundled config, writing its report to a temporary
                           directory: the config read, its validation, the
@@ -373,7 +376,11 @@ def build_cases(hl, workdir):
     cases["bz_sequence.linear.n5"] = lambda: hl.bz_sequence(
         bz_members.__getitem__, list(bz_members), 1.0, bz_sampler)
 
-    for config in sorted((ROOT / "configs").glob("*.json")):
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    family_member = importlib.import_module(f"{hl.__name__}.cli")._family_member
+    texts = [family_member(json.loads(c.read_text(encoding="utf-8"))["map"], 1) for c in configs]
+    cases["parse.configs"] = lambda: [hl.parse(text) for text in texts]
+    for config in configs:
         report = Path(workdir) / f"{hl.__name__}.{config.stem}.report.json"
         cases[f"cli.{config.stem}"] = cli_case(hl, config, report)
     return cases

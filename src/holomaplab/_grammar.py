@@ -15,10 +15,14 @@ The calls, their keywords and value kinds come from the `fields` of the
 nodes in mapkit.NODES, plus the sugar dilate(real, map); see
 BUILTIN_SIGNATURES.  A constructor's ValueError or DimensionMismatch is
 reported as a ParseError at the constructor's name, or at a tuple's "(".
-A character other than ASCII letters, digits, _PUNCT and whitespace is a ParseError.
+One pattern, _TOKEN, lexes the text: a mark of ()[],=+-*^, a decimal number
+(imaginary when an "i" that starts no name follows it), an ASCII name, or any
+other non-space character, which is a ParseError at its position.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import DimensionMismatch, ParseError
 from . import mapkit
@@ -29,9 +33,12 @@ MAX_DIM = 32  # k of every parsed map
 MAX_TERMS = 4096  # per expanded coordinate, cancelled terms included
 MAX_PRODUCT_PAIRS = 4 * MAX_TERMS  # term pairs one product of two polynomials walks
 
-_PUNCT = "()[],=+-*^"
-_DIGITS = frozenset("0123456789")  # str.isdigit and isalpha also accept non-ASCII
-_NAME_CHARS = _DIGITS | set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+# finditer skips what no alternative matches: whitespace (str.isspace) alone.
+# A leading \s* instead would rescan trailing whitespace from each character.
+_TOKEN = re.compile(r"""([()\[\],=+\-*^])
+    | ((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(i(?![0-9A-Za-z_]))?
+    | ([A-Za-z_][0-9A-Za-z_]*)
+    | (\S)""", re.VERBOSE)
 
 
 class _Token:
@@ -45,50 +52,17 @@ class _Token:
 
 def _tokenize(text: str):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            if j < n and text[j] in "eE":
-                t = j + 1
-                if t < n and text[t] in "+-":
-                    t += 1
-                if t < n and text[t] in _DIGITS:
-                    j = t
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            value = float(text[i:j])
-            # an 'i' suffix makes the literal imaginary, unless it starts a name
-            if j < n and text[j] == "i" and (j + 1 >= n or text[j + 1] not in _NAME_CHARS):
-                toks.append(_Token("IMAG", value, i))
-                j += 1
-            else:
-                toks.append(_Token("NUM", value, i))
-            i = j
-            continue
-        if ch in _NAME_CHARS:  # not a digit: the number branch took those
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            toks.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(_Token("EOF", None, n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex  # 1 punctuation, 2 NUM, 3 IMAG, 4 NAME, 5 other
+        if group == 1:
+            toks.append(_Token(m[1], m[1], m.start()))
+        elif group == 4:
+            toks.append(_Token("NAME", m[4], m.start()))
+        elif group == 5:
+            raise ParseError(f"unexpected character {m[5]!r}", m.start())
+        else:
+            toks.append(_Token("NUM" if group == 2 else "IMAG", float(m[2]), m.start()))
+    toks.append(_Token("EOF", None, len(text)))
     return toks
 
 
@@ -160,17 +134,9 @@ class _Poly:
     def max_var(self):
         return max((v for key in self.terms for v, _ in key), default=-1)
 
-    def constant_value(self):
-        """Complex value if the polynomial has no variables, else None."""
-        if self.max_var() >= 0:
-            return None
-        return self.terms.get((), 0j)
-
-    def to_terms(self, k):
+    def to_terms(self, k):  # PolyCoord drops the zero coefficients
         out = []
         for key, coeff in self.terms.items():
-            if coeff == 0:
-                continue
             exps = [0] * k
             for v, e in key:
                 exps[v] = e
@@ -277,12 +243,7 @@ class _Parser:
     # -- scalar / literal parsing -------------------------------------------
 
     def parse_complex(self) -> complex:
-        tok = self.peek()
-        poly = self.parse_poly_expr(allow_vars=False)
-        value = poly.constant_value()
-        if value is None:
-            raise ParseError("variables are not allowed here", tok.pos)
-        return value
+        return self.parse_poly_expr(allow_vars=False).terms.get((), 0j)
 
     def parse_real(self) -> float:
         tok = self.peek()
@@ -298,33 +259,27 @@ class _Parser:
             raise ParseError("expected an integer", tok.pos)
         return int(value)
 
-    def parse_vector(self):
-        self.expect("[")
-        out = [self.parse_complex()]
+    def parse_list(self, item, close):
+        """item { "," item } close: the items and the close token."""
+        out = [item()]
         while self.peek().kind == ",":
             self.advance()
-            out.append(self.parse_complex())
-        self.expect("]")
-        return out
+            out.append(item())
+        return out, self.expect(close)
+
+    def parse_vector(self):
+        self.expect("[")
+        return self.parse_list(self.parse_complex, "]")[0]
 
     def parse_matrix(self):
         self.expect("[")
-        rows = [self.parse_vector()]
-        while self.peek().kind == ",":
-            self.advance()
-            rows.append(self.parse_vector())
-        self.expect("]")
-        return rows
+        return self.parse_list(self.parse_vector, "]")[0]
 
     # -- polynomial expressions ----------------------------------------------
 
     def parse_tuple(self) -> mapkit.MapExpr:
         start = self.expect("(")
-        polys = [self.parse_poly_expr(allow_vars=True)]
-        while self.peek().kind == ",":
-            self.advance()
-            polys.append(self.parse_poly_expr(allow_vars=True))
-        tok = self.expect(")")
+        polys, tok = self.parse_list(lambda: self.parse_poly_expr(allow_vars=True), ")")
         k = len(polys)
         _check_dim(k, start.pos)  # before to_terms, whose work grows as k^2
         max_var = max(p.max_var() for p in polys)

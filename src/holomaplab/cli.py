@@ -125,6 +125,9 @@ class ExperimentConfig:
         dom_raw = raw.get("domain") or {}
         if not isinstance(dom_raw, dict):
             raise ConfigError("domain must be an object")
+        unknown = set(dom_raw) - {"shape", "radius", "dim"}
+        if unknown:
+            raise ConfigError(f"unknown domain keys: {sorted(unknown)}")
         shape = dom_raw.get("shape", "ball")
         radius = _cast(dom_raw, "radius", float) if "radius" in dom_raw else 1.0
         dim = _cast(dom_raw, "dim", int) if "dim" in dom_raw else m.dim

@@ -19,5 +19,6 @@ def test_every_layers_entry_runs_once(tmp_path, monkeypatch):
     spec.loader.exec_module(layers)
     cases = layers.build_cases(layers.holomaplab, tmp_path)
     assert "shells.ball.n30721" in cases
+    assert "parse.configs" in cases
     for run in cases.values():
         run()

@@ -305,11 +305,11 @@ EVAL_CONFIG = {"schema": 1, "map": "identity(k=2)", "task": "eval", "seed": 1,
                "params": {"point": [[0.1, 0], [0.2, 0]]}}
 
 
-def run_args(raw):
+def run_args(raw, expect="error: invalid config"):
     def args(tmp_path):
         return ["run", str(write_config(tmp_path, "c.json", raw)),
                 "-o", str(tmp_path / "r.json")]
-    args.expect = "error: invalid config"  # how stderr starts when the config is rejected
+    args.expect = expect  # how stderr starts when the config is rejected
     return args
 
 
@@ -388,6 +388,8 @@ class TestExitCodeContract:
         run_args(dict(GROWTH_CONFIG, params={"R_values": [1, "2"]})),
         run_args(dict(EVAL_CONFIG, params={"point": [["0.2", False], [0.1, 0]]})),
         run_args(dict(EVAL_CONFIG, domain={"radius": "1"})),
+        run_args(dict(EVAL_CONFIG, domain={"shape": "ball", "radus": 0.5}),
+                 "error: invalid config: unknown domain keys: ['radus']"),
     ], ids=["dim-list", "map-number", "seed-bool", "output-list", "point-entry",
             "param-cast", "newton-validation", "continuation-steps", "center-candidates",
             "growth-factor", "direction-count", "r-values", "centers-count",
@@ -400,7 +402,7 @@ class TestExitCodeContract:
             "radial-shells-huge", "points-per-shell-huge", "direction-count-huge",
             "center-candidates-huge", "centers-count-huge", "c-string", "c-bool",
             "growth-factor-string", "tolerance-string", "r-values-string",
-            "point-string-bool", "domain-radius-string"])
+            "point-string-bool", "domain-radius-string", "domain-key-typo"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, args):
         assert main(args(tmp_path)) == 2
         assert capsys.readouterr().err.startswith(getattr(args, "expect", "error:"))

@@ -329,6 +329,32 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, expected", [
+        # lexemes: (kind, value, position) of every token
+        ("1.e-1", [("NUM", 0.1, 0), ("EOF", None, 5)]),
+        (".5i", [("IMAG", 0.5, 0), ("EOF", None, 3)]),
+        ("2e3i", [("IMAG", 2000.0, 0), ("EOF", None, 4)]),
+        ("2in", [("NUM", 2.0, 0), ("NAME", "in", 1), ("EOF", None, 3)]),  # "i" starts a name
+        ("1e+", [("NUM", 1.0, 0), ("NAME", "e", 1), ("+", "+", 2), ("EOF", None, 3)]),
+        ("z1\xa0", [("NAME", "z1", 0), ("EOF", None, 3)]),  # NBSP is whitespace
+        # a parsed map's text, or the parse error with its position
+        ("(+z1, z2)", "(z1, z2)"),
+        ("henon(c=1)", "unknown parameter 'c' for henon at position 6 (expected b)"),
+        ("durenrudin(delta=1i)", "expected a real number at position 17"),
+        ("(z0, z1)", "bad variable 'z0' at position 1"),
+        ("henon(b=z1)", "variables are not allowed here at position 8"),
+    ])
+    def test_lexemes_and_parse_errors(self, text, expected):
+        if isinstance(expected, list):
+            toks = _grammar._tokenize(text)
+            assert [(t.kind, t.value, t.pos) for t in toks] == expected
+            return
+        try:
+            got = to_text(parse(text))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected
+
     def test_roundtrip_all_constructors(self):
         maps = BUILTINS + [
             Scalar(0.5 - 0.25j, Henon(1j)),

@@ -22,9 +22,11 @@ one warm-up call per side.  In a round the two sides make one call each,
 and which side calls first alternates from round to round, so a speed
 swing of the machine lands on both sides alike.  Each entry reports
 "before" (OTHER) and "after" (this checkout), the medians of their call
-times, the rounds, and "after_faster", the rounds in which this checkout's
-call was the faster.  --only keeps the named entries; a name ending in *
-keeps a prefix.
+times, the rounds, "after_faster", the rounds in which this checkout's
+call was the faster, and "sign_p", the exact two-sided sign-test p-value of
+after_faster out of the rounds (about 0.006 for 19 of 60): an untouched
+entry's count wanders from 25 to 41 of 60, so a count alone shows little.
+--only keeps the named entries; a name ending in * keeps a prefix.
 
 Entries:
   shell.linear.n128       _certify_shell on a complex Linear map, 128
@@ -126,6 +128,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import math
 import os
 import platform
 import statistics
@@ -402,6 +405,13 @@ def timed(fn):
     return time.perf_counter() - t0
 
 
+def sign_p(wins: int, rounds: int) -> float:
+    """Exact two-sided binomial p-value of wins out of rounds when each side
+    wins a round with probability 1/2: twice the smaller tail, at most 1."""
+    tail = sum(math.comb(rounds, i) for i in range(min(wins, rounds - wins) + 1))
+    return min(1.0, 2 * tail / 2 ** rounds)
+
+
 def against(cases, before_cases, names, rounds=AB_ROUNDS):
     """The in-process A/B of each entry: before_cases (the other tree)
     against cases, the sides alternating call by call."""
@@ -415,10 +425,11 @@ def against(cases, before_cases, names, rounds=AB_ROUNDS):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 times[side].append(timed(sides[side]))
         before, after = (statistics.median(t) for t in times)
+        wins = sum(a < b for b, a in zip(*times))
         out[name] = {"before": before, "after": after, "rounds": rounds,
-                     "after_faster": sum(a < b for b, a in zip(*times))}
+                     "after_faster": wins, "sign_p": sign_p(wins, rounds)}
         print(f"{name:36s} {before * 1e6:12.2f} -> {after * 1e6:12.2f} us, "
-              f"faster in {out[name]['after_faster']} of {rounds}")
+              f"faster in {wins} of {rounds} (p = {out[name]['sign_p']:.2g})")
     return out
 
 

@@ -49,6 +49,9 @@ class _Token:
         self.value = value
         self.pos = pos
 
+    def __str__(self):  # as an error message names it
+        return "end of input" if self.kind == "EOF" else repr(self.value)
+
 
 def _tokenize(text: str):
     toks = []
@@ -179,7 +182,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"got {tok.value!r}", tok.pos, expected=(kind,))
+            raise ParseError(f"got {tok}", tok.pos, expected=(kind,))
         return self.advance()
 
     # -- entry points ------------------------------------------------------
@@ -190,7 +193,7 @@ class _Parser:
             return self.parse_tuple()
         if tok.kind == "NAME":
             return self.parse_named()
-        raise ParseError(f"got {tok.value!r}", tok.pos, expected=("builtin name", "("))
+        raise ParseError(f"got {tok}", tok.pos, expected=("builtin name", "("))
 
     def parse_named(self) -> mapkit.MapExpr:
         """name "(" keyword arguments in any order, then positional ones ")"."""
@@ -218,9 +221,9 @@ class _Parser:
             elif len(args) < len(positional):
                 args.append(_PARSE[positional[len(args)]](self))
             elif comma:
-                raise ParseError("got ','", comma.pos, expected=(")",))
+                raise ParseError(f"got {comma}", comma.pos, expected=(")",))
             else:
-                raise ParseError(f"got {arg.value!r}", arg.pos,
+                raise ParseError(f"got {arg}", arg.pos,
                                  expected=tuple(f"{kw}=" for kw in kinds if kw not in named))
             if self.peek().kind != ",":
                 break
@@ -272,8 +275,14 @@ class _Parser:
         return self.parse_list(self.parse_complex, "]")[0]
 
     def parse_matrix(self):
+        """The rows; a ragged one is reported at its "[", before numpy sees it."""
         self.expect("[")
-        return self.parse_list(self.parse_vector, "]")[0]
+        rows = self.parse_list(lambda: (self.peek().pos, self.parse_vector()), "]")[0]
+        width = len(rows[0][1])
+        for i, (pos, row) in enumerate(rows, 1):
+            if len(row) != width:
+                raise ParseError(f"matrix row {i} has {len(row)} entries, expected {width}", pos)
+        return [row for _, row in rows]
 
     # -- polynomial expressions ----------------------------------------------
 
@@ -354,9 +363,7 @@ class _Parser:
             inner = self.parse_poly_expr(allow_vars)
             self.expect(")")
             return inner
-        raise ParseError(
-            f"got {tok.value!r}", tok.pos, expected=("number", "z<j>", "i", "(")
-        )
+        raise ParseError(f"got {tok}", tok.pos, expected=("number", "z<j>", "i", "("))
 
 
 # parser per field kind; mapkit._FORMAT holds the matching printers
@@ -373,5 +380,5 @@ def parse(text: str) -> mapkit.MapExpr:
         raise ParseError(str(exc), parser.peek().pos) from None
     tok = parser.peek()
     if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.pos, expected=("EOF",))
+        raise ParseError(f"trailing input {tok}", tok.pos, expected=("EOF",))
     return m

@@ -89,9 +89,9 @@ def as_vector(entries) -> np.ndarray:
     return v
 
 
-def as_scalar(value, kind=complex):
-    """Convert to a finite Python complex (or float, with kind=float)."""
-    x = kind(value)
+def as_scalar(value) -> complex:
+    """Convert to a finite Python complex."""
+    x = complex(value)
     if not np.isfinite(x):
         raise ValueError(f"scalar {x!r} must be finite")
     return x

@@ -23,10 +23,14 @@ constructor order.  That table is the one source for parsing (_grammar
 builds its calls and BUILTIN_SIGNATURES from NODES), printing (to_text;
 PolyCoord prints as a tuple), equality and hashing.  To add a node, set
 `name` and `fields` on a MapExpr subclass, set `dim` as a class constant or
-in __init__, write `apply` with +, * (constants on the right), - of a
-number and _exp only, the operations _Dual has, and add the class to
+in __init__, write `apply` by the ring rule below, and add the class to
 NODES; a new kind also needs a printer in _FORMAT and a parser in
 _grammar._PARSE.
+
+The ring rule: `apply` uses only +, * with constants on the right, - of a
+number and _exp.  So one tree walk runs on any ring of coordinates with
+these operations: numbers and arrays, whose exp is np.exp, _Dual, and any
+other coordinate type with an `exp` method, which _exp calls.
 
 Jacobians are computed by forward-mode differentiation with holomorphic
 dual numbers: a pair (v, d) carries the value together with a full
@@ -67,9 +71,9 @@ class _Dual:
     val is a scalar or an (N,) array; der is (k, 1) while constant over the
     batch and (k, N) once it varies, der[j] being the derivative along
     input coordinate j, so val broadcasts against der.
-    It has only the operators nodes use: + of a dual or a number on either
-    side, * by a dual or by a constant on the right, and - of a number.  A
-    constant on the left of * or -, or a negation, raises TypeError.
+    It has only what nodes use: + of a dual or a number on either side, * by
+    a dual or a constant on the right, - of a number, and exp (by _exp of val,
+    so val and der may hold any ring's entries); anything else raises TypeError.
     """
 
     __slots__ = ("val", "der")
@@ -96,12 +100,15 @@ class _Dual:
             )
         return _Dual(self.val * other, other * self.der)
 
+    def exp(self):
+        ev = _exp(self.val)
+        return _Dual(ev, ev * self.der)
+
 
 def _exp(x):
-    if isinstance(x, _Dual):
-        ev = np.exp(x.val)
-        return _Dual(ev, ev * x.der)
-    return np.exp(x)
+    """A coordinate's own exp() if it has one, else np.exp (arrays, numbers)."""
+    exp = getattr(x, "exp", None)
+    return np.exp(x) if exp is None else exp()
 
 
 # --------------------------------------------------------------------------

@@ -119,7 +119,6 @@ class TestValidation:
         for value in (np.inf, complex(0, -np.inf), np.nan):
             with pytest.raises(ValueError):
                 algebra.as_scalar(value)
-        assert algebra.as_scalar(1e308, float) == 1e308
         with pytest.raises(ValueError):
             algebra.as_vector([1.0, np.inf])
         with pytest.raises(ValueError):
@@ -180,6 +179,19 @@ class TestSingularValuesBatch:
                 # as accurate as LAPACK: a few ulps of sigma_max, absolute
                 assert np.abs(s - exact).max() <= 4 * eps * exact[0]
                 assert np.abs(r - exact).max() <= 4 * eps * exact[0]
+        # kappa within 4 eps kappa, relative, of a 200-bit SVD of the same float
+        # matrix, up to kappa = 1e14 at scales 1e-3 and 1e3; rtol=0, since the
+        # default SINGULAR_RTOL makes kappa = 1e14 infinite
+        rng = np.random.default_rng(12)
+        kappas, scales = np.repeat([1.0, 1e4, 1e8, 1e12, 1e14], 20), np.tile([1e-3, 1e3], 50)
+        mats = np.array([s * random_unitary(2, rng) @ np.diag([1.0, 1.0 / k])
+                         @ random_unitary(2, rng) for k, s in zip(kappas, scales)])
+        ours = algebra.kappa_from_singular_values(algebra.singular_values_batch(mats), rtol=0)
+        with mpmath.workprec(200):
+            for a, k in zip(mats, ours):
+                sv = mpmath.svd_c(mpmath.matrix(a.tolist()), compute_uv=False)
+                exact = max(sv) / min(sv)
+                assert abs(k - exact) <= 4 * eps * exact * exact
 
     def test_nan_row_raises_like_lapack(self):
         mats = _cstack(np.random.default_rng(10), 5)

@@ -19,6 +19,7 @@ from holomaplab import (
 from holomaplab import _sampling, algebra, conditioning
 from holomaplab._sampling import sampled_sup, score_blocks, shell_points
 from holomaplab.errors import (
+    DimensionMismatch,
     EmptySample,
     PreconditionFailed,
     SingularMatrix,
@@ -201,6 +202,14 @@ class TestSupKappa:
     def test_exclusion_tolerance_range(self, tol):
         with pytest.raises(PreconditionFailed):
             sup_kappa(Identity(2), BALL2, CFG, exclusion_tolerance=tol)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sup_kappa(Identity(2), DomainSpec.ball(3), CFG),
+        lambda: refined_sup(Identity(2), [0.1, 0.1, 0.1], CFG),
+    ], ids=["sup-kappa-domain", "refined-sup-base-point"])
+    def test_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def _in_unit_ball(z):

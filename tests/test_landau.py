@@ -31,7 +31,7 @@ from holomaplab._sampling import (
     sphere_directions,
     subseed,
 )
-from holomaplab.errors import CenterNotInImage, PreconditionFailed
+from holomaplab.errors import CenterNotInImage, DimensionMismatch, PreconditionFailed
 
 BALL2 = DomainSpec.ball(2, 1.0)
 POLY2 = DomainSpec.polydisc(2, 1.0)
@@ -132,6 +132,15 @@ class TestInscribedLowerBound:
         assert f"best residual {missing.best_residual:.3e}" in str(raised.value)
         # the exact preimage (5, 0) misses the domain, not the tolerance
         assert "at domain margin -4.000e+00" in str(raised.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: inscribed_lower_bound(Identity(2), [0, 0], DomainSpec.ball(3), CFG, 16),
+        lambda: inscribed_lower_bound(Identity(2), [0, 0, 0], BALL2, CFG, 16),
+        lambda: solve_membership(Identity(2), [0, 0, 0], BALL2, CFG),
+    ], ids=["domain", "center", "membership-target"])
+    def test_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
     def test_shell_history_brackets_r_lo(self):
         est = inscribed_lower_bound(Identity(2), np.zeros(2), BALL2, CFG,

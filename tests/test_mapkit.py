@@ -343,6 +343,21 @@ class TestParse:
         ("durenrudin(delta=1i)", "expected a real number at position 17"),
         ("(z0, z1)", "bad variable 'z0' at position 1"),
         ("henon(b=z1)", "variables are not allowed here at position 8"),
+        ("(0, z2)", "(0, z2)"),  # a zero polynomial prints as 0
+        # a text that ends early, wherever the parser stands
+        ("", "got end of input at position 0 (expected ( | builtin name)"),
+        ("henon(b=0.5", "got end of input at position 11 (expected ))"),
+        ("henon(", "got end of input at position 6 (expected b=)"),
+        ("(z1,", "got end of input at position 4 (expected ( | i | number | z<j>)"),
+        # a ragged matrix names its row, at the row's "["
+        ("linear(a=[[1, 0], [0]])", "matrix row 2 has 1 entries, expected 2 at position 18"),
+        ("linear(a=[[1, 0], [0, 1, 2]])",
+         "matrix row 2 has 3 entries, expected 2 at position 18"),
+        # the other tokens that start no map, argument or polynomial factor
+        ("[", "got '[' at position 0 (expected ( | builtin name)"),
+        ("henon(0.5)", "got 0.5 at position 6 (expected b=)"),
+        ("(z1, foo)", "unexpected name 'foo' at position 5 (expected i | number | z<j>)"),
+        ("(z1, *)", "got '*' at position 5 (expected ( | i | number | z<j>)"),
     ])
     def test_lexemes_and_parse_errors(self, text, expected):
         if isinstance(expected, list):
@@ -418,6 +433,18 @@ class TestConstructorRanges:
         with pytest.raises(PreconditionFailed):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: Identity(0),
+        lambda: ExpCoord(0.1, 0),
+        lambda: PolyCoord([]),
+        lambda: PolyCoord([[((1,), 1.0)], [((0, 1), 1.0)]]),  # exponents of length 1, k = 2
+        lambda: evaluate_batch(Identity(2), np.zeros(2)),  # one point, not an (N, k) array
+    ], ids=["identity-0", "expcoord-0", "polycoord-empty", "polycoord-short-exponents",
+            "evaluate-batch-1d"])
+    def test_bad_dimension_raises_dimension_mismatch(self, build):
+        with pytest.raises(DimensionMismatch):
+            build()
+
 
 class TestDomainSpec:
     def test_ball_membership(self):
@@ -437,6 +464,8 @@ class TestDomainSpec:
             DomainSpec("cube", 1.0, 2)
         with pytest.raises(ValueError):
             DomainSpec.ball(2, 0.0)
+        with pytest.raises(PreconditionFailed):
+            DomainSpec.ball(0)
         for radius in (np.inf, np.nan, -1.0):
             with pytest.raises(PreconditionFailed):
                 DomainSpec.ball(2, radius)
